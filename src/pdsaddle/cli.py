@@ -116,7 +116,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RuntimeError) as exc:
+        # RuntimeError: a reference solver that missed its tolerance
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import instances as inst_mod
 from .problems import Iterate, SaddleProblem, conj_grad, grad_primal
+# the four runners are module globals that SOLVERS names
 from .solvers import (
     DivergenceError,
     StoppingRule,
@@ -43,7 +44,7 @@ from .svrg import (
     run_pdsvrg,
     run_primal_svrg,
 )
-from .theory import ghost_step, pdg_schedule, sc_schedule
+from .theory import ghost_step, pdg_schedule, primal_step, sc_schedule
 
 __all__ = [
     "ConfigError",
@@ -59,7 +60,26 @@ __all__ = [
     "measure_units_to_target",
 ]
 
-SOLVER_NAMES = ("pdg", "primal_gd", "pdsvrg", "primal_svrg")
+
+@dataclass(frozen=True)
+class SolverEntry:
+    """How the harness runs one solver: the step parameters a grid sweeps
+    (in sweep order), the InstanceBundle field holding the finite sum it runs
+    on (None: the aggregate problem), and the name of the module global that
+    runs it, looked up at call time so that a wrapper installed on this
+    module sees every run."""
+
+    keys: tuple[str, ...]
+    form: str | None
+    runner: str
+
+
+SOLVERS = {
+    "pdg": SolverEntry(("eta1", "eta2"), None, "run_pdg"),
+    "primal_gd": SolverEntry(("eta",), None, "run_primal_gd"),
+    "pdsvrg": SolverEntry(("eta1", "eta2", "inner_iters", "mu"), "fsp", "run_pdsvrg"),
+    "primal_svrg": SolverEntry(("eta1", "inner_iters"), "primal_fsp", "run_primal_svrg"),
+}
 
 
 class ConfigError(ValueError):
@@ -116,7 +136,7 @@ class ExperimentConfig:
             path = f"config.solvers[{i}]"
             if not isinstance(sd, dict):
                 raise ConfigError(path, "each solver entry must be an object")
-            name = _get(sd, "name", path, str, choices=set(SOLVER_NAMES))
+            name = _get(sd, "name", path, str, choices=set(SOLVERS))
             schedule = _get(sd, "schedule", path, dict, default={"source": "theory"})
             _get(schedule, "source", f"{path}.schedule", str,
                  default="theory", choices={"theory", "explicit", "grid"})
@@ -163,22 +183,16 @@ class InstanceBundle:
     y_star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
-    def require_fsp(self) -> FiniteSumSaddleProblem:
-        if self.fsp is None:
+    def finite_sum(self, form: str):
+        """The finite-sum form ``form`` ("fsp" or "primal_fsp")."""
+        fsp = getattr(self, form)
+        if fsp is None:
             raise ConfigError(
                 "config.instance",
-                f"family {self.family!r} provides no finite-sum form for a "
-                f"stochastic solver",
+                f"family {self.family!r} provides no finite-sum form ({form}) "
+                f"for a stochastic solver",
             )
-        return self.fsp
-
-    def require_primal_fsp(self) -> FiniteSumPrimal:
-        if self.primal_fsp is None:
-            raise ConfigError(
-                "config.instance",
-                f"family {self.family!r} provides no finite-sum primal form",
-            )
-        return self.primal_fsp
+        return fsp
 
 
 def _load_data(spec: dict, path: str):
@@ -195,12 +209,25 @@ def build_instance(spec: dict, *, splits: int | None = None) -> InstanceBundle:
     Families: "quadratic" (inline data or path, optionally split into
     ``splits`` components), "random_quadratic" (seeded generator),
     "smoothed_l1" (generator parameters or pinned data), "mspbe" (pinned data
-    or seeded generator).
+    or seeded generator).  A field of the wrong type, or data a builder
+    rejects, is a ConfigError; a reference solver that misses its tolerance
+    raises RuntimeError.
     """
     if not isinstance(spec, dict):
         raise ConfigError("config.instance", "must be an object")
-    family = _get(spec, "family", "config.instance", str)
+    try:
+        return _build_family(spec, splits)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError("config.instance", str(exc)) from exc
+
+
+def _build_family(spec: dict, splits: int | None) -> InstanceBundle:
     path = "config.instance"
+    family = _get(spec, "family", path, str)
+    seed = _get(spec, "seed", path, int, default=0)
+    number = (int, float)
 
     if family in ("quadratic", "random_quadratic"):
         if family == "quadratic":
@@ -212,18 +239,17 @@ def build_instance(spec: dict, *, splits: int | None = None) -> InstanceBundle:
             problem = data.to_problem()
         else:
             problem = inst_mod.random_quadratic(
-                _get(spec, "seed", path, int, default=0),
-                spec.get("d1"),
-                spec.get("d2"),
-                strongly_convex=bool(spec.get("strongly_convex", False)),
+                seed,
+                _get(spec, "d1", path, int, default=None),
+                _get(spec, "d2", path, int, default=None),
+                strongly_convex=_get(spec, "strongly_convex", path, bool, default=False),
             )
-        n_split = splits if splits is not None else spec.get("splits")
+        n_split = splits if splits is not None else _get(spec, "splits", path, int,
+                                                           default=None)
         fsp = primal = None
         if n_split:
-            fsp = inst_mod.split_quadratic(problem, int(n_split),
-                                           seed=_get(spec, "seed", path, int, default=0))
-            primal = inst_mod.split_quadratic_primal(
-                problem, int(n_split), seed=_get(spec, "seed", path, int, default=0))
+            fsp = inst_mod.split_quadratic(problem, int(n_split), seed=seed)
+            primal = inst_mod.split_quadratic_primal(problem, int(n_split), seed=seed)
         x_star, y_star, _ = reference_solution(problem, "direct")
         return InstanceBundle(family=family, problem=problem, fsp=fsp,
                               primal_fsp=primal, x_star=x_star, y_star=y_star,
@@ -236,16 +262,16 @@ def build_instance(spec: dict, *, splits: int | None = None) -> InstanceBundle:
             d = _get(spec, "d", path, int)
             cov = _get(spec, "covariance", path, str, default="identity",
                        choices={"identity", "exp_decay"})
-            decay = spec.get("decay")
+            decay = _get(spec, "decay", path, number, default=None)
             if cov == "exp_decay" and decay is None:
                 raise ConfigError(f"{path}.decay", "required for exp_decay covariance")
             data = inst_mod.make_smoothed_l1(
                 n, d, cov=cov, decay=decay,
-                a=float(spec.get("a", 10.0)),
-                lambda_reg=spec.get("lambda_reg"),
-                noise=float(spec.get("noise", 0.01)),
-                density=float(spec.get("density", 0.1)),
-                seed=_get(spec, "seed", path, int, default=0),
+                a=float(_get(spec, "a", path, number, default=10.0)),
+                lambda_reg=_get(spec, "lambda_reg", path, number, default=None),
+                noise=float(_get(spec, "noise", path, number, default=0.01)),
+                density=float(_get(spec, "density", path, number, default=0.1)),
+                seed=seed,
             )
         elif not isinstance(data, inst_mod.SmoothedL1Regression):
             raise ConfigError(path, "pinned instance is not a smoothed-L1 regression")
@@ -266,12 +292,13 @@ def build_instance(spec: dict, *, splits: int | None = None) -> InstanceBundle:
             data = inst_mod.random_mspbe(
                 _get(spec, "n", path, int),
                 _get(spec, "d", path, int),
-                gamma=float(spec.get("gamma", 0.9)),
-                seed=_get(spec, "seed", path, int, default=0),
+                gamma=float(_get(spec, "gamma", path, number, default=0.9)),
+                seed=seed,
             )
         elif not isinstance(data, inst_mod.MspbeInstance):
             raise ConfigError(path, "pinned instance is not an MSPBE instance")
-        problem = inst_mod.mspbe_saddle(data, normalize=bool(spec.get("normalize", False)))
+        problem = inst_mod.mspbe_saddle(
+            data, normalize=_get(spec, "normalize", path, bool, default=False))
         x_star, y_star, _ = reference_solution(problem, "direct")
         return InstanceBundle(family=family, problem=problem, x_star=x_star,
                               y_star=y_star, meta={"spec": spec, "instance": data})
@@ -300,34 +327,66 @@ def fitted_slope(grad_evals, dist_x, burn_in: float = 0.1) -> float | None:
     return float(slope)
 
 
-def _theory_primal_eta(problem: SaddleProblem) -> float:
-    p = problem.params
-    gamma = p.rho + p.sigma_max**2 / p.alpha
-    delta = p.sigma_min**2 / p.beta
-    return 2.0 / (gamma + delta)
-
-
-def _sc_constants(problem: SaddleProblem):
+def _run_sc(problem: SaddleProblem, stop: StoppingRule, x_star):
+    """PDG under the both-strongly-convex schedule, with R_t written into the
+    trace's potential column; returns (schedule, trace)."""
     parts = getattr(problem, "quadratic_parts", None)
     if parts is None:
         raise ConfigError("config", "sc schedule needs a quadratic instance")
     eig = np.linalg.eigvalsh(parts[0])
     if eig[0] <= 0:
         raise ConfigError("config", "sc schedule needs strongly convex f")
-    return float(eig[0]), float(eig[-1])
+    p = problem.params
+    sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+    trace = run_pdg(problem, eta1=sc.eta1, eta2=sc.eta2, stop=stop, x_star=x_star)
+    dx, dy = trace.column("dist_x"), trace.column("dist_y")
+    trace.potential = list(sc.eta2 * dx**2 + sc.eta1 * dy**2)
+    trace.potential_kind = "R_t"
+    return sc, trace
 
 
 def _svrg_epochs(budget: float, n: int, inner: int) -> int:
     return max(1, int(budget / (1.0 + 2.0 * inner / n)))
 
 
+def _svrg_point(point: dict, n: int, cap: float) -> dict:
+    """A stochastic step point with its defaults filled in (eta2 = eta1,
+    inner_iters = 2n, mu = 1) and, unless it fixes them, the epochs that
+    ``cap`` grad-units afford; the keys are SvrgConfig's."""
+    eta1 = float(_get(point, "eta1", "schedule", (int, float)))
+    inner = int(point.get("inner_iters", 2 * n))
+    return {"eta1": eta1, "eta2": float(point.get("eta2", eta1)),
+            "inner_iters": inner, "mu": float(point.get("mu", 1.0)),
+            "epochs": int(point.get("epochs", _svrg_epochs(cap, n, inner)))}
+
+
+def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
+               cap: float, tol: float, seed: int = 0):
+    """One run of ``solver`` from the step ``point``, capped at ``cap``
+    grad-units and stopped once dist_x <= tol.  A batch point holds the
+    runner's step arguments; a stochastic one is completed by _svrg_point."""
+    entry = SOLVERS[solver]
+    run = globals()[entry.runner]
+    stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol)
+    if entry.form is None:
+        return run(bundle.problem, **point, stop=stop, x_star=bundle.x_star)
+    fsp = bundle.finite_sum(entry.form)
+    cfg = SvrgConfig(seed=seed, **_svrg_point(point, fsp.n, cap))
+    return run(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop)
+
+
 def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
              stop: StoppingRule, budget: float, base_seed: int,
              repetitions: int = 1):
-    """Run one solver entry; returns (trace, info dict, list of rep traces)."""
+    """Run one solver entry; returns (trace, info dict, list of rep traces).
+
+    The stopping rule's max_iters caps a batch run and ``budget`` a
+    stochastic one; only stochastic entries repeat, over seeds base_seed + r.
+    """
     problem = bundle.problem
+    entry = SOLVERS[spec.name]
     source = schedule.get("source", "theory")
-    grid_best = None
+    info: dict = {"name": spec.name, "source": source}
     if source == "grid":
         result = grid_search(bundle, spec.name, schedule, budget=budget,
                              seed=base_seed)
@@ -335,76 +394,48 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
             raise DivergenceError(
                 "no convergent schedule in the grid", 0, None
             )
-        grid_best = result["best"]
-        schedule = {"source": "explicit",
-                    **{k: v for k, v in grid_best.items()
-                       if k in ("eta", "eta1", "eta2", "inner_iters", "mu")}}
+        info["grid_best"] = schedule = result["best"]
         source = "explicit"
-    info: dict = {"name": spec.name, "source": "grid" if grid_best else source}
-    if grid_best is not None:
-        info["grid_best"] = grid_best
 
-    if spec.name == "pdg":
-        if source == "theory" and schedule.get("variant", "pdg") == "sc":
-            a1, b1 = _sc_constants(problem)
-            sc = sc_schedule(a1, b1, problem.params.alpha, problem.params.beta,
-                             problem.params.sigma_max)
-            trace = run_pdg(problem, eta1=sc.eta1, eta2=sc.eta2, stop=stop,
-                            x_star=bundle.x_star)
-            # post-hoc weighted squared-distance potential
-            dx, dy = trace.column("dist_x"), trace.column("dist_y")
-            trace.potential = list(sc.eta2 * dx**2 + sc.eta1 * dy**2)
-            trace.potential_kind = "R_t"
-            info["schedule"] = {"eta1": sc.eta1, "eta2": sc.eta2, "rate": sc.rate}
-        elif source == "theory":
-            sched = pdg_schedule(problem.params)
-            trace = run_pdg(problem, schedule=sched, stop=stop, x_star=bundle.x_star)
-            info["schedule"] = {
-                "eta1": sched.eta1, "eta2": sched.eta2,
-                "lambda": sched.lambda_, "rate": sched.rate,
-            }
-        else:
-            eta1 = float(_get(schedule, "eta1", "schedule", (int, float)))
-            eta2 = float(_get(schedule, "eta2", "schedule", (int, float)))
-            trace = run_pdg(problem, eta1=eta1, eta2=eta2, stop=stop,
-                            x_star=bundle.x_star)
-            info["schedule"] = {"eta1": eta1, "eta2": eta2}
-        return trace, info, [trace]
-
-    if spec.name == "primal_gd":
+    if entry.form is not None:
+        n = bundle.finite_sum(entry.form).n
         if source == "theory":
-            eta = _theory_primal_eta(problem)
-        else:
-            eta = float(_get(schedule, "eta", "schedule", (int, float)))
-        trace = run_primal_gd(problem, eta=eta, stop=stop, x_star=bundle.x_star)
-        info["schedule"] = {"eta": eta}
-        return trace, info, [trace]
-
-    if spec.name in ("pdsvrg", "primal_svrg"):
-        fsp = bundle.require_fsp() if spec.name == "pdsvrg" else bundle.require_primal_fsp()
-        n = fsp.n
-        if source == "theory":
-            base = default_svrg_config(bundle.require_fsp())
-            eta1, eta2, inner, mu = base.eta1, base.eta2, base.inner_iters, base.mu
-        else:
-            eta1 = float(_get(schedule, "eta1", "schedule", (int, float)))
-            eta2 = float(schedule.get("eta2", eta1))
-            inner = int(schedule.get("inner_iters", 2 * n))
-            mu = float(schedule.get("mu", 1.0))
-        epochs = int(schedule.get("epochs", _svrg_epochs(budget, n, inner)))
-        info["schedule"] = {"eta1": eta1, "eta2": eta2, "inner_iters": inner,
-                            "mu": mu, "epochs": epochs}
-        traces = []
-        for r in range(repetitions):
-            cfg = SvrgConfig(eta1=eta1, eta2=eta2, inner_iters=inner,
-                             epochs=epochs, seed=base_seed + r, mu=mu)
-            if spec.name == "pdsvrg":
-                traces.append(run_pdsvrg(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop))
-            else:
-                traces.append(run_primal_svrg(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop))
+            base = default_svrg_config(bundle.finite_sum("fsp"))
+            schedule = dict(schedule, eta1=base.eta1, eta2=base.eta2,
+                            inner_iters=base.inner_iters, mu=base.mu)
+        point = info["schedule"] = _svrg_point(schedule, n, budget)
+        traces = [_run_point(bundle, spec.name, point, cap=budget, tol=stop.tol,
+                             seed=base_seed + r)
+                  for r in range(repetitions)]
         return traces[0], info, traces
 
-    raise ConfigError("config.solvers", f"unknown solver {spec.name!r}")
+    if source == "explicit":
+        point = {k: float(_get(schedule, k, "schedule", (int, float)))
+                 for k in entry.keys}
+        info["schedule"] = point
+    elif spec.name == "primal_gd":
+        point = info["schedule"] = {"eta": primal_step(problem.params)}
+    elif schedule.get("variant", "pdg") == "sc":
+        sc, trace = _run_sc(problem, stop, bundle.x_star)
+        info["schedule"] = {"eta1": sc.eta1, "eta2": sc.eta2, "rate": sc.rate}
+        return trace, info, [trace]
+    else:
+        sched = pdg_schedule(problem.params)
+        point = {"schedule": sched}
+        info["schedule"] = {"eta1": sched.eta1, "eta2": sched.eta2,
+                            "lambda": sched.lambda_, "rate": sched.rate}
+    trace = _run_point(bundle, spec.name, point, cap=stop.max_iters, tol=stop.tol)
+    return trace, info, [trace]
+
+
+def _unique_stem(name: str, used: set) -> str:
+    """``name``, or ``name_2``, ``name_3``, ... if already in ``used``."""
+    stem, k = name, 2
+    while stem in used:
+        stem = f"{name}_{k}"
+        k += 1
+    used.add(stem)
+    return stem
 
 
 def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
@@ -421,13 +452,7 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         summary["instance"]["reference_norm"] = float(np.linalg.norm(bundle.x_star))
 
     for spec in config.solvers:
-        name = spec.label or spec.name
-        stem = name
-        k = 2
-        while stem in used:
-            stem = f"{name}_{k}"
-            k += 1
-        used.add(stem)
+        stem = _unique_stem(spec.label or spec.name, used)
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
             trace, info, reps = _run_one(
@@ -479,14 +504,7 @@ def _json_default(obj):
 
 def _grid_points(solver: str, grid: dict, n: int | None):
     """Cartesian product of the per-parameter value lists, deterministic order."""
-    if solver == "primal_gd":
-        keys = ["eta"]
-    elif solver == "pdg":
-        keys = ["eta1", "eta2"]
-    elif solver == "pdsvrg":
-        keys = ["eta1", "eta2", "inner_iters", "mu"]
-    else:
-        keys = ["eta1", "inner_iters"]
+    keys = list(SOLVERS[solver].keys)
     defaults = {"inner_iters": [2 * n] if n else None, "mu": [1.0]}
     lists = []
     for key in keys:
@@ -504,30 +522,6 @@ def _grid_points(solver: str, grid: dict, n: int | None):
     return keys, points
 
 
-def _run_grid_point(bundle: InstanceBundle, solver: str, point: dict,
-                    budget: float, seed: int, stop_tol: float):
-    stop = StoppingRule(max_iters=max(1, int(budget)), tol=stop_tol)
-    if solver == "primal_gd":
-        return run_primal_gd(bundle.problem, eta=point["eta"], stop=stop,
-                             x_star=bundle.x_star)
-    if solver == "pdg":
-        return run_pdg(bundle.problem, eta1=point["eta1"], eta2=point["eta2"],
-                       stop=stop, x_star=bundle.x_star)
-    fsp = bundle.require_fsp() if solver == "pdsvrg" else bundle.require_primal_fsp()
-    inner = int(point["inner_iters"])
-    cfg = SvrgConfig(
-        eta1=point["eta1"],
-        eta2=point.get("eta2", point["eta1"]),
-        inner_iters=inner,
-        epochs=_svrg_epochs(budget, fsp.n, inner),
-        seed=seed,
-        mu=point.get("mu", 1.0),
-    )
-    if solver == "pdsvrg":
-        return run_pdsvrg(fsp, cfg=cfg, x_star=bundle.x_star)
-    return run_primal_svrg(fsp, cfg=cfg, x_star=bundle.x_star)
-
-
 def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
                 budget: float, seed: int = 0, stop_tol: float = 1e-300) -> dict:
     """Run every grid point to the grad-unit budget; rank by final dist_x
@@ -538,14 +532,14 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
     """
     if bundle.x_star is None:
         raise ConfigError("config", "grid search needs a reference solution")
-    n = bundle.fsp.n if bundle.fsp is not None else (
-        bundle.primal_fsp.n if bundle.primal_fsp is not None else None)
-    keys, points = _grid_points(solver, grid, n)
+    form = SOLVERS[solver].form
+    keys, points = _grid_points(solver, grid, bundle.finite_sum(form).n if form else None)
     rows = []
     for point in points:
         row = dict(point)
         try:
-            trace = _run_grid_point(bundle, solver, point, budget, seed, stop_tol)
+            trace = _run_point(bundle, solver, point, cap=budget, tol=stop_tol,
+                               seed=seed)
             row["final_dist_x"] = trace.final_dist_x()
             row["status"] = "ok"
         except DivergenceError as exc:
@@ -582,6 +576,10 @@ def measure_units_to_target(
     but never converge; measuring a few points smooths out ranking noise
     among configurations that all hit the numeric floor before the budget
     ended.  Later candidates only run as long as the incumbent's units."""
+    entry = SOLVERS[solver]
+    # a batch run also stops on the gradient norm, so its tolerance sits well
+    # below the target; a stochastic run checks dist_x once per epoch
+    tol = target * 1e-3 if entry.form is None else 0.99 * target
     best: tuple[float, dict] | None = None
     measured = 0
     for row in ranked:
@@ -589,31 +587,10 @@ def measure_units_to_target(
             break
         if row.get("status") != "ok":
             continue
-        point = {k: v for k, v in row.items()
-                 if k in ("eta", "eta1", "eta2", "inner_iters", "mu")}
+        point = {k: row[k] for k in entry.keys if k in row}
         cap = max_units if best is None else best[0]
         try:
-            if solver in ("pdg", "primal_gd"):
-                stop = StoppingRule(max_iters=max(1, int(cap)), tol=target * 1e-3)
-                if solver == "pdg":
-                    trace = run_pdg(bundle.problem, eta1=point["eta1"],
-                                    eta2=point["eta2"], stop=stop, x_star=bundle.x_star)
-                else:
-                    trace = run_primal_gd(bundle.problem, eta=point["eta"],
-                                          stop=stop, x_star=bundle.x_star)
-            else:
-                fsp = bundle.require_fsp() if solver == "pdsvrg" else bundle.require_primal_fsp()
-                inner = int(point.get("inner_iters", 2 * fsp.n))
-                epochs = _svrg_epochs(cap, fsp.n, inner)
-                cfg = SvrgConfig(eta1=point["eta1"],
-                                 eta2=point.get("eta2", point["eta1"]),
-                                 inner_iters=inner, epochs=epochs, seed=seed,
-                                 mu=point.get("mu", 1.0))
-                stop = StoppingRule(max_iters=1, tol=0.99 * target)
-                if solver == "pdsvrg":
-                    trace = run_pdsvrg(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop)
-                else:
-                    trace = run_primal_svrg(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop)
+            trace = _run_point(bundle, solver, point, cap=cap, tol=tol, seed=seed)
         except DivergenceError:
             continue
         units = trace.units_to_target(target)
@@ -637,13 +614,7 @@ def cmd_grid(config: ExperimentConfig, out_dir, budget: float | None = None) -> 
     for spec in config.solvers:
         if spec.schedule.get("source") != "grid":
             continue
-        name = spec.label or spec.name
-        stem = name
-        k = 2
-        while stem in used:
-            stem = f"{name}_{k}"
-            k += 1
-        used.add(stem)
+        stem = _unique_stem(spec.label or spec.name, used)
         result = grid_search(bundle, spec.name, spec.schedule, budget=budget,
                              seed=config.seed)
         sweep_path = out / f"sweep_{stem}.csv"
@@ -714,16 +685,23 @@ def cmd_estimate(instance_spec: dict) -> dict:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _verify_contraction(trials: int, seed: int, iters: int = 500) -> dict:
+def _verify_contraction(trials: int, seed: int, iters: int = 500, *,
+                        strongly_convex: bool = False) -> dict:
+    """Check the per-step contraction of the certified potential on random
+    quadratics: P_t under pdg_schedule, or with ``strongly_convex`` R_t under
+    sc_schedule on instances whose f is strongly convex."""
     passes = 0
     failures = []
     worst = 0.0
     for k in range(trials):
-        problem = inst_mod.random_quadratic(seed + k)
+        problem = inst_mod.random_quadratic(seed + k, strongly_convex=strongly_convex)
         x_star, _, _ = reference_solution(problem, "direct")
-        sched = pdg_schedule(problem.params)
-        trace = run_pdg(problem, schedule=sched,
-                        stop=StoppingRule(iters, 1e-300), x_star=x_star)
+        stop = StoppingRule(iters, 1e-300)
+        if strongly_convex:
+            sched, trace = _run_sc(problem, stop, x_star)
+        else:
+            sched = pdg_schedule(problem.params)
+            trace = run_pdg(problem, schedule=sched, stop=stop, x_star=x_star)
         P = trace.column("potential")
         bad = np.sum(P[1:] > sched.rate * P[:-1] + 1e-12 * P[0])
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -735,38 +713,8 @@ def _verify_contraction(trials: int, seed: int, iters: int = 500) -> dict:
         else:
             passes += 1
     return {
-        "suite": "contraction", "trials": trials, "iters": iters,
-        "passes": passes, "failures": failures,
-        "worst_ratio_vs_rate": worst,
-        "refuted": bool(failures),
-    }
-
-
-def _verify_sc_contraction(trials: int, seed: int, iters: int = 300) -> dict:
-    passes = 0
-    failures = []
-    worst = 0.0
-    for k in range(trials):
-        problem = inst_mod.random_quadratic(seed + k, strongly_convex=True)
-        x_star, _, _ = reference_solution(problem, "direct")
-        a1, b1 = _sc_constants(problem)
-        sc = sc_schedule(a1, b1, problem.params.alpha, problem.params.beta,
-                         problem.params.sigma_max)
-        trace = run_pdg(problem, eta1=sc.eta1, eta2=sc.eta2,
-                        stop=StoppingRule(iters, 1e-300), x_star=x_star)
-        dx, dy = trace.column("dist_x"), trace.column("dist_y")
-        R = sc.eta2 * dx**2 + sc.eta1 * dy**2
-        bad = np.sum(R[1:] > sc.rate * R[:-1] + 1e-12 * R[0])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prev = np.where(R[:-1] > 1e-8 * R[0], R[:-1], np.nan)
-            ratio = np.nanmax(R[1:] / prev) if np.any(np.isfinite(prev)) else 0.0
-        worst = max(worst, float(ratio) / sc.rate)
-        if bad:
-            failures.append({"trial": k, "violations": int(bad)})
-        else:
-            passes += 1
-    return {
-        "suite": "sc_contraction", "trials": trials, "iters": iters,
+        "suite": "sc_contraction" if strongly_convex else "contraction",
+        "trials": trials, "iters": iters,
         "passes": passes, "failures": failures,
         "worst_ratio_vs_rate": worst,
         "refuted": bool(failures),
@@ -785,9 +733,22 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
     then fails are reported as out_of_precondition rather than checked, and a
     diverging run ends the trial early without counting as a refutation.
     """
+    for name, scale in (("eta1_scale", eta1_scale), ("eta2_scale", eta2_scale)):
+        if scale is not None and not scale > 0:
+            raise ConfigError(name, f"must be > 0, got {scale}")
     counts = {p: {"checked": 0, "violations": 0, "out_of_precondition": 0}
               for p in ("ghost_contraction", "primal_decrease",
                         "step_length", "dual_decrease")}
+
+    def tally(name, applies, violated):
+        """Count one check of ``name``; ``violated`` runs only if it applies."""
+        c = counts[name]
+        if not applies:
+            c["out_of_precondition"] += 1
+        else:
+            c["checked"] += 1
+            c["violations"] += int(violated())
+
     diverged_trials = 0
     for k in range(trials):
         problem = inst_mod.random_quadratic(seed + k)
@@ -796,7 +757,7 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
         sched = pdg_schedule(p)
         gamma = p.rho + p.sigma_max**2 / p.alpha
         delta = p.sigma_min**2 / p.beta
-        bound1 = 2.0 / (gamma + delta)
+        bound1 = primal_step(p)
         bound2 = 2.0 / (p.alpha + p.beta)
         eta1 = sched.eta1 if eta1_scale is None else eta1_scale * bound1
         eta2 = sched.eta2 if eta2_scale is None else eta2_scale * bound2
@@ -810,14 +771,8 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
                 it.y - conj_grad(problem, problem.coupling @ it.x)))
             slack = 1e-12 * (1.0 + a_t + b_t)
 
-            if pre1:
-                counts["ghost_contraction"]["checked"] += 1
-                ghost = ghost_step(problem, it.x, eta1)
-                if np.linalg.norm(ghost - x_star) > (1 - delta * eta1) * a_t + slack:
-                    counts["ghost_contraction"]["violations"] += 1
-            else:
-                counts["ghost_contraction"]["out_of_precondition"] += 1
-
+            tally("ghost_contraction", pre1, lambda: np.linalg.norm(
+                ghost_step(problem, it.x, eta1) - x_star) > (1 - delta * eta1) * a_t + slack)
             try:
                 nxt = pdg_step(problem, it, eta1, eta2)
             except DivergenceError:
@@ -827,26 +782,14 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
             b_n = float(np.linalg.norm(
                 nxt.y - conj_grad(problem, problem.coupling @ nxt.x)))
 
-            if pre1:
-                counts["primal_decrease"]["checked"] += 1
-                if a_n > (1 - delta * eta1) * a_t + p.sigma_max * eta1 * b_t + slack:
-                    counts["primal_decrease"]["violations"] += 1
-            else:
-                counts["primal_decrease"]["out_of_precondition"] += 1
-
-            counts["step_length"]["checked"] += 1
-            if (np.linalg.norm(nxt.x - it.x)
-                    > gamma * eta1 * a_t + p.sigma_max * eta1 * b_t + slack):
-                counts["step_length"]["violations"] += 1
-
-            if pre2:
-                counts["dual_decrease"]["checked"] += 1
-                coef_b = 1 - p.alpha * eta2 + p.sigma_max**2 / p.alpha * eta1
-                coef_a = p.sigma_max / p.alpha * gamma * eta1
-                if b_n > coef_b * b_t + coef_a * a_t + slack:
-                    counts["dual_decrease"]["violations"] += 1
-            else:
-                counts["dual_decrease"]["out_of_precondition"] += 1
+            tally("primal_decrease", pre1, lambda: a_n > (
+                (1 - delta * eta1) * a_t + p.sigma_max * eta1 * b_t + slack))
+            tally("step_length", True, lambda: np.linalg.norm(nxt.x - it.x) > (
+                gamma * eta1 * a_t + p.sigma_max * eta1 * b_t + slack))
+            coef_b = 1 - p.alpha * eta2 + p.sigma_max**2 / p.alpha * eta1
+            coef_a = p.sigma_max / p.alpha * gamma * eta1
+            tally("dual_decrease", pre2,
+                  lambda: b_n > coef_b * b_t + coef_a * a_t + slack)
             it = nxt
 
     total_viol = sum(c["violations"] for c in counts.values())
@@ -918,7 +861,8 @@ def cmd_verify(suite: str, trials: int, seed: int = 0, **kw) -> dict:
     if suite == "contraction":
         return _verify_contraction(trials, seed, **kw)
     if suite == "sc_contraction":
-        return _verify_sc_contraction(trials, seed, **kw)
+        return _verify_contraction(trials, seed, **{"iters": 300, **kw},
+                                   strongly_convex=True)
     if suite == "props":
         return _verify_props(trials, seed, **kw)
     if suite == "svrg_halving":

@@ -202,9 +202,13 @@ def grad_L(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_dims(problem, x, y)
-    gx = problem.grad_f(x) + problem.coupling.T @ y
-    gy = problem.coupling @ x - problem.grad_g(y)
-    return gx, gy
+    return _grad_L(problem, x, y)[1:]
+
+
+def _grad_L(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
+    """(A x, gx, gy) without input checks; the batch solvers' hot path."""
+    ax = problem.coupling @ x
+    return ax, problem.grad_f(x) + problem.coupling.T @ y, ax - problem.grad_g(y)
 
 
 def _conj_grad_counted(

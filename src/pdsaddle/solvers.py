@@ -24,10 +24,12 @@ from .problems import (
     Iterate,
     SaddleProblem,
     _conj_grad_counted,
+    _grad_L,
     _grad_primal_counted,
     conj_grad,
-    primal_value,
+    grad_L,
 )
+from .theory import primal_step
 
 __all__ = [
     "DivergenceError",
@@ -103,23 +105,13 @@ class Trace:
         self.dist_y: list[float | None] = []
         self.b_t: list[float | None] = []
         self.potential: list[float | None] = []
-        self.primal_value: list[float | None] = []
         self.elapsed: list[float] = []
         self.potential_kind = potential_kind
         self.inner_evals = 0
         self.schedule: dict | None = None
 
-    def append(
-        self,
-        it: int,
-        grad_evals: float,
-        dist_x=None,
-        dist_y=None,
-        b_t=None,
-        potential=None,
-        primal=None,
-        elapsed=0.0,
-    ):
+    def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
+               b_t=None, potential=None, elapsed=0.0):
         if self.iters and it <= self.iters[-1]:
             raise ValueError("iteration indices must be strictly increasing")
         if self.grad_evals and grad_evals < self.grad_evals[-1]:
@@ -130,7 +122,6 @@ class Trace:
         self.dist_y.append(dist_y)
         self.b_t.append(b_t)
         self.potential.append(potential)
-        self.primal_value.append(primal)
         self.elapsed.append(elapsed)
 
     def __len__(self):
@@ -145,7 +136,6 @@ class Trace:
             "dist_y": self.dist_y,
             "b_t": self.b_t,
             "potential": self.potential,
-            "primal_value": self.primal_value,
             "elapsed_seconds": self.elapsed,
         }[name]
         return np.array([np.nan if v is None else float(v) for v in raw])
@@ -185,12 +175,16 @@ class Trace:
                 writer.writerow(row)
 
 
-def _pdg_update(problem, x, y, eta1, eta2):
-    """Shared simultaneous update; returns the new pair and the gradients used."""
+def _pd_step(problem, x, y, eta1, eta2):
+    """The simultaneous update from (x, y).
+
+    Returns A x, the step directions gx = grad f(x) + A^T y and
+    gy = A x - grad g(y), and the next pair (x - eta1 gx, y + eta2 gy).
+    Overflow is left to the callers' finiteness checks.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        gx = problem.grad_f(x) + problem.coupling.T @ y
-        gy = problem.coupling @ x - problem.grad_g(y)
-        return x - eta1 * gx, y + eta2 * gy, gx, gy
+        ax, gx, gy = _grad_L(problem, x, y)
+        return ax, gx, gy, x - eta1 * gx, y + eta2 * gy
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -210,7 +204,7 @@ def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> I
             f"iterate dims {x.shape}, {y.shape} do not match problem "
             f"({problem.d1},), ({problem.d2},)"
         )
-    xn, yn, _, _ = _pdg_update(problem, x, y, eta1, eta2)
+    *_, xn, yn = _pd_step(problem, x, y, eta1, eta2)
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
         raise DivergenceError(
             f"non-finite iterate after step {it.iter + 1}", it.iter + 1
@@ -237,8 +231,6 @@ def run_pdg(
     eta2: float | None = None,
     stop: StoppingRule = StoppingRule(),
     x_star: np.ndarray | None = None,
-    record_every: int = 1,
-    record_values: bool = False,
 ) -> Trace:
     """Run the primal-dual gradient method and collect a trace.
 
@@ -260,8 +252,6 @@ def run_pdg(
         x_star = np.asarray(x_star, dtype=float)
         y_star = conj_grad(problem, problem.coupling @ x_star)
 
-    can_value = record_values and problem.f_value is not None and problem.g_value is not None
-
     trace = Trace(potential_kind="P_t" if (lam is not None and x_star is not None) else None)
     trace.schedule = {"eta1": e1, "eta2": e2}
     if lam is not None:
@@ -272,10 +262,8 @@ def run_pdg(
     p_first = None
     d_first = None
     while True:
+        ax, gx, gy, x_next, y_next = _pd_step(problem, x, y, e1, e2)
         with np.errstate(over="ignore", invalid="ignore"):
-            ax = problem.coupling @ x
-            gx = problem.grad_f(x) + problem.coupling.T @ y
-            gy = ax - problem.grad_g(y)
             gnorm = float(np.sqrt(gx @ gx + gy @ gy))
         if not np.isfinite(gnorm):
             raise DivergenceError(f"non-finite gradient at iteration {t}", t, trace)
@@ -295,32 +283,26 @@ def run_pdg(
             or gnorm <= stop.tol
             or (dist is not None and dist <= stop.tol)
         )
-        if t % record_every == 0 or stopping:
-            gs, inner = _conj_grad_counted(problem, ax)
-            trace.inner_evals += inner
-            b_t = float(np.linalg.norm(y - gs))
-            if lam is not None and dist is not None:
-                pot = lam * dist + b_t
-                if p_first is None:
-                    p_first = pot
-            pval = primal_value(problem, x) if can_value else None
-            trace.append(
-                t, float(t), dist, dist_y, b_t, pot, pval,
-                time.perf_counter() - t0,
+        gs, inner = _conj_grad_counted(problem, ax)
+        trace.inner_evals += inner
+        b_t = float(np.linalg.norm(y - gs))
+        if lam is not None and dist is not None:
+            pot = lam * dist + b_t
+            if p_first is None:
+                p_first = pot
+        trace.append(t, float(t), dist, dist_y, b_t, pot,
+                     elapsed=time.perf_counter() - t0)
+        if pot is not None and pot > BLOWUP_FACTOR * max(p_first, 1e-300):
+            raise DivergenceError(
+                f"potential blew up at iteration {t}: {pot:.3e} "
+                f"vs initial {p_first:.3e}",
+                t,
+                trace,
             )
-            if pot is not None and pot > BLOWUP_FACTOR * max(p_first, 1e-300):
-                raise DivergenceError(
-                    f"potential blew up at iteration {t}: {pot:.3e} "
-                    f"vs initial {p_first:.3e}",
-                    t,
-                    trace,
-                )
         if stopping:
             break
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = x - e1 * gx
-            y = y + e2 * gy
+        x, y = x_next, y_next
         t += 1
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise DivergenceError(f"non-finite iterate at iteration {t}", t, trace)
@@ -334,8 +316,6 @@ def run_primal_gd(
     eta: float,
     stop: StoppingRule = StoppingRule(),
     x_star: np.ndarray | None = None,
-    record_every: int = 1,
-    record_values: bool = False,
 ) -> Trace:
     """Gradient descent on the primal objective P(x) = g*(Ax) + f(x).
 
@@ -348,7 +328,6 @@ def run_primal_gd(
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
 
-    can_value = record_values and problem.f_value is not None and problem.g_value is not None
     trace = Trace()
     trace.schedule = {"eta": eta}
     t0 = time.perf_counter()
@@ -371,10 +350,7 @@ def run_primal_gd(
             or gnorm <= stop.tol
             or (dist is not None and dist <= stop.tol)
         )
-        if t % record_every == 0 or stopping:
-            pval = primal_value(problem, x) if can_value else None
-            trace.append(t, float(t), dist, None, None, None, pval,
-                         time.perf_counter() - t0)
+        trace.append(t, float(t), dist, elapsed=time.perf_counter() - t0)
         if dist is not None and dist > BLOWUP_FACTOR * (1.0 + d_first):
             raise DivergenceError(
                 f"distance blew up at iteration {t}: {dist:.3e}", t, trace
@@ -432,10 +408,7 @@ def reference_solution(
             raise ValueError(f"singular stationarity system: {exc}") from exc
         x_star, y_star = sol[:d1], sol[d1:]
     elif mode == "iterate":
-        p = problem.params
-        gamma = p.rho + p.sigma_max**2 / p.alpha
-        delta = p.sigma_min**2 / p.beta
-        eta = 2.0 / (gamma + delta)
+        eta = primal_step(problem.params)
         x = np.zeros(problem.d1)
         res = np.inf
         for _ in range(max_iters):
@@ -454,6 +427,5 @@ def reference_solution(
     else:
         raise ValueError(f"unknown mode {mode!r}, expected 'direct' or 'iterate'")
 
-    res_x = float(np.linalg.norm(problem.grad_f(x_star) + A.T @ y_star))
-    res_y = float(np.linalg.norm(A @ x_star - problem.grad_g(y_star)))
-    return x_star, y_star, (res_x, res_y)
+    gx, gy = grad_L(problem, x_star, y_star)
+    return x_star, y_star, (float(np.linalg.norm(gx)), float(np.linalg.norm(gy)))

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .problems import SaddleProblem, conj_grad
+from .problems import SaddleProblem, conj_grad, grad_L
 from .solvers import BLOWUP_FACTOR, DivergenceError, StoppingRule, Trace
 
 __all__ = [
@@ -129,7 +129,7 @@ class FiniteSumSaddleProblem:
             x = rng.standard_normal(agg.d1)
             y = rng.standard_normal(agg.d2)
             gx, gy = full_grad(self, x, y)
-            ax, ay = agg.grad_f(x) + agg.coupling.T @ y, agg.coupling @ x - agg.grad_g(y)
+            ax, ay = grad_L(agg, x, y)
             scale = 1.0 + np.linalg.norm(ax) + np.linalg.norm(ay)
             if (
                 np.linalg.norm(gx - ax) > tol * scale
@@ -244,13 +244,6 @@ def vr_grad(
     return (gx - sx) + full_at_snap[0], (gy - sy) + full_at_snap[1]
 
 
-def _epoch_potentials(problem, x, y, x_star, y_star, mu):
-    dist = float(np.linalg.norm(x - x_star))
-    dist_y = float(np.linalg.norm(y - y_star))
-    b = float(np.linalg.norm(y - conj_grad(problem, problem.coupling @ x)))
-    return dist, dist_y, b, dist**2 + mu * b**2
-
-
 def run_pdsvrg(
     fsp: FiniteSumSaddleProblem,
     init: tuple[np.ndarray, np.ndarray] | None = None,
@@ -271,96 +264,9 @@ def run_pdsvrg(
     ``record_inner``); the potential column is Q_t when x_star is known.
     Runs with equal seeds produce identical traces.
     """
-    agg = fsp.aggregate
-    n, N = fsp.n, cfg.inner_iters
     if init is None:
         init = (np.zeros(fsp.d1), np.zeros(fsp.d2))
-    x_snap = np.asarray(init[0], dtype=float).copy()
-    y_snap = np.asarray(init[1], dtype=float).copy()
-
-    y_star = None
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        y_star = conj_grad(agg, agg.coupling @ x_star)
-
-    rng = np.random.default_rng(cfg.seed)
-    trace = Trace(potential_kind="Q_t" if x_star is not None else None)
-    trace.schedule = {
-        "eta1": cfg.eta1, "eta2": cfg.eta2,
-        "inner_iters": N, "mu": cfg.mu, "seed": cfg.seed,
-    }
-    t0 = time.perf_counter()
-
-    comp_evals = 0  # component-gradient evaluations; n per grad-unit
-    q_first = None
-
-    def snapshot_row(epoch_row):
-        nonlocal q_first
-        if x_star is None:
-            trace.append(epoch_row, comp_evals / n, elapsed=time.perf_counter() - t0)
-            return None
-        dist, dist_y, b, q = _epoch_potentials(agg, x_snap, y_snap, x_star, y_star, cfg.mu)
-        trace.append(
-            epoch_row, comp_evals / n, dist, dist_y, b, q,
-            elapsed=time.perf_counter() - t0,
-        )
-        if q_first is None:
-            q_first = q
-        return dist, q
-
-    snapshot_row(0)
-    retained_x = np.empty((N, fsp.d1))
-    retained_y = np.empty((N, fsp.d2))
-    inner_row = 0
-
-    for epoch in range(cfg.epochs):
-        gxs, gys, full_gx, full_gy = _full_pass(fsp, x_snap, y_snap)
-        comp_evals += n
-        # gxs/gys hold every B_i at the snapshot, so the inner updates below
-        # reproduce vr_grad bit for bit without re-evaluating the snapshot
-        # component (the 2-evaluations cost model still applies)
-        x, y = x_snap.copy(), y_snap.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(N):
-                retained_x[j] = x
-                retained_y[j] = y
-                i = int(rng.integers(n))
-                c = fsp.components[i]
-                vx = (c.grad_f(x) + c.apply_t(y) - gxs[i]) + full_gx
-                vy = (c.apply(x) - c.grad_g(y) - gys[i]) + full_gy
-                comp_evals += 2
-                x = x - cfg.eta1 * vx
-                y = y + cfg.eta2 * vy
-                if record_inner:
-                    inner_row += 1
-                    if x_star is not None:
-                        dist, dist_y, b, q = _epoch_potentials(agg, x, y, x_star, y_star, cfg.mu)
-                        trace.append(inner_row, comp_evals / n, dist, dist_y, b, q,
-                                     elapsed=time.perf_counter() - t0)
-                    else:
-                        trace.append(inner_row, comp_evals / n,
-                                     elapsed=time.perf_counter() - t0)
-
-        j_t = int(rng.integers(N))
-        x_snap = retained_x[j_t].copy()
-        y_snap = retained_y[j_t].copy()
-
-        if not (np.all(np.isfinite(x_snap)) and np.all(np.isfinite(y_snap))
-                and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise DivergenceError(
-                f"non-finite iterate in epoch {epoch}", epoch, trace
-            )
-        if not record_inner:
-            row = snapshot_row(epoch + 1)
-            if row is not None:
-                dist, q = row
-                if q_first is not None and q > BLOWUP_FACTOR * max(q_first, 1e-300):
-                    raise DivergenceError(
-                        f"potential blew up in epoch {epoch}: {q:.3e}", epoch, trace
-                    )
-                if stop is not None and dist <= stop.tol:
-                    break
-    return trace
+    return _epoch_loop(fsp, init[0], init[1], cfg, x_star, stop, record_inner)
 
 
 @dataclass(frozen=True)
@@ -400,63 +306,104 @@ def run_primal_svrg(
     Same epoch structure and snapshot rule as the primal-dual variant; eta2
     and mu of the config are ignored.
     """
+    x0 = np.zeros(fsp.d) if x0 is None else x0
+    return _epoch_loop(fsp, x0, None, cfg, x_star, stop, record_inner)
+
+
+def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
+    """The SVRG epoch loop of both solvers.  With ``y0`` None, ``fsp`` is a
+    FiniteSumPrimal and the dual block is skipped (plain SVRG).  Random
+    stream: one index draw per inner step, then one snapshot draw per epoch.
+    The blow-up guard watches Q_t (primal-dual) or dist_x (primal)."""
+    dual = y0 is not None
     n, N = fsp.n, cfg.inner_iters
-    x_snap = np.zeros(fsp.d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    eta1, eta2 = cfg.eta1, cfg.eta2
+    x_snap = np.asarray(x0, dtype=float).copy()
+    y_snap = np.asarray(y0, dtype=float).copy() if dual else None
+    comps = fsp.components if dual else fsp.component_grads
+    agg = fsp.aggregate if dual else None
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
+        if dual:
+            y_star = conj_grad(agg, agg.coupling @ x_star)
+
+    def measure(x, y):
+        """Trace columns at (x, y) and the value the blow-up guard watches."""
+        if x_star is None:
+            return (), None
+        dist = float(np.linalg.norm(x - x_star))
+        if not dual:
+            return (dist,), dist
+        dist_y = float(np.linalg.norm(y - y_star))
+        b = float(np.linalg.norm(y - conj_grad(agg, agg.coupling @ x)))
+        q = dist**2 + cfg.mu * b**2
+        return (dist, dist_y, b, q), q
 
     rng = np.random.default_rng(cfg.seed)
-    trace = Trace()
-    trace.schedule = {"eta1": cfg.eta1, "inner_iters": N, "seed": cfg.seed}
+    trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)
+    trace.schedule = ({"eta1": eta1, "eta2": eta2, "inner_iters": N, "mu": cfg.mu,
+                       "seed": cfg.seed} if dual else
+                      {"eta1": eta1, "inner_iters": N, "seed": cfg.seed})
     t0 = time.perf_counter()
-    comp_evals = 0
-    d_first = None
 
-    def snapshot_row(epoch_row):
-        nonlocal d_first
-        dist = None
-        if x_star is not None:
-            dist = float(np.linalg.norm(x_snap - x_star))
-            if d_first is None:
-                d_first = dist
-        trace.append(epoch_row, comp_evals / n, dist,
-                     elapsed=time.perf_counter() - t0)
-        return dist
-
-    snapshot_row(0)
-    retained = np.empty((N, fsp.d))
+    comp_evals = 0  # component-gradient evaluations; n per grad-unit
+    cols, first = measure(x_snap, y_snap)
+    trace.append(0, comp_evals / n, *cols, elapsed=time.perf_counter() - t0)
+    if first is not None:
+        limit = BLOWUP_FACTOR * (max(first, 1e-300) if dual else 1.0 + first)
+    retained_x = np.empty((N, x_snap.size))
+    retained_y = np.empty((N, y_snap.size)) if dual else None
     inner_row = 0
 
     for epoch in range(cfg.epochs):
-        gs, full_g = _primal_full_pass(fsp, x_snap)
+        if dual:
+            gxs, gys, full_gx, full_gy = _full_pass(fsp, x_snap, y_snap)
+        else:
+            gxs, full_gx = _primal_full_pass(fsp, x_snap)
         comp_evals += n
-
+        # gxs/gys hold every component gradient at the snapshot, so the inner
+        # updates below reproduce vr_grad bit for bit without re-evaluating
+        # the snapshot component (the 2-evaluations cost model still applies)
         x = x_snap.copy()
+        y = y_snap.copy() if dual else None
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(N):
-                retained[j] = x
+                retained_x[j] = x
                 i = int(rng.integers(n))
-                v = (fsp.component_grads[i](x) - gs[i]) + full_g
+                if dual:
+                    retained_y[j] = y
+                    c = comps[i]
+                    vx = (c.grad_f(x) + c.apply_t(y) - gxs[i]) + full_gx
+                    vy = (c.apply(x) - c.grad_g(y) - gys[i]) + full_gy
+                    y = y + eta2 * vy
+                else:
+                    vx = (comps[i](x) - gxs[i]) + full_gx
+                x = x - eta1 * vx
                 comp_evals += 2
-                x = x - cfg.eta1 * v
                 if record_inner:
                     inner_row += 1
-                    d = float(np.linalg.norm(x - x_star)) if x_star is not None else None
-                    trace.append(inner_row, comp_evals / n, d,
+                    trace.append(inner_row, comp_evals / n, *measure(x, y)[0],
                                  elapsed=time.perf_counter() - t0)
 
         j_t = int(rng.integers(N))
-        x_snap = retained[j_t].copy()
-
-        if not np.all(np.isfinite(x_snap)) or not np.all(np.isfinite(x)):
+        x_snap = retained_x[j_t].copy()
+        if dual:
+            y_snap = retained_y[j_t].copy()
+        if not all(np.all(np.isfinite(v)) for v in (x_snap, x, y_snap, y)
+                   if v is not None):
             raise DivergenceError(f"non-finite iterate in epoch {epoch}", epoch, trace)
-        if not record_inner:
-            dist = snapshot_row(epoch + 1)
-            if dist is not None:
-                if d_first is not None and dist > BLOWUP_FACTOR * (1.0 + d_first):
-                    raise DivergenceError(
-                        f"distance blew up in epoch {epoch}: {dist:.3e}", epoch, trace
-                    )
-                if stop is not None and dist <= stop.tol:
-                    break
+        if record_inner:
+            continue
+        cols, guard = measure(x_snap, y_snap)
+        trace.append(epoch + 1, comp_evals / n, *cols,
+                     elapsed=time.perf_counter() - t0)
+        if guard is None:
+            continue
+        if guard > limit:
+            raise DivergenceError(
+                f"{'potential' if dual else 'distance'} blew up in epoch "
+                f"{epoch}: {guard:.3e}", epoch, trace
+            )
+        if stop is not None and cols[0] <= stop.tol:
+            break
     return trace

@@ -36,6 +36,7 @@ __all__ = [
     "potential_R",
     "ghost_step",
     "iteration_budget",
+    "primal_step",
 ]
 
 
@@ -170,6 +171,15 @@ def potential_R(
     dx = np.linalg.norm(np.asarray(x, dtype=float) - x_star)
     dy = np.linalg.norm(np.asarray(y, dtype=float) - y_star)
     return float(eta2 * dx**2 + eta1 * dy**2)
+
+
+def primal_step(p: SmoothnessParams) -> float:
+    """The safe gradient step 2/(gamma + delta) on the primal objective P.
+
+    gamma = rho + sigma_max^2/alpha bounds the smoothness of P and
+    delta = sigma_min^2/beta its strong convexity (A has full column rank).
+    """
+    return 2.0 / (p.rho + p.sigma_max**2 / p.alpha + p.sigma_min**2 / p.beta)
 
 
 def ghost_step(problem: SaddleProblem, x: np.ndarray, eta1: float) -> np.ndarray:

@@ -6,6 +6,7 @@ takes a few minutes; everything else is seconds."""
 import time
 
 import numpy as np
+import pytest
 
 from pdsaddle import (
     StoppingRule,
@@ -219,6 +220,7 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_7_full_scale_reproduction():
     cases = [("identity", None), ("exp_decay", 2), ("exp_decay", 10)]
     results = {}

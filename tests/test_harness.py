@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsaddle import cli
+from pdsaddle import cli, harness
 from pdsaddle.harness import (
     ConfigError,
     ExperimentConfig,
@@ -380,3 +380,128 @@ def test_fitted_slope_behaviour():
     assert fitted_slope([0.0], [1.0]) is None
     with_gaps = np.where(units % 7 == 0, np.nan, decaying)
     assert fitted_slope(units, with_gaps) == pytest.approx(-0.05, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# solver table
+# ---------------------------------------------------------------------------
+
+def _split_spec():
+    return dict(_quad_instance_spec(seed=3), splits=12)
+
+
+# small grids that converge on _split_spec() within the budgets below
+SMALL_GRIDS = {
+    "pdg": {"eta1": [0.02, 0.05], "eta2": [0.3]},
+    "primal_gd": {"eta": [0.1, 0.3]},
+    "pdsvrg": {"eta1": [0.01, 0.03], "eta2": [0.02]},
+    "primal_svrg": {"eta1": [0.01, 0.04]},
+}
+
+
+@pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
+def test_solver_table_runs_every_solver(solver, tmp_path):
+    assert set(SMALL_GRIDS) == set(harness.SOLVERS)
+    bundle = build_instance(_split_spec())
+    grid = SMALL_GRIDS[solver]
+    result = grid_search(bundle, solver, grid, budget=80, seed=2)
+    assert result["status"] == "ok"
+    assert result["keys"] == list(harness.SOLVERS[solver].keys)
+    units, point = measure_units_to_target(bundle, solver, result["ranked"], 1e-4,
+                                           max_units=5000, seed=1)
+    assert units is not None and units > 0
+    assert set(point) <= set(harness.SOLVERS[solver].keys)
+
+    config = ExperimentConfig.from_dict({
+        "seed": 4, "budget": 80, "stopping": {"max_iters": 80, "tol": 1e-12},
+        "instance": _split_spec(),
+        "solvers": [{"name": solver, "schedule": {"source": "grid", **grid}}],
+    })
+    summary = cmd_solve(config, tmp_path / "out")
+    entry = summary["solvers"][0]
+    assert entry["status"] == "ok" and entry["source"] == "grid"
+    for key in harness.SOLVERS[solver].keys:
+        assert entry["schedule"][key] == entry["grid_best"][key]
+    # runs start at the origin, so the reference norm is the initial distance
+    assert entry["final_dist_x"] < 0.1 * summary["instance"]["reference_norm"]
+    assert (tmp_path / "out" / f"{solver}.csv").exists()
+
+
+def test_solver_table_reaches_runners_through_module_globals(monkeypatch, tmp_path):
+    # benchmark tooling wraps these module attributes; every harness path
+    # must call the wrapped object, not one captured at import time
+    calls = {"run_pdg": 0, "run_pdsvrg": 0}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+
+    bundle = build_instance(_split_spec())
+    for solver, name in (("pdg", "run_pdg"), ("pdsvrg", "run_pdsvrg")):
+        before = calls[name]
+        result = grid_search(bundle, solver, SMALL_GRIDS[solver], budget=40)
+        assert calls[name] == before + len(result["ranked"])
+        before = calls[name]
+        measure_units_to_target(bundle, solver, result["ranked"], 1e-4,
+                                max_units=5000)
+        assert calls[name] > before
+
+    before = dict(calls)
+    config = ExperimentConfig.from_dict({
+        "budget": 40, "stopping": {"max_iters": 40, "tol": 1e-12},
+        "instance": _split_spec(),
+        "solvers": [
+            {"name": "pdg", "schedule": {"source": "theory"}},
+            {"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.02}},
+        ],
+    })
+    cmd_solve(config, tmp_path / "out")
+    assert calls == {k: v + 1 for k, v in before.items()}
+
+
+# ---------------------------------------------------------------------------
+# input errors end as exit 1 with a message
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("instance", [
+    {"family": "random_quadratic", "d1": 9, "d2": 4},
+    {"family": "random_quadratic", "d1": "3"},
+    {"family": "smoothed_l1", "n": 20, "d": 5, "a": "x"},
+], ids=["d1_above_d2", "d1_string", "sharpness_string"])
+def test_malformed_instance_fields_exit_1(instance, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {
+        "instance": instance,
+        "solvers": [{"name": "pdg", "schedule": {"source": "theory"}}],
+    })
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.instance")
+    assert "Traceback" not in err
+
+
+def test_reference_solver_failure_exits_1(monkeypatch, tmp_path, capsys):
+    from pdsaddle import instances
+
+    def stalled(data, **kwargs):
+        raise RuntimeError("Newton refinement stalled at gradient norm 4e-13")
+
+    monkeypatch.setattr(instances, "smoothed_l1_minimizer", stalled)
+    cfg = _write(tmp_path, "est.json", {
+        "instance": {"family": "smoothed_l1", "n": 20, "d": 5, "seed": 1}})
+    assert cli.main(["estimate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton refinement stalled")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--eta1-scale", "-1"), ("--eta1-scale", "0"), ("--eta2-scale", "-0.5")])
+def test_verify_props_rejects_nonpositive_step_scale(flag, value, capsys):
+    assert cli.main(["verify", "--suite", "props", "--trials", "1", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag[2:].replace('-', '_')}: must be > 0")
+    with pytest.raises(ConfigError, match="eta2_scale"):
+        cmd_verify("props", trials=1, eta2_scale=0.0)
