@@ -40,10 +40,8 @@ from .solvers import (
     run_primal_gd,
 )
 from .svrg import (
-    DenseComponent,
-    FiniteSumPrimal,
-    FiniteSumSaddleProblem,
-    RowComponent,
+    DenseSum,
+    RowSum,
     SvrgConfig,
     component_grad,
     default_svrg_config,

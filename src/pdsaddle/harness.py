@@ -37,8 +37,8 @@ from .solvers import (
     run_primal_gd,
 )
 from .svrg import (
-    FiniteSumPrimal,
-    FiniteSumSaddleProblem,
+    DenseSum,
+    RowSum,
     SvrgConfig,
     default_svrg_config,
     run_pdsvrg,
@@ -177,8 +177,8 @@ class InstanceBundle:
 
     family: str
     problem: SaddleProblem
-    fsp: FiniteSumSaddleProblem | None = None
-    primal_fsp: FiniteSumPrimal | None = None
+    fsp: RowSum | DenseSum | None = None
+    primal_fsp: RowSum | DenseSum | None = None
     x_star: np.ndarray | None = None
     y_star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
@@ -275,14 +275,13 @@ def _build_family(spec: dict, splits: int | None) -> InstanceBundle:
             )
         elif not isinstance(data, inst_mod.SmoothedL1Regression):
             raise ConfigError(path, "pinned instance is not a smoothed-L1 regression")
-        fsp = inst_mod.smoothed_l1_saddle(data)
-        primal = inst_mod.smoothed_l1_primal(data)
+        fsp = inst_mod.smoothed_l1_saddle(data)  # a row sum: both forms
         x_star = inst_mod.smoothed_l1_minimizer(data)
         y_star = conj_grad(fsp.aggregate, fsp.aggregate.coupling @ x_star)
         # ||grad P(x_star)||, recomputed through the saddle oracles
         residual = float(np.linalg.norm(grad_primal(fsp.aggregate, x_star)))
         return InstanceBundle(family=family, problem=fsp.aggregate, fsp=fsp,
-                              primal_fsp=primal, x_star=x_star, y_star=y_star,
+                              primal_fsp=fsp, x_star=x_star, y_star=y_star,
                               meta={"spec": spec, "instance": data,
                                     "reference_residual": residual})
 

@@ -19,12 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .problems import SaddleProblem
-from .svrg import (
-    DenseComponent,
-    FiniteSumPrimal,
-    FiniteSumSaddleProblem,
-    RowComponent,
-)
+from .svrg import DenseSum, RowSum
 
 __all__ = [
     "QuadraticSaddle",
@@ -214,7 +209,7 @@ def _zero_mean_noise(rng, shape, count, scale):
 
 def split_quadratic(
     problem: QuadraticSaddleProblem, n: int, seed: int = 0, scale: float = 0.5
-) -> FiniteSumSaddleProblem:
+) -> DenseSum:
     """Split a quadratic saddle into n components by symmetric random
     perturbations that sum to zero, preserving the aggregate exactly.
 
@@ -232,24 +227,13 @@ def split_quadratic(
     ec = (ec + np.swapaxes(ec, 1, 2)) / 2.0
     uc = _zero_mean_noise(rng, (d2,), n, scale)
     ea = _zero_mean_noise(rng, (d2, d1), n, scale)
-
-    def make_component(i):
-        bs_i = b_sym + eb[i]
-        bl_i = b_lin + ub[i]
-        cs_i = c_sym + ec[i]
-        cl_i = c_lin + uc[i]
-        return DenseComponent(
-            grad_f=lambda x: bs_i @ x + bl_i,
-            grad_g=lambda y: cs_i @ y - cl_i,
-            coupling=problem.coupling + ea[i],
-        )
-
-    return FiniteSumSaddleProblem([make_component(i) for i in range(n)], problem)
+    return DenseSum(b_sym + eb, b_lin + ub, problem.coupling + ea, c_sym + ec,
+                    c_lin + uc, aggregate=problem)
 
 
 def split_quadratic_primal(
     problem: QuadraticSaddleProblem, n: int, seed: int = 0, scale: float = 0.5
-) -> FiniteSumPrimal:
+) -> DenseSum:
     """Finite-sum split of the quadratic primal objective P(x).
 
     P is the quadratic (1/2) x^T H x + h^T x + const with
@@ -268,12 +252,7 @@ def split_quadratic_primal(
     eh = (eh + np.swapaxes(eh, 1, 2)) / 2.0
     uh = _zero_mean_noise(rng, (problem.d1,), n, scale)
 
-    def make_grad(i):
-        h_i = H + eh[i]
-        l_i = h + uh[i]
-        return lambda x: h_i @ x + l_i
-
-    return FiniteSumPrimal(tuple(make_grad(i) for i in range(n)), problem.d1)
+    return DenseSum(H + eh, h + uh)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +344,7 @@ def make_smoothed_l1(
     return SmoothedL1Regression(A=A, b=b, a=a, lambda_reg=lambda_reg)
 
 
-def smoothed_l1_saddle(inst: SmoothedL1Regression) -> FiniteSumSaddleProblem:
+def smoothed_l1_saddle(inst: SmoothedL1Regression) -> RowSum:
     """Saddle form of the smoothed-L1 regression problem:
 
         min_x max_y (1/n)( -||y||^2/2 - b^T y + y^T A x ) + lambda_reg R_a(x)
@@ -380,7 +359,7 @@ def smoothed_l1_saddle(inst: SmoothedL1Regression) -> FiniteSumSaddleProblem:
     the full regularizer.  Averaging recovers the aggregate exactly.
     """
     A, b, a, lam = inst.A, inst.b, inst.a, inst.lambda_reg
-    n, d = inst.n, inst.d
+    n = inst.n
 
     def grad_f(x):
         return lam * _reg_grad(x, a)
@@ -396,32 +375,15 @@ def smoothed_l1_saddle(inst: SmoothedL1Regression) -> FiniteSumSaddleProblem:
         f_value=lambda x: lam * _reg_value(x, a),
         g_value=lambda y: float((0.5 * y @ y + b @ y) / n),
     )
-
-    def make_grad_g(i):
-        def gg(y):
-            out = np.zeros(n)
-            out[i] = y[i] + b[i]
-            return out
-        return gg
-
-    components = [
-        RowComponent(grad_f=grad_f, grad_g=make_grad_g(i), index=i, row=A[i], d2=n)
-        for i in range(n)
-    ]
-    return FiniteSumSaddleProblem(components, aggregate)
+    return RowSum(A, b, grad_f, aggregate)
 
 
-def smoothed_l1_primal(inst: SmoothedL1Regression) -> FiniteSumPrimal:
+def smoothed_l1_primal(inst: SmoothedL1Regression) -> RowSum:
     """Finite-sum form of the primal objective: P_i(x) = (a_i^T x - b_i)^2 / 2
-    + lambda_reg R_a(x) (each component carries the full regularizer)."""
-    A, b, a, lam = inst.A, inst.b, inst.a, inst.lambda_reg
-
-    def make_grad(i):
-        row = A[i]
-        bi = b[i]
-        return lambda x: (row @ x - bi) * row + lam * _reg_grad(x, a)
-
-    return FiniteSumPrimal(tuple(make_grad(i) for i in range(inst.n)), inst.d)
+    + lambda_reg R_a(x) (each component carries the full regularizer).  It is
+    the primal form of the row sum that ``smoothed_l1_saddle`` builds on the
+    same rows, so this returns that row sum."""
+    return smoothed_l1_saddle(inst)
 
 
 def smoothed_l1_minimizer(

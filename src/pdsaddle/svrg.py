@@ -15,6 +15,28 @@ which is unbiased for the full gradient and has vanishing variance as the
 iterate approaches the snapshot.  The new snapshot is one of the inner
 iterates x_{t,0..N-1}, chosen uniformly at random after the loop finishes.
 
+Storage: a finite sum is held as arrays, in one of two kinds.
+
+* ``RowSum``, one observation per component: data rows A (n x d), targets b
+  and one gradient grad_f shared by every component.  Saddle form:
+  f_i = f, A_i = e_i a_i^T and g_i(y) = y_i^2/2 + b_i y_i, so the dual part
+  of component i's gradient is nonzero at coordinate i only.  Primal form,
+  on the same rows: P_i(x) = (a_i^T x - b_i)^2/2 + f(x).
+* ``DenseSum``, explicit quadratic components stacked along axis 0:
+  gradient (B_i x + b_i + A_i^T y, A_i x - (C_i y - c_i)), i.e.
+  f_i(x) = x^T B_i x/2 + b_i^T x and g_i(y) = y^T C_i y/2 - c_i^T y.
+  Without A, C and c it is a primal sum with component gradients B_i x + b_i.
+
+A full pass evaluates all components as one array expression whose
+arithmetic is that of one component at a time, bit for bit: stacked matvecs
+are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
+``A @ x`` sums in another order).
+
+Random stream: per epoch the N component indices are drawn as one
+``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``.  This
+is the same stream as N + 1 scalar draws (one per inner step, then the
+snapshot), so a seed fixes a run bit for bit.
+
 Cost accounting: one component-gradient evaluation is 1/n of a grad-unit, so
 an epoch costs 1 + 2N/n units (full pass plus two component evaluations per
 inner step).
@@ -22,9 +44,10 @@ inner step).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,10 +55,8 @@ from .problems import SaddleProblem, conj_grad, grad_L
 from .solvers import BLOWUP_FACTOR, DivergenceError, StoppingRule, Trace
 
 __all__ = [
-    "DenseComponent",
-    "RowComponent",
-    "FiniteSumSaddleProblem",
-    "FiniteSumPrimal",
+    "RowSum",
+    "DenseSum",
     "SvrgConfig",
     "default_svrg_config",
     "component_grad",
@@ -46,109 +67,134 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DenseComponent:
-    """Component with an explicitly stored coupling matrix A_i."""
+class _FiniteSum:
+    """What both kinds share: sizes, the aggregate saddle problem (None for
+    a primal-only sum), the forms it runs in, and ``M``, a bound on the
+    component coupling norms max_i sigma_max(A_i) that feeds the stochastic
+    step-size heuristics.  With an aggregate, construction spot-checks that
+    the averaged component gradients reproduce its oracles."""
 
-    grad_f: Callable[[np.ndarray], np.ndarray]
-    grad_g: Callable[[np.ndarray], np.ndarray]
-    coupling: np.ndarray
-
-    def apply(self, x):
-        return self.coupling @ x
-
-    def apply_t(self, y):
-        return self.coupling.T @ y
-
-    def coupling_norm(self) -> float:
-        return float(np.linalg.svd(self.coupling, compute_uv=False)[0])
-
-    def dense_coupling(self) -> np.ndarray:
-        return self.coupling
-
-
-@dataclass(frozen=True)
-class RowComponent:
-    """Rank-one component A_i = e_index row^T (one observation of an ERM-style
-    problem).  A_i x and A_i^T y cost O(d) instead of O(d1 d2)."""
-
-    grad_f: Callable[[np.ndarray], np.ndarray]
-    grad_g: Callable[[np.ndarray], np.ndarray]
-    index: int
-    row: np.ndarray
-    d2: int
-
-    def apply(self, x):
-        out = np.zeros(self.d2)
-        out[self.index] = self.row @ x
-        return out
-
-    def apply_t(self, y):
-        return y[self.index] * self.row
-
-    def coupling_norm(self) -> float:
-        return float(np.linalg.norm(self.row))
-
-    def dense_coupling(self) -> np.ndarray:
-        out = np.zeros((self.d2, self.row.size))
-        out[self.index] = self.row
-        return out
-
-
-class FiniteSumSaddleProblem:
-    """n saddle components averaging to an aggregate SaddleProblem.
-
-    ``M`` bounds the component coupling norms max_i sigma_max(A_i); it feeds
-    the stochastic step-size heuristics.  Construction spot-checks that the
-    averaged component gradients reproduce the aggregate oracles.
-    """
-
-    def __init__(
-        self,
-        components: Sequence,
-        aggregate: SaddleProblem,
-        M: float | None = None,
-        validate: bool = True,
-    ):
-        if len(components) == 0:
-            raise ValueError("need at least one component")
-        self.components = tuple(components)
-        self.n = len(components)
+    def _finish(self, aggregate, norms, M, validate):
         self.aggregate = aggregate
-        norms = max(c.coupling_norm() for c in self.components)
-        self.M = float(M) if M is not None else norms
-        if self.M < norms - 1e-9 * max(1.0, norms):
-            raise ValueError(f"M={M} is below max component norm {norms:.6g}")
-        if validate:
-            self._validate()
-
-    def _validate(self, points: int = 2, tol: float = 1e-9):
-        rng = np.random.default_rng(0)
-        agg = self.aggregate
-        for _ in range(points):
-            x = rng.standard_normal(agg.d1)
-            y = rng.standard_normal(agg.d2)
-            gx, gy = full_grad(self, x, y)
-            ax, ay = grad_L(agg, x, y)
-            scale = 1.0 + np.linalg.norm(ax) + np.linalg.norm(ay)
-            if (
-                np.linalg.norm(gx - ax) > tol * scale
-                or np.linalg.norm(gy - ay) > tol * scale
-            ):
-                raise ValueError(
-                    "component average does not reproduce the aggregate gradient"
-                )
-
-    @property
-    def d1(self):
-        return self.aggregate.d1
-
-    @property
-    def d2(self):
-        return self.aggregate.d2
+        self.M = None
+        if norms is not None:
+            norm = max(norms)
+            self.M = float(M) if M is not None else norm
+            if self.M < norm - 1e-9 * max(1.0, norm):
+                raise ValueError(f"M={M} is below max component norm {norm:.6g}")
+        if validate and aggregate is not None:
+            _validate(self)
 
     def __repr__(self):
-        return f"FiniteSumSaddleProblem(n={self.n}, aggregate={self.aggregate!r})"
+        return f"{type(self).__name__}(n={self.n}, d1={self.d1}, d2={self.d2})"
+
+
+class RowSum(_FiniteSum):
+    """Finite sum over the rows of a data matrix (see the module docstring).
+
+    ``aggregate`` is the averaged saddle problem: coupling A/n and
+    g(y) = (||y||^2/2 + b^T y)/n.  ``M`` defaults to max_i ||a_i||.
+    """
+
+    forms = ("saddle", "primal")
+
+    def __init__(self, A, b, grad_f: Callable[[np.ndarray], np.ndarray],
+                 aggregate: SaddleProblem, M: float | None = None,
+                 validate: bool = True):
+        # C order keeps the stacked gradients' axis-0 sums in row order
+        self.A = np.ascontiguousarray(A, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        if self.A.ndim != 2 or self.A.shape[0] < 1 or self.b.shape != self.A.shape[:1]:
+            raise ValueError(f"need rows A (n x d) and n targets, got shapes "
+                             f"{self.A.shape} and {self.b.shape}")
+        self.grad_f = grad_f
+        self.n, self.d1 = self.A.shape
+        self.d2 = self.n
+        self._finish(aggregate, [float(np.linalg.norm(a)) for a in self.A], M, validate)
+
+    def _full_pass(self, x, y=None):
+        """All component gradients at (x, y) and their averages; the primal
+        form when y is None.  The dual parts come as the (n,) vector of each
+        component's own coordinate."""
+        dots = np.matmul(self.A[:, None, :], x)[:, 0]  # A[i] @ x, row by row
+        if y is None:
+            gxs = self.grad_f(x) + (dots - self.b)[:, None] * self.A
+            return gxs, np.sum(gxs, axis=0) / self.n
+        gxs = self.grad_f(x) + y[:, None] * self.A
+        gys = dots - (y + self.b)
+        return gxs, gys, np.sum(gxs, axis=0) / self.n, gys / self.n
+
+    def _component(self, i, x, y=None):
+        """Gradient of component i; its dual part is the scalar at
+        coordinate i."""
+        a = self.A[i]
+        if y is None:
+            return self.grad_f(x) + (a @ x - self.b[i]) * a
+        return self.grad_f(x) + y[i] * a, a @ x - (y[i] + self.b[i])
+
+
+class DenseSum(_FiniteSum):
+    """Finite sum of explicitly stored quadratic components (see the module
+    docstring): B (n, d1, d1), b (n, d1) and, for the saddle form, A
+    (n, d2, d1), C (n, d2, d2), c (n, d2) with the averaged ``aggregate``.
+    ``M`` defaults to max_i sigma_max(A_i)."""
+
+    def __init__(self, B, b, A=None, C=None, c=None,
+                 aggregate: SaddleProblem | None = None, M: float | None = None,
+                 validate: bool = True):
+        self.B, self.b = np.asarray(B, dtype=float), np.asarray(b, dtype=float)
+        self.n, self.d1 = self.b.shape
+        if any((v is None) != (A is None) for v in (C, c, aggregate)):
+            raise ValueError("A, C, c and aggregate are given together or not at all")
+        self.forms = ("primal",) if A is None else ("saddle",)
+        norms = self.d2 = None
+        want = {"B": (self.n, self.d1, self.d1)}
+        if A is not None:
+            self.A, self.C, self.c = (np.asarray(v, dtype=float) for v in (A, C, c))
+            self.d2 = self.c.shape[1]
+            self._At = np.swapaxes(self.A, 1, 2)
+            want.update(A=(self.n, self.d2, self.d1), C=(self.n, self.d2, self.d2),
+                        c=(self.n, self.d2))
+            norms = [float(np.linalg.svd(a, compute_uv=False)[0]) for a in self.A]
+        for name, shape in want.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
+                                 f"expected {shape}")
+        self._finish(aggregate, norms, M, validate)
+
+    def _full_pass(self, x, y=None):
+        """All component gradients at (x, y) and their averages; the primal
+        form when y is None."""
+        gxs = self.B @ x + self.b
+        if y is None:
+            return gxs, np.sum(gxs, axis=0) / self.n
+        gxs = gxs + self._At @ y
+        gys = self.A @ x - (self.C @ y - self.c)
+        return gxs, gys, np.sum(gxs, axis=0) / self.n, np.sum(gys, axis=0) / self.n
+
+    def _component(self, i, x, y=None):
+        gx = self.B[i] @ x + self.b[i]
+        if y is None:
+            return gx
+        return gx + self.A[i].T @ y, self.A[i] @ x - (self.C[i] @ y - self.c[i])
+
+
+def _validate(fsp, points: int = 2, tol: float = 1e-9):
+    rng = np.random.default_rng(0)
+    agg = fsp.aggregate
+    for _ in range(points):
+        x = rng.standard_normal(agg.d1)
+        y = rng.standard_normal(agg.d2)
+        gx, gy = full_grad(fsp, x, y)
+        ax, ay = grad_L(agg, x, y)
+        scale = 1.0 + np.linalg.norm(ax) + np.linalg.norm(ay)
+        if (
+            np.linalg.norm(gx - ax) > tol * scale
+            or np.linalg.norm(gy - ay) > tol * scale
+        ):
+            raise ValueError(
+                "component average does not reproduce the aggregate gradient"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,50 +227,37 @@ class SvrgConfig:
         return replace(self, **kw)
 
 
-def default_svrg_config(fsp: FiniteSumSaddleProblem, epochs: int = 10, seed: int = 0) -> SvrgConfig:
+def default_svrg_config(fsp: RowSum | DenseSum, epochs: int = 10, seed: int = 0) -> SvrgConfig:
     """Conservative defaults: eta1 = eta2 = alpha/(10 M^2), N = 2n, mu = 1."""
     alpha = fsp.aggregate.params.alpha
     eta = alpha / (10.0 * fsp.M**2)
     return SvrgConfig(eta1=eta, eta2=eta, inner_iters=2 * fsp.n, epochs=epochs, seed=seed)
 
 
-def component_grad(
-    fsp: FiniteSumSaddleProblem, i: int, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the i-th component (0-based):
+def component_grad(fsp: RowSum | DenseSum, i: int, x: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the i-th component (0-based) of a saddle-form sum:
 
         ( grad f_i(x) + A_i^T y,  A_i x - grad g_i(y) ).
     """
     if not 0 <= i < fsp.n:
         raise IndexError(f"component index {i} out of range [0, {fsp.n})")
-    c = fsp.components[i]
-    return c.grad_f(x) + c.apply_t(y), c.apply(x) - c.grad_g(y)
-
-
-def _full_pass(fsp, x, y):
-    """All component gradients at (x, y) plus their average.
-
-    The average uses numpy's pairwise summation over the stacked component
-    gradients, which is also exactly how ``full_grad`` computes it.
-    """
-    gxs = np.empty((fsp.n, fsp.d1))
-    gys = np.empty((fsp.n, fsp.d2))
-    for i, c in enumerate(fsp.components):
-        gxs[i] = c.grad_f(x) + c.apply_t(y)
-        gys[i] = c.apply(x) - c.grad_g(y)
-    return gxs, gys, np.sum(gxs, axis=0) / fsp.n, np.sum(gys, axis=0) / fsp.n
-
-
-def full_grad(
-    fsp: FiniteSumSaddleProblem, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average of all component gradients; costs one grad-unit (n components)."""
-    _, _, gx, gy = _full_pass(fsp, x, y)
+    gx, gy = fsp._component(i, x, y)
+    if isinstance(fsp, RowSum):
+        gy_i, gy = gy, np.zeros(fsp.n)
+        gy[i] = gy_i
     return gx, gy
 
 
+def full_grad(fsp: RowSum | DenseSum, x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Average of all component gradients of a saddle-form sum; costs one
+    grad-unit (n components)."""
+    return fsp._full_pass(x, y)[2:]
+
+
 def vr_grad(
-    fsp: FiniteSumSaddleProblem,
+    fsp: RowSum | DenseSum,
     i: int,
     x: np.ndarray,
     y: np.ndarray,
@@ -245,7 +278,7 @@ def vr_grad(
 
 
 def run_pdsvrg(
-    fsp: FiniteSumSaddleProblem,
+    fsp: RowSum | DenseSum,
     init: tuple[np.ndarray, np.ndarray] | None = None,
     *,
     cfg: SvrgConfig,
@@ -253,7 +286,7 @@ def run_pdsvrg(
     stop: StoppingRule | None = None,
     record_inner: bool = False,
 ) -> Trace:
-    """Primal-dual SVRG.
+    """Primal-dual SVRG on a saddle-form finite sum.
 
     Per epoch: full gradient at the snapshot, N inner steps with the
     variance-reduced estimate (descent in x, ascent in y, both from the same
@@ -269,31 +302,8 @@ def run_pdsvrg(
     return _epoch_loop(fsp, init[0], init[1], cfg, x_star, stop, record_inner)
 
 
-@dataclass(frozen=True)
-class FiniteSumPrimal:
-    """Finite-sum decomposition of a primal objective: P = (1/n) sum_i P_i.
-
-    Stores the component gradient oracles only; the aggregate gradient is
-    their average.
-    """
-
-    component_grads: tuple
-    d: int
-
-    @property
-    def n(self):
-        return len(self.component_grads)
-
-
-def _primal_full_pass(fsp: FiniteSumPrimal, x):
-    gs = np.empty((fsp.n, fsp.d))
-    for i, g in enumerate(fsp.component_grads):
-        gs[i] = g(x)
-    return gs, np.sum(gs, axis=0) / fsp.n
-
-
 def run_primal_svrg(
-    fsp: FiniteSumPrimal,
+    fsp: RowSum | DenseSum,
     x0: np.ndarray | None = None,
     *,
     cfg: SvrgConfig,
@@ -301,43 +311,63 @@ def run_primal_svrg(
     stop: StoppingRule | None = None,
     record_inner: bool = False,
 ) -> Trace:
-    """Standard SVRG on a finite-sum primal objective.
+    """Standard SVRG on a primal-form finite sum P = (1/n) sum_i P_i.
 
     Same epoch structure and snapshot rule as the primal-dual variant; eta2
     and mu of the config are ignored.
     """
-    x0 = np.zeros(fsp.d) if x0 is None else x0
+    x0 = np.zeros(fsp.d1) if x0 is None else x0
     return _epoch_loop(fsp, x0, None, cfg, x_star, stop, record_inner)
 
 
 def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
-    """The SVRG epoch loop of both solvers.  With ``y0`` None, ``fsp`` is a
-    FiniteSumPrimal and the dual block is skipped (plain SVRG).  Random
-    stream: one index draw per inner step, then one snapshot draw per epoch.
-    The blow-up guard watches Q_t (primal-dual) or dist_x (primal)."""
+    """The SVRG epoch loop of both solvers.  With ``y0`` None the sum runs in
+    its primal form and the dual block is skipped (plain SVRG).  Inner
+    iterates are written straight into the retained (N+1, .) arrays.  Every
+    recorded row is checked for finiteness before it is measured, then for
+    blow-up of Q_t (primal-dual) or dist_x (primal)."""
     dual = y0 is not None
+    form = "saddle" if dual else "primal"
+    if form not in fsp.forms:
+        raise TypeError(f"{fsp!r} has no {form} form")
+    row_sum = isinstance(fsp, RowSum)
     n, N = fsp.n, cfg.inner_iters
     eta1, eta2 = cfg.eta1, cfg.eta2
     x_snap = np.asarray(x0, dtype=float).copy()
     y_snap = np.asarray(y0, dtype=float).copy() if dual else None
-    comps = fsp.components if dual else fsp.component_grads
-    agg = fsp.aggregate if dual else None
+    agg = fsp.aggregate
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         if dual:
             y_star = conj_grad(agg, agg.coupling @ x_star)
 
     def measure(x, y):
-        """Trace columns at (x, y) and the value the blow-up guard watches."""
+        """Trace columns at (x, y); the last one is what the blow-up guard
+        watches."""
         if x_star is None:
-            return (), None
+            return ()
         dist = float(np.linalg.norm(x - x_star))
         if not dual:
-            return (dist,), dist
+            return (dist,)
         dist_y = float(np.linalg.norm(y - y_star))
         b = float(np.linalg.norm(y - conj_grad(agg, agg.coupling @ x)))
-        q = dist**2 + cfg.mu * b**2
-        return (dist, dist_y, b, q), q
+        return dist, dist_y, b, dist**2 + cfg.mu * b**2
+
+    limit = math.inf
+
+    def record(row, units, epoch, x, y, *unrecorded):
+        """Append the trace row at (x, y) once it and the unrecorded iterates
+        are finite, then apply the blow-up guard; returns the columns."""
+        if not all(np.all(np.isfinite(v)) for v in (x, y, *unrecorded) if v is not None):
+            raise DivergenceError(f"non-finite iterate in epoch {epoch}", epoch, trace)
+        cols = measure(x, y)
+        trace.append(row, units, *cols, elapsed=time.perf_counter() - t0)
+        if cols and cols[-1] > limit:
+            raise DivergenceError(
+                f"{'potential' if dual else 'distance'} blew up in epoch "
+                f"{epoch}: {cols[-1]:.3e}", epoch, trace
+            )
+        return cols
 
     rng = np.random.default_rng(cfg.seed)
     trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)
@@ -347,63 +377,55 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     t0 = time.perf_counter()
 
     comp_evals = 0  # component-gradient evaluations; n per grad-unit
-    cols, first = measure(x_snap, y_snap)
-    trace.append(0, comp_evals / n, *cols, elapsed=time.perf_counter() - t0)
-    if first is not None:
+    cols = record(0, 0.0, 0, x_snap, y_snap)
+    if cols:
+        first = cols[-1]
         limit = BLOWUP_FACTOR * (max(first, 1e-300) if dual else 1.0 + first)
-    retained_x = np.empty((N, x_snap.size))
-    retained_y = np.empty((N, y_snap.size)) if dual else None
-    inner_row = 0
+    X = np.empty((N + 1, x_snap.size))
+    Y = np.empty((N + 1, y_snap.size)) if dual else None
+    y_next = None
 
     for epoch in range(cfg.epochs):
+        X[0] = x_snap
         if dual:
-            gxs, gys, full_gx, full_gy = _full_pass(fsp, x_snap, y_snap)
+            Y[0] = y_snap
+            gxs, gys, full_gx, full_gy = fsp._full_pass(x_snap, y_snap)
+            drift = eta2 * full_gy
         else:
-            gxs, full_gx = _primal_full_pass(fsp, x_snap)
+            gxs, full_gx = fsp._full_pass(x_snap)
         comp_evals += n
         # gxs/gys hold every component gradient at the snapshot, so the inner
         # updates below reproduce vr_grad bit for bit without re-evaluating
         # the snapshot component (the 2-evaluations cost model still applies)
-        x = x_snap.copy()
-        y = y_snap.copy() if dual else None
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(N):
-                retained_x[j] = x
-                i = int(rng.integers(n))
-                if dual:
-                    retained_y[j] = y
-                    c = comps[i]
-                    vx = (c.grad_f(x) + c.apply_t(y) - gxs[i]) + full_gx
-                    vy = (c.apply(x) - c.grad_g(y) - gys[i]) + full_gy
-                    y = y + eta2 * vy
+            for j, i in enumerate(rng.integers(n, size=N).tolist()):
+                x, x_next = X[j], X[j + 1]
+                if not dual:
+                    gx = fsp._component(i, x)
                 else:
-                    vx = (comps[i](x) - gxs[i]) + full_gx
-                x = x - eta1 * vx
-                comp_evals += 2
+                    y, y_next = Y[j], Y[j + 1]
+                    gx, gy = fsp._component(i, x, y)
+                    if row_sum:
+                        # away from coordinate i the dual estimate is
+                        # (0 - 0) + full_gy, so only coordinate i needs work
+                        np.add(y, drift, out=y_next)
+                        y_next[i] = y[i] + eta2 * ((gy - gys[i]) + full_gy[i])
+                    else:
+                        np.add(y, eta2 * ((gy - gys[i]) + full_gy), out=y_next)
+                np.subtract(x, eta1 * ((gx - gxs[i]) + full_gx), out=x_next)
                 if record_inner:
-                    inner_row += 1
-                    trace.append(inner_row, comp_evals / n, *measure(x, y)[0],
-                                 elapsed=time.perf_counter() - t0)
+                    record(epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
+                           epoch, x_next, y_next)
+        comp_evals += 2 * N
 
         j_t = int(rng.integers(N))
-        x_snap = retained_x[j_t].copy()
+        x_snap = X[j_t].copy()
         if dual:
-            y_snap = retained_y[j_t].copy()
-        if not all(np.all(np.isfinite(v)) for v in (x_snap, x, y_snap, y)
-                   if v is not None):
-            raise DivergenceError(f"non-finite iterate in epoch {epoch}", epoch, trace)
+            y_snap = Y[j_t].copy()
         if record_inner:
             continue
-        cols, guard = measure(x_snap, y_snap)
-        trace.append(epoch + 1, comp_evals / n, *cols,
-                     elapsed=time.perf_counter() - t0)
-        if guard is None:
-            continue
-        if guard > limit:
-            raise DivergenceError(
-                f"{'potential' if dual else 'distance'} blew up in epoch "
-                f"{epoch}: {guard:.3e}", epoch, trace
-            )
-        if stop is not None and cols[0] <= stop.tol:
+        cols = record(epoch + 1, comp_evals / n, epoch, x_snap, y_snap,
+                      X[N], Y[N] if dual else None)
+        if stop is not None and cols and cols[0] <= stop.tol:
             break
     return trace

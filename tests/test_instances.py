@@ -6,6 +6,7 @@ import pytest
 from pdsaddle import (
     StoppingRule,
     check_gradients,
+    component_grad,
     conj_grad,
     full_grad,
     grad_L,
@@ -88,8 +89,10 @@ def test_split_quadratic_components_need_not_be_convex():
     fsp = split_quadratic(problem, 10, seed=5, scale=2.0)
     # at least one perturbed component curvature goes indefinite
     indefinite = 0
-    for comp in fsp.components:
-        h = np.array([comp.grad_f(e) - comp.grad_f(np.zeros(5))
+    y0 = np.zeros(fsp.d2)
+    for i in range(fsp.n):
+        h = np.array([component_grad(fsp, i, e, y0)[0]
+                      - component_grad(fsp, i, np.zeros(5), y0)[0]
                       for e in np.eye(5)])
         if np.linalg.eigvalsh((h + h.T) / 2)[0] < -1e-9:
             indefinite += 1
@@ -199,7 +202,7 @@ def test_smoothed_l1_primal_decomposition(small_l1):
     from pdsaddle import grad_primal
     for _ in range(5):
         x = rng.standard_normal(small_l1.d)
-        avg = sum(g(x) for g in prim.component_grads) / prim.n
+        avg = sum(prim._component(i, x) for i in range(prim.n)) / prim.n
         np.testing.assert_allclose(avg, grad_primal(agg, x), rtol=1e-10, atol=1e-12)
 
 

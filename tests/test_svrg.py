@@ -3,6 +3,7 @@ import pytest
 
 from pdsaddle import (
     DivergenceError,
+    SaddleProblem,
     StoppingRule,
     SvrgConfig,
     component_grad,
@@ -21,7 +22,8 @@ from pdsaddle.instances import (
     split_quadratic,
     split_quadratic_primal,
 )
-from pdsaddle.svrg import DenseComponent, FiniteSumSaddleProblem, RowComponent
+from pdsaddle.solvers import BLOWUP_FACTOR
+from pdsaddle.svrg import DenseSum, RowSum
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +35,9 @@ def quad_fsp():
 
 
 def _single_component_fsp(problem):
-    comp = DenseComponent(grad_f=problem.grad_f, grad_g=problem.grad_g,
-                          coupling=problem.coupling)
-    return FiniteSumSaddleProblem([comp], problem)
+    b_sym, b_lin, c_sym, c_lin = problem.quadratic_parts
+    return DenseSum(b_sym[None], b_lin[None], problem.coupling[None], c_sym[None],
+                    c_lin[None], aggregate=problem)
 
 
 def test_component_grad_single_matches_aggregate():
@@ -58,16 +60,24 @@ def test_component_grad_index_bounds(quad_fsp):
 
 
 def test_row_component_matches_dense():
+    # a row sum against the dense sum of the same components: f_i = 0,
+    # A_i = e_i a_i^T, g_i(y) = y_i^2/2 (targets 0).  With f = 0 the x-part of
+    # component 2 is A_2^T y, and at y = 0 its dual part is A_2 x.
     rng = np.random.default_rng(5)
-    row = rng.standard_normal(4)
-    rc = RowComponent(grad_f=lambda x: np.zeros(4), grad_g=lambda y: np.zeros(6),
-                      index=2, row=row, d2=6)
-    dense = DenseComponent(grad_f=rc.grad_f, grad_g=rc.grad_g,
-                           coupling=rc.dense_coupling())
+    A = rng.standard_normal((6, 4))
+    eye = np.eye(6)
+    aggregate = SaddleProblem(grad_f=lambda x: np.zeros(4), grad_g=lambda y: y / 6,
+                              coupling=A / 6, rho=0.0, alpha=1 / 6, beta=1 / 6)
+    rc = RowSum(A, np.zeros(6), aggregate.grad_f, aggregate)
+    dense = DenseSum(np.zeros((6, 4, 4)), np.zeros((6, 4)),
+                     eye[:, :, None] * A[:, None, :], eye[:, :, None] * eye[:, None, :],
+                     np.zeros((6, 6)), aggregate=aggregate)
     x, y = rng.standard_normal(4), rng.standard_normal(6)
-    np.testing.assert_allclose(rc.apply(x), dense.apply(x), rtol=1e-15)
-    np.testing.assert_allclose(rc.apply_t(y), dense.apply_t(y), rtol=1e-15)
-    assert rc.coupling_norm() == pytest.approx(dense.coupling_norm())
+    np.testing.assert_allclose(component_grad(rc, 2, x, np.zeros(6))[1],
+                               component_grad(dense, 2, x, np.zeros(6))[1], rtol=1e-15)
+    np.testing.assert_allclose(component_grad(rc, 2, x, y)[0],
+                               component_grad(dense, 2, x, y)[0], rtol=1e-15)
+    assert rc.M == pytest.approx(dense.M)
 
 
 def test_full_grad_average_and_aggregate(quad_fsp):
@@ -91,15 +101,12 @@ def test_full_grad_average_and_aggregate(quad_fsp):
 def test_full_grad_hand_average():
     # two components with f1 = x^2, f2 = 0 sharing A = [1], g_i = y^2/2:
     # averaged x-gradient at y = 0 is x
-    comps = [
-        DenseComponent(lambda x: 2 * x, lambda y: y, np.array([[1.0]])),
-        DenseComponent(lambda x: 0 * x, lambda y: y, np.array([[1.0]])),
-    ]
-    aggregate = __import__("pdsaddle").SaddleProblem(
+    aggregate = SaddleProblem(
         grad_f=lambda x: x, grad_g=lambda y: y, coupling=np.array([[1.0]]),
         rho=2.0, alpha=1.0, beta=1.0,
     )
-    fsp = FiniteSumSaddleProblem(comps, aggregate)
+    fsp = DenseSum([[[2.0]], [[0.0]]], np.zeros((2, 1)), np.ones((2, 1, 1)),
+                   np.ones((2, 1, 1)), np.zeros((2, 1)), aggregate=aggregate)
     gx, gy = full_grad(fsp, np.array([3.0]), np.array([0.0]))
     assert gx == pytest.approx(3.0)
     assert gy == pytest.approx(3.0)
@@ -273,10 +280,66 @@ def test_svrg_config_validation(quad_fsp):
 
 def test_fsp_rejects_inconsistent_aggregate():
     problem = random_quadratic(90, 4, 4)
-    bad = DenseComponent(grad_f=lambda x: 2 * problem.grad_f(x),
-                         grad_g=problem.grad_g, coupling=problem.coupling)
+    b_sym, b_lin, c_sym, c_lin = problem.quadratic_parts
+    dual = (problem.coupling[None], c_sym[None], c_lin[None])
+    # the component doubles grad f
     with pytest.raises(ValueError, match="aggregate"):
-        FiniteSumSaddleProblem([bad], problem)
-    good = DenseComponent(problem.grad_f, problem.grad_g, problem.coupling)
+        DenseSum(2 * b_sym[None], 2 * b_lin[None], *dual, aggregate=problem)
     with pytest.raises(ValueError, match="below max component norm"):
-        FiniteSumSaddleProblem([good], problem, M=0.01)
+        DenseSum(b_sym[None], b_lin[None], *dual, aggregate=problem, M=0.01)
+
+
+@pytest.mark.parametrize("n,N,seed", [(n, N, s) for n in (1, 2, 7, 500)
+                                      for N in (1, 3, 1000) for s in (0, 11)])
+def test_batched_index_draws_match_scalar_draws(n, N, seed):
+    # the epoch loop draws its N indices at once, then the snapshot; that
+    # must be the stream of N + 1 scalar draws (one per inner step, then one)
+    scalar = np.random.default_rng(seed)
+    want = [int(scalar.integers(n)) for _ in range(N)] + [int(scalar.integers(N))]
+    batched = np.random.default_rng(seed)
+    got = batched.integers(n, size=N).tolist() + [int(batched.integers(N))]
+    assert got == want
+    assert scalar.random() == batched.random()
+
+
+def test_pdsvrg_record_inner_divergence_is_divergence_error(quad_fsp):
+    # per-step rows used to evaluate b_t (a Cholesky solve) on non-finite
+    # iterates and skipped the blow-up guard, so this raised scipy's
+    # ValueError("array must not contain infs or NaNs")
+    _, fsp, x_star, _ = quad_fsp
+    cfg = SvrgConfig(eta1=60, eta2=60, inner_iters=15, epochs=40)
+    with pytest.raises(DivergenceError, match="potential blew up") as info:
+        run_pdsvrg(fsp, cfg=cfg, x_star=x_star, record_inner=True)
+    pots = info.value.trace.column("potential")
+    assert np.all(np.isfinite(pots))
+    assert pots[-1] > BLOWUP_FACTOR * pots[0]
+    assert np.all(pots[:-1] <= BLOWUP_FACTOR * pots[0])
+
+
+def test_primal_svrg_record_inner_applies_blowup_guard():
+    problem = random_quadratic(42, 8, 8)
+    prim = split_quadratic_primal(problem, 20, seed=1)
+    x_star, _, _ = reference_solution(problem, "direct")
+    cfg = SvrgConfig(eta1=60, eta2=60, inner_iters=15, epochs=40)
+    with pytest.raises(DivergenceError, match="distance blew up") as info:
+        run_primal_svrg(prim, cfg=cfg, x_star=x_star, record_inner=True)
+    dists = info.value.trace.column("dist_x")
+    assert np.all(np.isfinite(dists))
+    assert dists[-1] > BLOWUP_FACTOR * (1 + dists[0])
+
+
+def test_finite_sums_run_only_in_their_forms():
+    # a dense saddle sum has no primal form (its B_i are the f_i, not the P_i)
+    # and a dense primal sum no saddle form; a row sum has both
+    problem = random_quadratic(81, 6, 6)
+    fsp = split_quadratic(problem, 4, seed=0)
+    prim = split_quadratic_primal(problem, 4, seed=0)
+    cfg = SvrgConfig(eta1=0.01, eta2=0.01, inner_iters=4, epochs=1)
+    with pytest.raises(TypeError, match="no primal form"):
+        run_primal_svrg(fsp, cfg=cfg)
+    with pytest.raises(TypeError, match="no saddle form"):
+        run_pdsvrg(prim, (np.zeros(6), np.zeros(6)), cfg=cfg)
+    with pytest.raises(ValueError, match="given together"):
+        DenseSum(fsp.B, fsp.b, fsp.A, aggregate=problem)
+    with pytest.raises(ValueError, match="C has shape"):
+        DenseSum(fsp.B, fsp.b, fsp.A, fsp.C[:, :5, :5], fsp.c, aggregate=problem)
