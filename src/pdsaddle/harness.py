@@ -106,6 +106,28 @@ def _get(doc: dict, key: str, path: str, kind=None, default=..., choices=None):
     return value
 
 
+def _check_steps(solver: str, schedule: dict, path: str):
+    """Reject an explicit schedule whose step fields are not positive numbers
+    (inner_iters and epochs: positive integers).  A batch solver needs all
+    its keys; a stochastic one needs eta1, and _svrg_point fills in the
+    rest."""
+    batch = SOLVERS[solver].form is None
+    keys = SOLVERS[solver].keys if batch else ("eta1", "eta2", "inner_iters", "mu", "epochs")
+    for key in keys:
+        value = _get(schedule, key, path,
+                     int if key in ("inner_iters", "epochs") else (int, float),
+                     default=... if batch or key == "eta1" else None)
+        if value is not None and not value > 0:
+            raise ConfigError(f"{path}.{key}", f"must be > 0, got {value!r}")
+
+
+def _check_grid_values(values, path: str):
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(path, "grid values must be a nonempty list")
+    if not all(isinstance(v, (int, float)) and v > 0 for v in values):
+        raise ConfigError(path, f"grid values must be positive numbers, got {values!r}")
+
+
 @dataclass
 class SolverSpec:
     name: str
@@ -138,13 +160,19 @@ class ExperimentConfig:
                 raise ConfigError(path, "each solver entry must be an object")
             name = _get(sd, "name", path, str, choices=set(SOLVERS))
             schedule = _get(sd, "schedule", path, dict, default={"source": "theory"})
-            _get(schedule, "source", f"{path}.schedule", str,
-                 default="theory", choices={"theory", "explicit", "grid"})
+            source = _get(schedule, "source", f"{path}.schedule", str,
+                          default="theory", choices={"theory", "explicit", "grid"})
+            if source == "explicit":
+                _check_steps(name, schedule, f"{path}.schedule")
+            if source == "grid":
+                for key in SOLVERS[name].keys:
+                    if key in schedule:
+                        _check_grid_values(schedule[key], f"{path}.schedule.{key}")
             reps = _get(sd, "repetitions", path, int, default=1)
             if reps < 1:
                 raise ConfigError(f"{path}.repetitions", f"must be >= 1, got {reps}")
             solvers.append(SolverSpec(name=name, schedule=schedule, repetitions=reps,
-                                      label=sd.get("label", "")))
+                                      label=_get(sd, "label", path, str, default="")))
         stop_doc = _get(doc, "stopping", "config", dict, default={})
         try:
             stopping = StoppingRule(
@@ -197,7 +225,7 @@ class InstanceBundle:
 
 def _load_data(spec: dict, path: str):
     if "data" in spec:
-        return inst_mod.instance_from_json(spec["data"])
+        return inst_mod.instance_from_json(_get(spec, "data", path, dict))
     if "path" in spec:
         return inst_mod.load_instance(spec["path"])
     return None
@@ -510,8 +538,7 @@ def _grid_points(solver: str, grid: dict, n: int | None):
         values = grid.get(key, defaults.get(key))
         if values is None:
             raise ConfigError(f"schedule.{key}", "grid needs a list of values")
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError(f"schedule.{key}", "grid values must be a nonempty list")
+        _check_grid_values(values, f"schedule.{key}")
         lists.append([float(v) for v in values])
     points = [{}]
     for key, values in zip(keys, lists):

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .problems import SaddleProblem
 from .svrg import DenseSum, RowSum
@@ -108,6 +107,10 @@ class QuadraticSaddleProblem(SaddleProblem):
                 f"g is not strongly convex: symmetrized quadratic form has "
                 f"eigenvalue {eig_c[0]:.3e}"
             )
+
+        # imported here: only quadratic problems use it, and it is most of
+        # the package's import time
+        from scipy.linalg import cho_factor, cho_solve
 
         factor = cho_factor(c_sym)
         super().__init__(
@@ -579,53 +582,40 @@ def gaussian_data(
 # JSON serialization (matrices row-major nested lists)
 # ---------------------------------------------------------------------------
 
+# family -> (class, array fields, number fields), in document order
+_JSON_FIELDS = {
+    "quadratic": (QuadraticSaddle, ("B", "b", "A", "C", "c"), ()),
+    "smoothed_l1": (SmoothedL1Regression, ("A", "b"), ("a", "lambda_reg")),
+    "mspbe": (MspbeInstance, ("phi", "phi_next", "rewards"), ("gamma",)),
+}
+
+
 def instance_to_json(inst) -> dict:
-    if isinstance(inst, QuadraticSaddle):
-        return {
-            "family": "quadratic",
-            "B": inst.B.tolist(),
-            "b": inst.b.tolist(),
-            "A": inst.A.tolist(),
-            "C": inst.C.tolist(),
-            "c": inst.c.tolist(),
-        }
-    if isinstance(inst, SmoothedL1Regression):
-        return {
-            "family": "smoothed_l1",
-            "A": inst.A.tolist(),
-            "b": inst.b.tolist(),
-            "a": inst.a,
-            "lambda_reg": inst.lambda_reg,
-        }
-    if isinstance(inst, MspbeInstance):
-        return {
-            "family": "mspbe",
-            "phi": inst.phi.tolist(),
-            "phi_next": inst.phi_next.tolist(),
-            "rewards": inst.rewards.tolist(),
-            "gamma": inst.gamma,
-        }
+    for family, (cls, arrays, numbers) in _JSON_FIELDS.items():
+        if isinstance(inst, cls):
+            return {"family": family, **{k: getattr(inst, k).tolist() for k in arrays},
+                    **{k: getattr(inst, k) for k in numbers}}
     raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
 def instance_from_json(doc: dict):
+    """The instance an ``instance_to_json`` document describes; ValueError
+    when the document is not an object, names no known family, lacks one of
+    the family's fields or holds a non-number where a number belongs."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
     family = doc.get("family")
-    if family == "quadratic":
-        return QuadraticSaddle(
-            B=doc["B"], b=doc["b"], A=doc["A"], C=doc["C"], c=doc["c"]
-        )
-    if family == "smoothed_l1":
-        return SmoothedL1Regression(
-            A=doc["A"], b=doc["b"], a=doc["a"], lambda_reg=doc["lambda_reg"]
-        )
-    if family == "mspbe":
-        return MspbeInstance(
-            phi=doc["phi"],
-            phi_next=doc["phi_next"],
-            rewards=doc["rewards"],
-            gamma=doc["gamma"],
-        )
-    raise ValueError(f"unknown instance family {family!r}")
+    if family not in _JSON_FIELDS:
+        raise ValueError(f"unknown instance family {family!r}")
+    cls, arrays, numbers = _JSON_FIELDS[family]
+    missing = [k for k in arrays + numbers if k not in doc]
+    if missing:
+        raise ValueError(f"{family} instance document lacks {', '.join(missing)}")
+    for k in numbers:
+        if not isinstance(doc[k], (int, float)):
+            raise ValueError(f"{family} instance field {k} must be a number, "
+                             f"got {type(doc[k]).__name__}")
+    return cls(**{k: doc[k] for k in arrays + numbers})
 
 
 def save_instance(inst, path):

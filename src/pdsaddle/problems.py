@@ -274,23 +274,11 @@ def grad_primal(
     grad P(x) = grad f(x) + A^T grad g*(Ax).  P is (rho + sigma_max^2/alpha)-
     smooth and (sigma_min^2/beta)-strongly convex.
     """
-    g, _ = _grad_primal_counted(problem, x, inner_tol, max_inner_iters)
-    return g
-
-
-def _grad_primal_counted(
-    problem: SaddleProblem,
-    x: np.ndarray,
-    inner_tol: float = 1e-10,
-    max_inner_iters: int = 100_000,
-) -> tuple[np.ndarray, int]:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d1,):
         raise ValueError(f"x has shape {x.shape}, expected ({problem.d1},)")
-    ystar, inner = _conj_grad_counted(
-        problem, problem.coupling @ x, inner_tol, max_inner_iters
-    )
-    return problem.grad_f(x) + problem.coupling.T @ ystar, inner
+    ystar = conj_grad(problem, problem.coupling @ x, inner_tol, max_inner_iters)
+    return problem.grad_f(x) + problem.coupling.T @ ystar
 
 
 def primal_value(problem: SaddleProblem, x: np.ndarray) -> float:

@@ -3,8 +3,12 @@
 ``run_pdg`` is the simultaneous primal-dual gradient method: both variables
 step from the same (x_t, y_t), descent in x and ascent in y.  ``run_primal_gd``
 is the baseline that does plain gradient descent on the primal objective
-P(x) = g*(Ax) + f(x).  Both emit a Trace with per-iteration distances,
-potential values and gradient-evaluation counts, suitable for rate fitting.
+P(x) = g*(Ax) + f(x); its step is PDG's ghost update, the PDG step with y tied
+to grad g*(A x), so both run in one loop.  Both emit a Trace with
+per-iteration distances, potential values and gradient-evaluation counts,
+suitable for rate fitting.  Every solver loop, the stochastic ones in
+``svrg`` included, records its rows and declares divergence through one
+``_Recorder``.
 
 ``reference_solution`` produces a certified saddle point, either by a dense
 solve of the stationarity system (quadratic problems) or by driving the
@@ -14,6 +18,7 @@ primal gradient to near machine precision.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -25,9 +30,9 @@ from .problems import (
     SaddleProblem,
     _conj_grad_counted,
     _grad_L,
-    _grad_primal_counted,
     conj_grad,
     grad_L,
+    grad_primal,
 )
 from .theory import primal_step
 
@@ -41,8 +46,8 @@ __all__ = [
     "reference_solution",
 ]
 
-# Divergence guard: abort once the tracked potential exceeds this multiple of
-# its initial value.
+# Divergence guard: abort once a watched column exceeds this multiple of its
+# initial size (see _Recorder).
 BLOWUP_FACTOR = 1e6
 
 TRACE_COLUMNS = (
@@ -57,7 +62,7 @@ TRACE_COLUMNS = (
 
 
 class DivergenceError(RuntimeError):
-    """A solver produced non-finite values or a blowing-up potential.
+    """A solver produced non-finite values or a blown-up distance or potential.
 
     The partial trace accumulated so far is attached as ``trace``.
     """
@@ -90,21 +95,22 @@ class StoppingRule:
 class Trace:
     """Per-iteration record of a solver run.
 
-    Columns (missing entries are None in memory, empty fields in CSV):
-    iter, grad_evals (full-gradient units), dist_x = ||x_t - x*||,
+    Columns: iter, grad_evals (full-gradient units), dist_x = ||x_t - x*||,
     dist_y = ||y_t - y*||, b_t = ||y_t - grad g*(A x_t)||, potential
     (P_t, Q_t or R_t depending on the solver; see ``potential_kind``),
-    elapsed_seconds.  ``inner_evals`` counts iterations spent inside the
-    conjugate-gradient fallback, kept separate from grad_evals.
+    elapsed_seconds.  They are lists of floats (iter of ints); a column a
+    run does not measure holds NaN, written as an empty CSV field.
+    ``inner_evals`` counts iterations spent inside the conjugate-gradient
+    fallback, kept separate from grad_evals.
     """
 
     def __init__(self, potential_kind: str | None = None):
         self.iters: list[int] = []
         self.grad_evals: list[float] = []
-        self.dist_x: list[float | None] = []
-        self.dist_y: list[float | None] = []
-        self.b_t: list[float | None] = []
-        self.potential: list[float | None] = []
+        self.dist_x: list[float] = []
+        self.dist_y: list[float] = []
+        self.b_t: list[float] = []
+        self.potential: list[float] = []
         self.elapsed: list[float] = []
         self.potential_kind = potential_kind
         self.inner_evals = 0
@@ -112,46 +118,35 @@ class Trace:
 
     def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
                b_t=None, potential=None, elapsed=0.0):
+        """Add a row; a column passed as None is stored as NaN."""
         if self.iters and it <= self.iters[-1]:
             raise ValueError("iteration indices must be strictly increasing")
         if self.grad_evals and grad_evals < self.grad_evals[-1]:
             raise ValueError("grad_evals must be nondecreasing")
         self.iters.append(it)
         self.grad_evals.append(grad_evals)
-        self.dist_x.append(dist_x)
-        self.dist_y.append(dist_y)
-        self.b_t.append(b_t)
-        self.potential.append(potential)
+        for col, v in ((self.dist_x, dist_x), (self.dist_y, dist_y),
+                       (self.b_t, b_t), (self.potential, potential)):
+            col.append(math.nan if v is None else v)
         self.elapsed.append(elapsed)
 
     def __len__(self):
         return len(self.iters)
 
     def column(self, name: str) -> np.ndarray:
-        """Column as a float array with None mapped to NaN."""
-        raw = {
-            "iter": self.iters,
-            "grad_evals": self.grad_evals,
-            "dist_x": self.dist_x,
-            "dist_y": self.dist_y,
-            "b_t": self.b_t,
-            "potential": self.potential,
-            "elapsed_seconds": self.elapsed,
-        }[name]
-        return np.array([np.nan if v is None else float(v) for v in raw])
+        """Column ``name`` (one of TRACE_COLUMNS) as a float array."""
+        return np.array(getattr(self, _TRACE_ATTRS[name]), dtype=float)
 
     def final_dist_x(self) -> float | None:
-        for v in reversed(self.dist_x):
-            if v is not None:
-                return float(v)
-        return None
+        """The last measured dist_x; None when no row measured it."""
+        d = self.column("dist_x")
+        d = d[~np.isnan(d)]
+        return float(d[-1]) if d.size else None
 
     def units_to_target(self, target: float) -> float | None:
         """Grad-units consumed when dist_x first drops to ``target``."""
-        for d, u in zip(self.dist_x, self.grad_evals):
-            if d is not None and d <= target:
-                return float(u)
-        return None
+        hit = np.flatnonzero(self.column("dist_x") <= target)
+        return float(self.grad_evals[hit[0]]) if hit.size else None
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -162,7 +157,7 @@ class Trace:
                     self.iters[i],
                     repr(float(self.grad_evals[i])),
                     *(
-                        "" if v is None else repr(float(v))
+                        "" if math.isnan(v) else repr(float(v))
                         for v in (
                             self.dist_x[i],
                             self.dist_y[i],
@@ -175,16 +170,60 @@ class Trace:
                 writer.writerow(row)
 
 
+_TRACE_ATTRS = dict(zip(TRACE_COLUMNS, ("iters", "grad_evals", "dist_x", "dist_y",
+                                        "b_t", "potential", "elapsed")))
+
+
+class _Recorder:
+    """The row and divergence policy of every solver loop.
+
+    A loop calls ``finite`` on the iterates of a row before it measures
+    them, so no oracle sees a non-finite value, then ``append`` with the
+    measured columns.  ``append`` adds the row first and then applies the
+    blow-up guard to the watched columns ("distance" for dist_x,
+    "potential"): a column fails once it exceeds BLOWUP_FACTOR times its
+    base, 1 + its first value for a distance and max(first value, 1e-300)
+    for a potential.  Messages place the failure as ``at`` followed by the
+    loop counter, e.g. "at iteration 3" or "in epoch 0".
+    """
+
+    def __init__(self, trace: Trace, at: str, watch: tuple[str, ...]):
+        self.trace, self.at = trace, at
+        self.limits = dict.fromkeys(watch)
+        self.t0 = time.perf_counter()
+
+    def error(self, what: str, k: int, detail: str = "") -> DivergenceError:
+        return DivergenceError(f"{what} {self.at} {k}{detail}", k, self.trace)
+
+    def finite(self, k: int, *iterates):
+        for v in iterates:
+            if v is not None and not np.isfinite(v).all():
+                raise self.error("non-finite iterate", k)
+
+    def append(self, k: int, it: int, units: float, dist_x=None, dist_y=None,
+               b_t=None, potential=None):
+        self.trace.append(it, units, dist_x, dist_y, b_t, potential,
+                          elapsed=time.perf_counter() - self.t0)
+        for name, value in (("distance", dist_x), ("potential", potential)):
+            if value is None or name not in self.limits:
+                continue
+            limit = self.limits[name]
+            if limit is None:
+                self.limits[name] = BLOWUP_FACTOR * (
+                    1.0 + value if name == "distance" else max(value, 1e-300))
+            elif value > limit:
+                raise self.error(f"{name} blew up", k, f": {value:.3e}")
+
+
 def _pd_step(problem, x, y, eta1, eta2):
     """The simultaneous update from (x, y).
 
     Returns A x, the step directions gx = grad f(x) + A^T y and
     gy = A x - grad g(y), and the next pair (x - eta1 gx, y + eta2 gy).
-    Overflow is left to the callers' finiteness checks.
+    Callers run it under np.errstate and check finiteness themselves.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ax, gx, gy = _grad_L(problem, x, y)
-        return ax, gx, gy, x - eta1 * gx, y + eta2 * gy
+    ax, gx, gy = _grad_L(problem, x, y)
+    return ax, gx, gy, x - eta1 * gx, y + eta2 * gy
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -204,7 +243,8 @@ def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> I
             f"iterate dims {x.shape}, {y.shape} do not match problem "
             f"({problem.d1},), ({problem.d2},)"
         )
-    *_, xn, yn = _pd_step(problem, x, y, eta1, eta2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, xn, yn = _pd_step(problem, x, y, eta1, eta2)
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
         raise DivergenceError(
             f"non-finite iterate after step {it.iter + 1}", it.iter + 1
@@ -240,73 +280,12 @@ def run_pdg(
     the saddle point (the dual reference y* = grad g*(A x*) is derived once).
 
     Raises DivergenceError (with the partial trace attached) on non-finite
-    iterates or a potential exceeding 1e6 times its initial value.
+    iterates, or on dist_x or P_t exceeding 1e6 times its initial size.
     """
     e1, e2, lam = _resolve_steps(schedule, eta1, eta2)
     if init is None:
         init = Iterate(np.zeros(problem.d1), np.zeros(problem.d2))
-    x, y = init.x.copy(), init.y.copy()
-
-    y_star = None
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        y_star = conj_grad(problem, problem.coupling @ x_star)
-
-    trace = Trace(potential_kind="P_t" if (lam is not None and x_star is not None) else None)
-    trace.schedule = {"eta1": e1, "eta2": e2}
-    if lam is not None:
-        trace.schedule["lambda"] = lam
-
-    t0 = time.perf_counter()
-    t = 0
-    p_first = None
-    d_first = None
-    while True:
-        ax, gx, gy, x_next, y_next = _pd_step(problem, x, y, e1, e2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gnorm = float(np.sqrt(gx @ gx + gy @ gy))
-        if not np.isfinite(gnorm):
-            raise DivergenceError(f"non-finite gradient at iteration {t}", t, trace)
-
-        dist = dist_y = pot = None
-        if x_star is not None:
-            dist = float(np.linalg.norm(x - x_star))
-            dist_y = float(np.linalg.norm(y - y_star))
-            if d_first is None:
-                d_first = dist
-            if dist > BLOWUP_FACTOR * (1.0 + d_first):
-                raise DivergenceError(
-                    f"distance blew up at iteration {t}: {dist:.3e}", t, trace
-                )
-        stopping = (
-            t >= stop.max_iters
-            or gnorm <= stop.tol
-            or (dist is not None and dist <= stop.tol)
-        )
-        gs, inner = _conj_grad_counted(problem, ax)
-        trace.inner_evals += inner
-        b_t = float(np.linalg.norm(y - gs))
-        if lam is not None and dist is not None:
-            pot = lam * dist + b_t
-            if p_first is None:
-                p_first = pot
-        trace.append(t, float(t), dist, dist_y, b_t, pot,
-                     elapsed=time.perf_counter() - t0)
-        if pot is not None and pot > BLOWUP_FACTOR * max(p_first, 1e-300):
-            raise DivergenceError(
-                f"potential blew up at iteration {t}: {pot:.3e} "
-                f"vs initial {p_first:.3e}",
-                t,
-                trace,
-            )
-        if stopping:
-            break
-
-        x, y = x_next, y_next
-        t += 1
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise DivergenceError(f"non-finite iterate at iteration {t}", t, trace)
-    return trace
+    return _batch_loop(problem, init.x.copy(), init.y.copy(), e1, e2, stop, x_star, lam)
 
 
 def run_primal_gd(
@@ -319,50 +298,78 @@ def run_primal_gd(
 ) -> Trace:
     """Gradient descent on the primal objective P(x) = g*(Ax) + f(x).
 
-    Each step costs one full-gradient unit; iterations of the iterative
-    conjugate fallback (if any) are accumulated in ``trace.inner_evals``.
+    This is PDG's ghost update x - eta grad P(x): the PDG step with y tied to
+    grad g*(A x).  Each step costs one full-gradient unit; iterations of the
+    iterative conjugate fallback (if any) are accumulated in
+    ``trace.inner_evals``.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     x = np.zeros(problem.d1) if x0 is None else np.asarray(x0, dtype=float).copy()
+    return _batch_loop(problem, x, None, eta, None, stop, x_star)
+
+
+def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
+    """The loop of both batch solvers.  With ``y`` None it runs the primal
+    form: gs = grad g*(A x) once per step, then x - eta1 (grad f(x) + A^T gs).
+    Otherwise it is the PDG step, and ``lam`` adds the potential P_t.
+
+    An iteration checks the iterate, takes the step and checks its gradient
+    norm, all before the conjugate map of a PDG row (a factorized map fails
+    on an overflowed A x), then records the row at the iterate.  One
+    np.errstate block per iteration covers the step: entering one costs
+    about 2 us, a few percent of a step at n = 500, d = 200.
+    """
+    dual = y is not None
+    if not (eta1 > 0 and (not dual or eta2 > 0)):
+        raise ValueError("step sizes must be positive")
+    A = problem.coupling
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
+        if dual:
+            y_star = conj_grad(problem, A @ x_star)
 
-    trace = Trace()
-    trace.schedule = {"eta": eta}
-    t0 = time.perf_counter()
-    t = 0
-    d_first = None
+    trace = Trace(potential_kind="P_t" if (lam is not None and x_star is not None) else None)
+    trace.schedule = {"eta1": eta1, "eta2": eta2} if dual else {"eta": eta1}
+    if lam is not None:
+        trace.schedule["lambda"] = lam
+    rec = _Recorder(trace, "at iteration", ("distance", "potential"))
+
+    t, y_next = 0, None
     while True:
+        rec.finite(t, x, y)
         with np.errstate(over="ignore", invalid="ignore"):
-            g, inner = _grad_primal_counted(problem, x)
-            gnorm = float(np.linalg.norm(g))
-        trace.inner_evals += inner
+            if dual:
+                ax, gx, gy, x_next, y_next = _pd_step(problem, x, y, eta1, eta2)
+                gnorm = float(np.sqrt(gx @ gx + gy @ gy))
+            else:
+                gs, inner = _conj_grad_counted(problem, A @ x)
+                trace.inner_evals += inner
+                gx = problem.grad_f(x) + A.T @ gs
+                x_next = x - eta1 * gx
+                gnorm = float(np.sqrt(gx @ gx))
         if not np.isfinite(gnorm):
-            raise DivergenceError(f"non-finite gradient at iteration {t}", t, trace)
-        dist = None
+            raise rec.error("non-finite gradient", t)
+
+        dist = dist_y = b_t = pot = None
         if x_star is not None:
             dist = float(np.linalg.norm(x - x_star))
-            if d_first is None:
-                d_first = dist
         stopping = (
             t >= stop.max_iters
             or gnorm <= stop.tol
             or (dist is not None and dist <= stop.tol)
         )
-        trace.append(t, float(t), dist, elapsed=time.perf_counter() - t0)
-        if dist is not None and dist > BLOWUP_FACTOR * (1.0 + d_first):
-            raise DivergenceError(
-                f"distance blew up at iteration {t}: {dist:.3e}", t, trace
-            )
+        if dual:
+            if x_star is not None:
+                dist_y = float(np.linalg.norm(y - y_star))
+            gs, inner = _conj_grad_counted(problem, ax)
+            trace.inner_evals += inner
+            b_t = float(np.linalg.norm(y - gs))
+            if lam is not None and dist is not None:
+                pot = lam * dist + b_t
+        rec.append(t, t, float(t), dist, dist_y, b_t, pot)
         if stopping:
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = x - eta * g
+            return trace
+        x, y = x_next, y_next
         t += 1
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite iterate at iteration {t}", t, trace)
-    return trace
 
 
 def reference_solution(
@@ -412,7 +419,7 @@ def reference_solution(
         x = np.zeros(problem.d1)
         res = np.inf
         for _ in range(max_iters):
-            g, _ = _grad_primal_counted(problem, x)
+            g = grad_primal(problem, x)
             res = float(np.linalg.norm(g))
             if res <= tol:
                 break

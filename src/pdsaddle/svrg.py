@@ -44,15 +44,13 @@ inner step).
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .problems import SaddleProblem, conj_grad, grad_L
-from .solvers import BLOWUP_FACTOR, DivergenceError, StoppingRule, Trace
+from .solvers import StoppingRule, Trace, _Recorder
 
 __all__ = [
     "RowSum",
@@ -323,9 +321,10 @@ def run_primal_svrg(
 def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     """The SVRG epoch loop of both solvers.  With ``y0`` None the sum runs in
     its primal form and the dual block is skipped (plain SVRG).  Inner
-    iterates are written straight into the retained (N+1, .) arrays.  Every
-    recorded row is checked for finiteness before it is measured, then for
-    blow-up of Q_t (primal-dual) or dist_x (primal)."""
+    iterates are written straight into the retained (N+1, .) arrays.  Rows
+    go through the solvers' one recorder, which watches Q_t (primal-dual) or
+    dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
+    after a step with dist_x <= stop.tol."""
     dual = y0 is not None
     form = "saddle" if dual else "primal"
     if form not in fsp.forms:
@@ -342,8 +341,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
             y_star = conj_grad(agg, agg.coupling @ x_star)
 
     def measure(x, y):
-        """Trace columns at (x, y); the last one is what the blow-up guard
-        watches."""
+        """Trace columns at (x, y), in Trace.append order."""
         if x_star is None:
             return ()
         dist = float(np.linalg.norm(x - x_star))
@@ -353,34 +351,26 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         b = float(np.linalg.norm(y - conj_grad(agg, agg.coupling @ x)))
         return dist, dist_y, b, dist**2 + cfg.mu * b**2
 
-    limit = math.inf
-
     def record(row, units, epoch, x, y, *unrecorded):
         """Append the trace row at (x, y) once it and the unrecorded iterates
-        are finite, then apply the blow-up guard; returns the columns."""
-        if not all(np.all(np.isfinite(v)) for v in (x, y, *unrecorded) if v is not None):
-            raise DivergenceError(f"non-finite iterate in epoch {epoch}", epoch, trace)
+        are finite; returns the columns."""
+        rec.finite(epoch, x, y, *unrecorded)
         cols = measure(x, y)
-        trace.append(row, units, *cols, elapsed=time.perf_counter() - t0)
-        if cols and cols[-1] > limit:
-            raise DivergenceError(
-                f"{'potential' if dual else 'distance'} blew up in epoch "
-                f"{epoch}: {cols[-1]:.3e}", epoch, trace
-            )
+        rec.append(epoch, row, units, *cols)
         return cols
+
+    def stopped(cols):
+        return stop is not None and cols and cols[0] <= stop.tol
 
     rng = np.random.default_rng(cfg.seed)
     trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)
     trace.schedule = ({"eta1": eta1, "eta2": eta2, "inner_iters": N, "mu": cfg.mu,
                        "seed": cfg.seed} if dual else
                       {"eta1": eta1, "inner_iters": N, "seed": cfg.seed})
-    t0 = time.perf_counter()
+    rec = _Recorder(trace, "in epoch", ("potential",) if dual else ("distance",))
 
     comp_evals = 0  # component-gradient evaluations; n per grad-unit
-    cols = record(0, 0.0, 0, x_snap, y_snap)
-    if cols:
-        first = cols[-1]
-        limit = BLOWUP_FACTOR * (max(first, 1e-300) if dual else 1.0 + first)
+    record(0, 0.0, 0, x_snap, y_snap)
     X = np.empty((N + 1, x_snap.size))
     Y = np.empty((N + 1, y_snap.size)) if dual else None
     y_next = None
@@ -413,19 +403,18 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                     else:
                         np.add(y, eta2 * ((gy - gys[i]) + full_gy), out=y_next)
                 np.subtract(x, eta1 * ((gx - gxs[i]) + full_gx), out=x_next)
-                if record_inner:
-                    record(epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
-                           epoch, x_next, y_next)
+                if record_inner and stopped(record(
+                        epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
+                        epoch, x_next, y_next)):
+                    return trace
         comp_evals += 2 * N
 
         j_t = int(rng.integers(N))
         x_snap = X[j_t].copy()
         if dual:
             y_snap = Y[j_t].copy()
-        if record_inner:
-            continue
-        cols = record(epoch + 1, comp_evals / n, epoch, x_snap, y_snap,
-                      X[N], Y[N] if dual else None)
-        if stop is not None and cols and cols[0] <= stop.tol:
+        if not record_inner and stopped(record(
+                epoch + 1, comp_evals / n, epoch, x_snap, y_snap,
+                X[N], Y[N] if dual else None)):
             break
     return trace

@@ -1,18 +1,33 @@
-"""Differential tests: the array-backed finite sums against a closure-based
-oracle that evaluates one component at a time (per-row dots, per-matrix
-matvecs, one closure per component, one index draw per inner step).  The
-arrays must reproduce the oracle bit for bit, so every comparison is exact.
+"""Differential tests, each against a reference path kept here as an oracle.
+
+* The array-backed finite sums against a closure-based oracle that evaluates
+  one component at a time (per-row dots, per-matrix matvecs, one closure per
+  component, one index draw per inner step).
+* The one batch loop behind ``run_pdg`` and ``run_primal_gd`` against the two
+  separate loops it replaced.
+
+The fast paths must reproduce their oracles bit for bit, so every comparison
+is exact.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pdsaddle import (
+    DivergenceError,
+    Iterate,
+    SaddleProblem,
+    StoppingRule,
     SvrgConfig,
     conj_grad,
     full_grad,
+    pdg_schedule,
     reference_solution,
+    run_pdg,
     run_pdsvrg,
+    run_primal_gd,
     run_primal_svrg,
     vr_grad,
 )
@@ -25,6 +40,9 @@ from pdsaddle.instances import (
     split_quadratic,
     split_quadratic_primal,
 )
+from pdsaddle.problems import _conj_grad_counted
+from pdsaddle.solvers import BLOWUP_FACTOR
+from pdsaddle.theory import primal_step
 
 pytestmark = pytest.mark.differential
 
@@ -222,3 +240,209 @@ def test_primal_svrg_trace_matches_oracle(case, record_inner):
                        None, record_inner)
     got = np.column_stack([trace.column(c) for c in ("iter", "grad_evals", "dist_x")])
     np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the batch loop against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+class _OracleDivergence(Exception):
+    def __init__(self, message, iteration):
+        super().__init__(message)
+        self.iteration = iteration
+
+
+def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam):
+    """The run_pdg loop as it was: returns (rows, inner_evals, error), rows
+    of (iter, grad_evals, dist_x, dist_y, b_t, potential) with NaN for an
+    unmeasured column and error an _OracleDivergence or None."""
+    rows, inner_evals = [], 0
+    A = problem.coupling
+    if x_star is not None:
+        y_star = conj_grad(problem, A @ x_star)
+    t, p_first, d_first = 0, None, None
+    try:
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ax = A @ x
+                gx = problem.grad_f(x) + A.T @ y
+                gy = ax - problem.grad_g(y)
+                x_next, y_next = x - eta1 * gx, y + eta2 * gy
+                gnorm = float(np.sqrt(gx @ gx + gy @ gy))
+            if not np.isfinite(gnorm):
+                raise _OracleDivergence(f"non-finite gradient at iteration {t}", t)
+            dist = dist_y = pot = None
+            if x_star is not None:
+                dist = float(np.linalg.norm(x - x_star))
+                dist_y = float(np.linalg.norm(y - y_star))
+                if d_first is None:
+                    d_first = dist
+                if dist > BLOWUP_FACTOR * (1.0 + d_first):
+                    raise _OracleDivergence(
+                        f"distance blew up at iteration {t}: {dist:.3e}", t)
+            stopping = (t >= stop.max_iters or gnorm <= stop.tol
+                        or (dist is not None and dist <= stop.tol))
+            gs, inner = _conj_grad_counted(problem, ax)
+            inner_evals += inner
+            b_t = float(np.linalg.norm(y - gs))
+            if lam is not None and dist is not None:
+                pot = lam * dist + b_t
+                if p_first is None:
+                    p_first = pot
+            rows.append([t, float(t), dist, dist_y, b_t, pot])
+            if pot is not None and pot > BLOWUP_FACTOR * max(p_first, 1e-300):
+                raise _OracleDivergence(
+                    f"potential blew up at iteration {t}: {pot:.3e} "
+                    f"vs initial {p_first:.3e}", t)
+            if stopping:
+                break
+            x, y = x_next, y_next
+            t += 1
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise _OracleDivergence(f"non-finite iterate at iteration {t}", t)
+        error = None
+    except _OracleDivergence as exc:
+        error = exc
+    return np.array(rows, dtype=float).reshape(-1, 6), inner_evals, error
+
+
+def _gd_oracle(problem, x, eta, stop, x_star):
+    """The run_primal_gd loop as it was; returns like _pdg_oracle."""
+    rows, inner_evals = [], 0
+    A = problem.coupling
+    t, d_first = 0, None
+    try:
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ystar, inner = _conj_grad_counted(problem, A @ x)
+                g = problem.grad_f(x) + A.T @ ystar
+                gnorm = float(np.linalg.norm(g))
+            inner_evals += inner
+            if not np.isfinite(gnorm):
+                raise _OracleDivergence(f"non-finite gradient at iteration {t}", t)
+            dist = None
+            if x_star is not None:
+                dist = float(np.linalg.norm(x - x_star))
+                if d_first is None:
+                    d_first = dist
+            stopping = (t >= stop.max_iters or gnorm <= stop.tol
+                        or (dist is not None and dist <= stop.tol))
+            rows.append([t, float(t), dist, None, None, None])
+            if dist is not None and dist > BLOWUP_FACTOR * (1.0 + d_first):
+                raise _OracleDivergence(f"distance blew up at iteration {t}: {dist:.3e}", t)
+            if stopping:
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x - eta * g
+            t += 1
+            if not np.all(np.isfinite(x)):
+                raise _OracleDivergence(f"non-finite iterate at iteration {t}", t)
+        error = None
+    except _OracleDivergence as exc:
+        error = exc
+    return np.array(rows, dtype=float).reshape(-1, 6), inner_evals, error
+
+
+def _no_closed_form(problem):
+    """``problem`` without its closed-form conjugate map, so every conjugate
+    goes through the counted inner solve."""
+    p = problem.params
+    return SaddleProblem(problem.grad_f, problem.grad_g, problem.coupling,
+                         rho=p.rho, alpha=p.alpha, beta=p.beta)
+
+
+def _batch_problems():
+    quad = random_quadratic(11, 5, 7)
+    inst = make_smoothed_l1(40, 12, cov="exp_decay", decay=2.0, seed=5)
+    l1 = smoothed_l1_saddle(inst).aggregate
+    return {
+        "quadratic": (quad, reference_solution(quad, "direct")[0]),
+        "smoothed_l1": (l1, smoothed_l1_minimizer(inst)),
+        "iterative_conjugate": (_no_closed_form(quad), reference_solution(quad, "direct")[0]),
+    }
+
+
+BATCH_PROBLEMS = _batch_problems()
+# a run to the iteration cap, and one that stops on dist_x (or the gradient)
+STOPS = {"cap": StoppingRule(120, 1e-9), "tol": StoppingRule(5000, 1e-4)}
+# multiples of the theory steps: 1e3 and 1e8 trip the distance guard (with
+# x_star) or overflow the gradient, 1e200 the gradient, 1e308 the iterate
+SCALES = (1.0, 1.8, 1e3, 1e8, 1e200, 1e308)
+
+
+def _batch_cases(steps, *converging):
+    """(problem, steps) pairs; the inner conjugate solve of the problem
+    without a closed form runs only on ``converging`` steps, because it is
+    not meant to follow diverging iterates."""
+    return [(name, st) for name in sorted(BATCH_PROBLEMS) for st in steps
+            if name != "iterative_conjugate" or st in converging]
+
+
+def _run(fn):
+    try:
+        return fn(), None
+    except DivergenceError as exc:
+        return exc.trace, exc
+
+
+def _columns(trace):
+    return np.column_stack([trace.column(c) for c in
+                            ("iter", "grad_evals", "dist_x", "dist_y", "b_t", "potential")])
+
+
+def _assert_matches(trace, error, want, want_inner, want_error, *, tripping_row_allowed):
+    got = _columns(trace)
+    if want_error is None:
+        assert error is None
+    else:
+        assert error is not None and error.iteration == want_error.iteration
+        # the potential message no longer quotes the initial value
+        assert str(error) == str(want_error).split(" vs initial")[0]
+        if (tripping_row_allowed and str(error).startswith("distance blew up")
+                and len(got) == len(want) + 1):
+            # PDG used to raise before appending the row that tripped the guard
+            assert got[-1, 2] > BLOWUP_FACTOR * (1.0 + got[0, 2])
+            got = got[:-1]
+    np.testing.assert_array_equal(got, want)
+    assert trace.inner_evals == want_inner
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name,scale", _batch_cases(SCALES, 1.0))
+@pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_primal_gd_matches_old_loop(name, scale, with_x_star, stop):
+    problem, x_star = BATCH_PROBLEMS[name]
+    x_star = x_star if with_x_star else None
+    eta = scale * primal_step(problem.params)
+    stop = STOPS[stop]
+    x0 = np.linspace(-1.0, 1.0, problem.d1)
+    trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta, stop=stop,
+                                              x_star=x_star))
+    want, inner, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
+    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)
+
+
+# "dual_x1e3": the schedule with eta2 1e3 times larger trips the P_t guard
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name,steps", _batch_cases(("schedule", "dual_x1e3", *SCALES),
+                                                    "schedule", 1.0))
+@pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
+    problem, x_star = BATCH_PROBLEMS[name]
+    x_star = x_star if with_x_star else None
+    sched = pdg_schedule(problem.params)
+    stop = STOPS[stop]
+    init = Iterate(np.linspace(-1.0, 1.0, problem.d1), np.linspace(0.5, -0.5, problem.d2))
+    if isinstance(steps, str):
+        boost = 1e3 if steps == "dual_x1e3" else 1.0
+        eta1, eta2, lam = sched.eta1, boost * sched.eta2, sched.lambda_
+        kw = {"schedule": SimpleNamespace(eta1=eta1, eta2=eta2, lambda_=lam)}
+    else:
+        eta1, eta2, lam = steps * sched.eta1, steps * sched.eta2, None
+        kw = {"eta1": eta1, "eta2": eta2}
+    trace, error = _run(lambda: run_pdg(problem, init, stop=stop, x_star=x_star, **kw))
+    want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), eta1,
+                                          eta2, stop, x_star, lam)
+    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)

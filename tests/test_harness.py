@@ -471,7 +471,12 @@ def test_solver_table_reaches_runners_through_module_globals(monkeypatch, tmp_pa
     {"family": "random_quadratic", "d1": 9, "d2": 4},
     {"family": "random_quadratic", "d1": "3"},
     {"family": "smoothed_l1", "n": 20, "d": 5, "a": "x"},
-], ids=["d1_above_d2", "d1_string", "sharpness_string"])
+    {"family": "quadratic", "data": {"family": "quadratic"}},
+    {"family": "quadratic", "data": 5},
+    {"family": "smoothed_l1", "data": {"family": "smoothed_l1", "A": [[1.0, 0.0], [0.0, 1.0]],
+                                       "b": [1.0, 2.0], "a": "x", "lambda_reg": 0.1}},
+], ids=["d1_above_d2", "d1_string", "sharpness_string", "data_missing_fields",
+        "data_not_object", "data_sharpness_string"])
 def test_malformed_instance_fields_exit_1(instance, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", {
         "instance": instance,
@@ -481,6 +486,40 @@ def test_malformed_instance_fields_exit_1(instance, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: config.instance")
     assert "Traceback" not in err
+
+
+_SPLIT = {"family": "random_quadratic", "d1": 5, "d2": 7, "seed": 3, "splits": 12}
+
+
+@pytest.mark.parametrize("solver,field", [
+    ({"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.01,
+                                     "inner_iters": 0}}, "schedule.inner_iters"),
+    ({"name": "primal_svrg", "schedule": {"source": "explicit", "eta1": 0.01,
+                                          "inner_iters": "x"}}, "schedule.inner_iters"),
+    ({"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.01, "mu": -1}},
+     "schedule.mu"),
+    ({"name": "primal_gd", "schedule": {"source": "explicit", "eta": -1}}, "schedule.eta"),
+    ({"name": "pdg", "schedule": {"source": "explicit", "eta1": -0.1, "eta2": 0.1}},
+     "schedule.eta1"),
+    ({"name": "pdg", "label": ["a"]}, "label"),
+    ({"name": "pdg", "schedule": {"source": "grid", "eta1": [0.1, -0.1], "eta2": [0.1]}},
+     "schedule.eta1"),
+], ids=["inner_iters_zero", "inner_iters_string", "mu_negative", "gd_eta_negative",
+        "pdg_eta1_negative", "label_list", "grid_value_negative"])
+def test_malformed_solver_entries_exit_1(solver, field, tmp_path, capsys):
+    # the entry follows a valid one, which must not run either
+    cfg = _write(tmp_path, "cfg.json", {"instance": _SPLIT,
+                                        "solvers": [{"name": "pdg"}, solver]})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.solvers[1].{field}:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_rejects_nonpositive_step_values():
+    bundle = build_instance(_quad_instance_spec())
+    with pytest.raises(ConfigError, match="schedule.eta1: grid values must be positive"):
+        grid_search(bundle, "pdg", {"eta1": [0.1, -0.1], "eta2": [0.1]}, budget=10)
 
 
 def test_reference_solver_failure_exits_1(monkeypatch, tmp_path, capsys):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdsaddle
 from pdsaddle import (
     StoppingRule,
     check_gradients,
@@ -334,3 +339,18 @@ def test_smoothed_l1_and_mspbe_serialization(small_l1):
     np.testing.assert_array_equal(back.phi_next, inst.phi_next)
     with pytest.raises(ValueError, match="family"):
         instance_from_json({"family": "unknown"})
+
+
+def test_cli_import_and_smoothed_l1_build_leave_scipy_linalg_unloaded():
+    # only quadratic problems factorize their dual block with scipy.linalg,
+    # whose import is most of the package's start-up time
+    code = ("import sys\n"
+            "import pdsaddle.cli\n"
+            "from pdsaddle.harness import build_instance\n"
+            "build_instance({'family': 'smoothed_l1', 'n': 60, 'd': 20, 'seed': 1,\n"
+            "                'covariance': 'exp_decay', 'decay': 2})\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = str(Path(pdsaddle.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

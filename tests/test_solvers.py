@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,17 @@ def test_pdg_step_fixed_point():
 def test_pdg_step_rejects_bad_steps(scalar_problem):
     with pytest.raises(ValueError):
         pdg_step(scalar_problem, Iterate(np.zeros(1), np.zeros(1)), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: run_pdg(p, eta1=-0.1, eta2=0.1),
+    lambda p: run_pdg(p, eta1=0.1, eta2=0.0),
+    lambda p: run_pdg(p, schedule=SimpleNamespace(eta1=0.1, eta2=-1.0)),
+    lambda p: run_primal_gd(p, eta=-0.1),
+], ids=["pdg_eta1", "pdg_eta2", "pdg_schedule", "primal_gd"])
+def test_batch_runs_reject_nonpositive_steps(scalar_problem, run):
+    with pytest.raises(ValueError, match="step sizes must be positive"):
+        run(scalar_problem)
 
 
 def test_run_pdg_initial_row_when_converged():
@@ -192,6 +206,7 @@ def test_trace_invariants_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,grad_evals,dist_x,dist_y,b_t,potential,elapsed_seconds"
     assert lines[1].split(",")[3] == ""  # missing dist_y written empty
+    assert math.isnan(trace.dist_y[0]) and None not in trace.potential
 
 
 def test_stopping_rule_validation():

@@ -328,6 +328,24 @@ def test_primal_svrg_record_inner_applies_blowup_guard():
     assert dists[-1] > BLOWUP_FACTOR * (1 + dists[0])
 
 
+@pytest.mark.parametrize("runner", [run_pdsvrg, run_primal_svrg])
+def test_record_inner_stops_at_first_row_within_tol(runner):
+    # record_inner used to skip the stop check, so this ran all 200 epochs
+    # (4,801 rows, 1,000 grad-units) instead of stopping near 1e-3
+    problem = random_quadratic(3, 5, 7)
+    fsp = split_quadratic(problem, 12, seed=3) if runner is run_pdsvrg \
+        else split_quadratic_primal(problem, 12, seed=3)
+    x_star, _, _ = reference_solution(problem, "direct")
+    cfg = SvrgConfig(eta1=0.05, eta2=0.05, inner_iters=24, epochs=200)
+    stop = StoppingRule(tol=1e-3)
+    trace = runner(fsp, cfg=cfg, x_star=x_star, stop=stop, record_inner=True)
+    d = trace.column("dist_x")
+    assert d[-1] <= 1e-3
+    assert np.all(d[1:-1] > 1e-3)
+    per_epoch = runner(fsp, cfg=cfg, x_star=x_star, stop=stop)
+    assert trace.grad_evals[-1] <= per_epoch.grad_evals[-1]
+
+
 def test_finite_sums_run_only_in_their_forms():
     # a dense saddle sum has no primal form (its B_i are the f_i, not the P_i)
     # and a dense primal sum no saddle form; a row sum has both
