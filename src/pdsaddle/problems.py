@@ -17,6 +17,7 @@ the primal gradient grad P, and a finite-difference gradient checker.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -202,13 +203,21 @@ def grad_L(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_dims(problem, x, y)
-    return _grad_L(problem, x, y)[1:]
+    return _grad_L(_oracles(problem), x, y)[1:]
 
 
-def _grad_L(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
-    """(A x, gx, gy) without input checks; the batch solvers' hot path."""
-    ax = problem.coupling @ x
-    return ax, problem.grad_f(x) + problem.coupling.T @ y, ax - problem.grad_g(y)
+def _oracles(problem: SaddleProblem):
+    """(A, A^T, grad_f, grad_g): what ``_grad_L`` needs, looked up once so a
+    loop can pass it to every step."""
+    return problem.coupling, problem.coupling.T, problem.grad_f, problem.grad_g
+
+
+def _grad_L(oracles, x: np.ndarray, y: np.ndarray):
+    """(A x, gx, gy) from ``_oracles(problem)`` without input checks; the
+    batch solvers' hot path."""
+    A, At, grad_f, grad_g = oracles
+    ax = A @ x
+    return ax, grad_f(x) + At @ y, ax - grad_g(y)
 
 
 def _conj_grad_counted(
@@ -219,7 +228,9 @@ def _conj_grad_counted(
 ) -> tuple[np.ndarray, int]:
     """grad g*(z) together with the number of inner iterations spent.
 
-    The count is 0 when a closed form is available.
+    The count is 0 when a closed form is available.  The inner solve stops
+    once ||grad g(y) - z|| <= inner_tol * max(1, ||z||): relative to z, so
+    a large z does not ask for a residual below its roundoff floor.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.d2,):
@@ -233,16 +244,18 @@ def _conj_grad_counted(
     p = problem.params
     step = 2.0 / (p.alpha + p.beta)
     y = np.zeros(problem.d2)
+    tol = inner_tol * max(1.0, float(np.linalg.norm(z)))
     residual = np.inf
     for k in range(max_inner_iters):
         r = problem.grad_g(y) - z
         residual = float(np.linalg.norm(r))
-        if residual <= inner_tol:
+        # an overflowed ||z|| makes tol infinite; the residual must be finite
+        if residual <= tol and math.isfinite(residual):
             return y, k
         y = y - step * r
     raise ConvergenceError(
         f"conjugate-gradient inner solve stalled at residual {residual:.3e} "
-        f"after {max_inner_iters} iterations (tol {inner_tol:.1e})",
+        f"after {max_inner_iters} iterations (tol {tol:.1e})",
         residual=residual,
     )
 

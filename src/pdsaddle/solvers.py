@@ -30,6 +30,7 @@ from .problems import (
     SaddleProblem,
     _conj_grad_counted,
     _grad_L,
+    _oracles,
     conj_grad,
     grad_L,
     grad_primal,
@@ -178,12 +179,13 @@ class _Recorder:
     """The row and divergence policy of every solver loop.
 
     A loop calls ``finite`` on the iterates of a row before it measures
-    them, so no oracle sees a non-finite value, then ``append`` with the
-    measured columns.  ``append`` adds the row first and then applies the
-    blow-up guard to the watched columns ("distance" for dist_x,
-    "potential"): a column fails once it exceeds BLOWUP_FACTOR times its
-    base, 1 + its first value for a distance and max(first value, 1e-300)
-    for a potential.  Messages place the failure as ``at`` followed by the
+    them, so no oracle sees a non-finite value (the batch loop skips the
+    call when finite distances already prove them finite), then
+    ``append`` with the measured columns.  ``append`` adds the row first
+    and then applies the blow-up guard to the watched columns ("distance"
+    for dist_x, "potential"): a column fails once it exceeds BLOWUP_FACTOR
+    times its base, 1 + its first value for a distance and max(first
+    value, 1e-300) for a potential.  Messages place the failure as ``at`` followed by the
     loop counter, e.g. "at iteration 3" or "in epoch 0".
     """
 
@@ -215,14 +217,15 @@ class _Recorder:
                 raise self.error(f"{name} blew up", k, f": {value:.3e}")
 
 
-def _pd_step(problem, x, y, eta1, eta2):
-    """The simultaneous update from (x, y).
+def _pd_step(oracles, x, y, eta1, eta2):
+    """The simultaneous update from (x, y), with ``oracles`` from
+    ``problems._oracles``.
 
     Returns A x, the step directions gx = grad f(x) + A^T y and
     gy = A x - grad g(y), and the next pair (x - eta1 gx, y + eta2 gy).
     Callers run it under np.errstate and check finiteness themselves.
     """
-    ax, gx, gy = _grad_L(problem, x, y)
+    ax, gx, gy = _grad_L(oracles, x, y)
     return ax, gx, gy, x - eta1 * gx, y + eta2 * gy
 
 
@@ -244,7 +247,7 @@ def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> I
             f"({problem.d1},), ({problem.d2},)"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        *_, xn, yn = _pd_step(problem, x, y, eta1, eta2)
+        *_, xn, yn = _pd_step(_oracles(problem), x, y, eta1, eta2)
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
         raise DivergenceError(
             f"non-finite iterate after step {it.iter + 1}", it.iter + 1
@@ -312,16 +315,19 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
     form: gs = grad g*(A x) once per step, then x - eta1 (grad f(x) + A^T gs).
     Otherwise it is the PDG step, and ``lam`` adds the potential P_t.
 
-    An iteration checks the iterate, takes the step and checks its gradient
-    norm, all before the conjugate map of a PDG row (a factorized map fails
-    on an overflowed A x), then records the row at the iterate.  One
-    np.errstate block per iteration covers the step: entering one costs
-    about 2 us, a few percent of a step at n = 500, d = 200.
+    An iteration proves the iterate finite, takes the step and checks its
+    gradient norm, all before the conjugate map of a PDG row (a factorized
+    map fails on an overflowed A x), then records the row at the iterate.
+    With ``x_star`` the distances come first: a finite distance to a finite
+    reference proves the iterate finite, so entries are checked one by one
+    only without ``x_star`` or when a distance is not finite (an iterate
+    that is finite but whose distance overflowed runs on).  One np.errstate
+    block covers the whole loop.
     """
     dual = y is not None
     if not (eta1 > 0 and (not dual or eta2 > 0)):
         raise ValueError("step sizes must be positive")
-    A = problem.coupling
+    oracles = A, At, grad_f, _ = _oracles(problem)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
         if dual:
@@ -333,43 +339,48 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
         trace.schedule["lambda"] = lam
     rec = _Recorder(trace, "at iteration", ("distance", "potential"))
 
-    t, y_next = 0, None
-    while True:
-        rec.finite(t, x, y)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if dual:
-                ax, gx, gy, x_next, y_next = _pd_step(problem, x, y, eta1, eta2)
-                gnorm = float(np.sqrt(gx @ gx + gy @ gy))
-            else:
-                gs, inner = _conj_grad_counted(problem, A @ x)
-                trace.inner_evals += inner
-                gx = problem.grad_f(x) + A.T @ gs
-                x_next = x - eta1 * gx
-                gnorm = float(np.sqrt(gx @ gx))
-        if not np.isfinite(gnorm):
-            raise rec.error("non-finite gradient", t)
+    def counted_conj(z):
+        gs, inner = _conj_grad_counted(problem, z)
+        trace.inner_evals += inner
+        return gs
 
-        dist = dist_y = b_t = pot = None
-        if x_star is not None:
-            dist = float(np.linalg.norm(x - x_star))
-        stopping = (
-            t >= stop.max_iters
-            or gnorm <= stop.tol
-            or (dist is not None and dist <= stop.tol)
-        )
-        if dual:
+    conj = problem.conj_grad_g if problem.conj_grad_g is not None else counted_conj
+    t, y_next, dist, dist_y = 0, None, None, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
             if x_star is not None:
-                dist_y = float(np.linalg.norm(y - y_star))
-            gs, inner = _conj_grad_counted(problem, ax)
-            trace.inner_evals += inner
-            b_t = float(np.linalg.norm(y - gs))
-            if lam is not None and dist is not None:
-                pot = lam * dist + b_t
-        rec.append(t, t, float(t), dist, dist_y, b_t, pot)
-        if stopping:
-            return trace
-        x, y = x_next, y_next
-        t += 1
+                d = x - x_star
+                dist = math.sqrt(d @ d)
+                if dual:
+                    d = y - y_star
+                    dist_y = math.sqrt(d @ d)
+            if not (x_star is not None and math.isfinite(dist)
+                    and (not dual or math.isfinite(dist_y))):
+                rec.finite(t, x, y)
+            if dual:
+                ax, gx, gy, x_next, y_next = _pd_step(oracles, x, y, eta1, eta2)
+                gnorm = math.sqrt(gx @ gx + gy @ gy)
+            else:
+                gs = conj(A @ x)
+                gx = grad_f(x) + At @ gs
+                x_next = x - eta1 * gx
+                gnorm = math.sqrt(gx @ gx)
+            if not math.isfinite(gnorm):
+                raise rec.error("non-finite gradient", t)
+
+            stopping = (t >= stop.max_iters or gnorm <= stop.tol
+                        or (dist is not None and dist <= stop.tol))
+            b_t = pot = None
+            if dual:
+                d = y - conj(ax)
+                b_t = math.sqrt(d @ d)
+                if lam is not None and dist is not None:
+                    pot = lam * dist + b_t
+            rec.append(t, t, float(t), dist, dist_y, b_t, pot)
+            if stopping:
+                return trace
+            x, y = x_next, y_next
+            t += 1
 
 
 def reference_solution(

@@ -13,7 +13,7 @@ use the variance-reduced estimate
 
 which is unbiased for the full gradient and has vanishing variance as the
 iterate approaches the snapshot.  The new snapshot is one of the inner
-iterates x_{t,0..N-1}, chosen uniformly at random after the loop finishes.
+iterates x_{t,0..N-1}, chosen uniformly at random.
 
 Storage: a finite sum is held as arrays, in one of two kinds.
 
@@ -33,9 +33,9 @@ are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
 ``A @ x`` sums in another order).
 
 Random stream: per epoch the N component indices are drawn as one
-``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``.  This
-is the same stream as N + 1 scalar draws (one per inner step, then the
-snapshot), so a seed fixes a run bit for bit.
+``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``, both
+before the inner loop.  This is the same stream as N + 1 scalar draws (one
+per inner step, then the snapshot), so a seed fixes a run bit for bit.
 
 Cost accounting: one component-gradient evaluation is 1/n of a grad-unit, so
 an epoch costs 1 + 2N/n units (full pass plus two component evaluations per
@@ -288,8 +288,8 @@ def run_pdsvrg(
 
     Per epoch: full gradient at the snapshot, N inner steps with the
     variance-reduced estimate (descent in x, ascent in y, both from the same
-    inner iterate), then a new snapshot drawn uniformly from the N retained
-    inner iterates, using the same random stream as the index draws.
+    inner iterate), then a new snapshot drawn uniformly from the N inner
+    iterates, using the same random stream as the index draws.
 
     Trace rows are per epoch at the snapshot (per inner step when
     ``record_inner``); the potential column is Q_t when x_star is known.
@@ -321,7 +321,9 @@ def run_primal_svrg(
 def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     """The SVRG epoch loop of both solvers.  With ``y0`` None the sum runs in
     its primal form and the dual block is skipped (plain SVRG).  Inner
-    iterates are written straight into the retained (N+1, .) arrays.  Rows
+    iterates alternate between two rows per variable; the snapshot index is
+    drawn before the inner loop and its iterate copied when the loop reaches
+    it, and the end-of-epoch row checks x_N, y_N for finiteness.  Rows
     go through the solvers' one recorder, which watches Q_t (primal-dual) or
     dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
     after a step with dist_x <= stop.tol."""
@@ -371,16 +373,25 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
 
     comp_evals = 0  # component-gradient evaluations; n per grad-unit
     record(0, 0.0, 0, x_snap, y_snap)
-    X = np.empty((N + 1, x_snap.size))
-    Y = np.empty((N + 1, y_snap.size)) if dual else None
-    y_next = None
+    # two rows per variable, the iterate and the next one, swapped every step
+    x, x_next = np.empty(x_snap.size), np.empty(x_snap.size)
+    y = y_next = None
+    if dual:
+        y, y_next = np.empty(y_snap.size), np.empty(y_snap.size)
 
     for epoch in range(cfg.epochs):
-        X[0] = x_snap
+        # the snapshot draw follows the index draws in the stream, and the
+        # loop draws nothing, so it can be made first
+        indices = rng.integers(n, size=N).tolist()
+        j_t = int(rng.integers(N))
+        x[:] = x_snap
         if dual:
-            Y[0] = y_snap
+            y[:] = y_snap
             gxs, gys, full_gx, full_gy = fsp._full_pass(x_snap, y_snap)
             drift = eta2 * full_gy
+            if row_sum:
+                # per-coordinate dual scalars, read as Python floats
+                gys_at, full_gy_at = gys.tolist(), full_gy.tolist()
         else:
             gxs, full_gx = fsp._full_pass(x_snap)
         comp_evals += n
@@ -388,18 +399,20 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         # updates below reproduce vr_grad bit for bit without re-evaluating
         # the snapshot component (the 2-evaluations cost model still applies)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, i in enumerate(rng.integers(n, size=N).tolist()):
-                x, x_next = X[j], X[j + 1]
+            for j, i in enumerate(indices):
+                if j == j_t:
+                    x_snap = x.copy()
+                    if dual:
+                        y_snap = y.copy()
                 if not dual:
                     gx = fsp._component(i, x)
                 else:
-                    y, y_next = Y[j], Y[j + 1]
                     gx, gy = fsp._component(i, x, y)
                     if row_sum:
                         # away from coordinate i the dual estimate is
                         # (0 - 0) + full_gy, so only coordinate i needs work
                         np.add(y, drift, out=y_next)
-                        y_next[i] = y[i] + eta2 * ((gy - gys[i]) + full_gy[i])
+                        y_next[i] = y[i] + eta2 * ((gy - gys_at[i]) + full_gy_at[i])
                     else:
                         np.add(y, eta2 * ((gy - gys[i]) + full_gy), out=y_next)
                 np.subtract(x, eta1 * ((gx - gxs[i]) + full_gx), out=x_next)
@@ -407,14 +420,11 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                         epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
                         epoch, x_next, y_next)):
                     return trace
+                x, x_next = x_next, x
+                y, y_next = y_next, y
         comp_evals += 2 * N
 
-        j_t = int(rng.integers(N))
-        x_snap = X[j_t].copy()
-        if dual:
-            y_snap = Y[j_t].copy()
         if not record_inner and stopped(record(
-                epoch + 1, comp_evals / n, epoch, x_snap, y_snap,
-                X[N], Y[N] if dual else None)):
+                epoch + 1, comp_evals / n, epoch, x_snap, y_snap, x, y)):
             break
     return trace

@@ -99,9 +99,10 @@ def _mean(grads):
     return stacked, np.sum(stacked, axis=0) / len(grads)
 
 
-def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner):
+def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
     """The SVRG epoch loop one component closure at a time: trace rows of
-    (iter, grad_evals, dist_x[, dist_y, b_t, Q_t])."""
+    (iter, grad_evals, dist_x[, dist_y, b_t, Q_t]), ending at the first row
+    after a step with dist_x <= stop.tol when ``stop`` is given."""
     n, N, dual = len(comps), cfg.inner_iters, y0 is not None
     rng = np.random.default_rng(cfg.seed)
     if dual:
@@ -138,9 +139,13 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner):
             evals += 2
             if record_inner:
                 rows.append([len(rows), evals / n] + measure(x, y))
+                if stop is not None and rows[-1][2] <= stop.tol:
+                    return np.array(rows)
         x_snap, y_snap = kept[int(rng.integers(N))]
         if not record_inner:
             rows.append([epoch + 1, evals / n] + measure(x_snap, y_snap))
+            if stop is not None and rows[-1][2] <= stop.tol:
+                break
     return np.array(rows)
 
 
@@ -240,6 +245,43 @@ def test_primal_svrg_trace_matches_oracle(case, record_inner):
                        None, record_inner)
     got = np.column_stack([trace.column(c) for c in ("iter", "grad_evals", "dist_x")])
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("inner_iters", [1, 2])
+@pytest.mark.parametrize("solver", ["pdsvrg", "primal_svrg"])
+def test_short_epochs_match_oracle(case, solver, inner_iters):
+    """N = 1 and N = 2 end an epoch on either of the two iterate rows and put
+    the snapshot index at 0 and at N - 1; per epoch, per inner step, and per
+    inner step with a stop that ends the run mid-epoch (N = 2)."""
+    dual, N, epochs, seed = solver == "pdsvrg", inner_iters, 30, 9
+    fsp, comps = (case["fsp"], case["saddle"]) if dual else (case["prim"], case["primal"])
+    run = run_pdsvrg if dual else run_primal_svrg
+    cfg = SvrgConfig(eta1=case["eta1"], eta2=case["eta2"] if dual else 1.0,
+                     inner_iters=N, epochs=epochs, seed=seed, mu=1.5)
+    rng, snapshots = np.random.default_rng(seed), set()
+    for _ in range(epochs):  # the draws of the runs below
+        rng.integers(fsp.n, size=N)
+        snapshots.add(int(rng.integers(N)))
+    assert snapshots == set(range(N))
+    y0 = np.zeros(fsp.d2) if dual else None
+    cols = ("iter", "grad_evals", "dist_x", "dist_y", "b_t", "potential")[:6 if dual else 3]
+
+    def check(record_inner, stop=None):
+        trace = run(fsp, cfg=cfg, x_star=case["x_star"], stop=stop,
+                    record_inner=record_inner)
+        want = _oracle_run(comps, np.zeros(fsp.d1), y0, cfg, case["x_star"],
+                           fsp.aggregate, record_inner, stop)
+        np.testing.assert_array_equal(
+            np.column_stack([trace.column(c) for c in cols]), want)
+        return want
+
+    check(False)
+    dist = check(True)[:, 2]
+    # a tol at a new running minimum of dist_x, past an odd number of steps
+    # of an epoch when N = 2, is first reached at that row
+    k = max(k for k in range(1, len(dist)) if (N == 1 or k % N)
+            and dist[k] < np.min(dist[1:k], initial=np.inf))
+    assert len(check(True, StoppingRule(10**6, dist[k]))) == k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +415,8 @@ SCALES = (1.0, 1.8, 1e3, 1e8, 1e200, 1e308)
 def _batch_cases(steps, *converging):
     """(problem, steps) pairs; the inner conjugate solve of the problem
     without a closed form runs only on ``converging`` steps, because it is
-    not meant to follow diverging iterates."""
+    not meant to follow diverging iterates far; primal GD at 1.8x the theory
+    steps, whose iterates grow, needs its tolerance relative to ||z||."""
     return [(name, st) for name in sorted(BATCH_PROBLEMS) for st in steps
             if name != "iterative_conjugate" or st in converging]
 
@@ -408,7 +451,7 @@ def _assert_matches(trace, error, want, want_inner, want_error, *, tripping_row_
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("name,scale", _batch_cases(SCALES, 1.0))
+@pytest.mark.parametrize("name,scale", _batch_cases(SCALES, 1.0, 1.8))
 @pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
 @pytest.mark.parametrize("stop", sorted(STOPS))
 def test_primal_gd_matches_old_loop(name, scale, with_x_star, stop):
@@ -446,3 +489,38 @@ def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
     want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), eta1,
                                           eta2, stop, x_star, lam)
     _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)
+
+
+def _past_overflow(size):
+    """Equal entries just large enough that their squares sum past the float
+    range, so the distance of such an iterate to a small reference is inf."""
+    return np.full(size, 1.1 * np.sqrt(np.finfo(float).max / size))
+
+
+# finite starts whose squared distance to the reference overflows, in x, in
+# y (PDG only), or in x at 1e155; the distance cannot prove them finite
+OVERFLOW_STARTS = {
+    "x": lambda p: (_past_overflow(p.d1), np.linspace(0.5, -0.5, p.d2)),
+    "y": lambda p: (np.linspace(-1.0, 1.0, p.d1), _past_overflow(p.d2)),
+    "x_1e155": lambda p: (np.full(p.d1, 1e155), np.linspace(0.5, -0.5, p.d2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name", ["quadratic", "smoothed_l1"])
+@pytest.mark.parametrize("start", sorted(OVERFLOW_STARTS))
+def test_batch_runs_from_overflowed_distance_match_old_loops(name, start):
+    problem, x_star = BATCH_PROBLEMS[name]
+    x0, y0 = OVERFLOW_STARTS[start](problem)
+    sched, stop = pdg_schedule(problem.params), STOPS["cap"]
+    trace, error = _run(lambda: run_pdg(problem, Iterate(x0, y0), schedule=sched,
+                                        stop=stop, x_star=x_star))
+    want, inner, want_error = _pdg_oracle(problem, x0.copy(), y0.copy(), sched.eta1,
+                                          sched.eta2, stop, x_star, sched.lambda_)
+    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)
+    if start != "y":
+        eta = primal_step(problem.params)
+        trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta, stop=stop,
+                                                  x_star=x_star))
+        want, inner, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
+        _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)

@@ -13,6 +13,7 @@ from pdsaddle import (
     primal_value,
 )
 from pdsaddle.instances import quadratic_saddle, random_quadratic
+from pdsaddle.problems import _conj_grad_counted
 from pdsaddle.solvers import reference_solution
 
 
@@ -87,6 +88,24 @@ def test_conj_grad_inner_failure():
     with pytest.raises(ConvergenceError) as err:
         conj_grad(problem, np.array([100.0]), max_inner_iters=1)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+def test_conj_grad_iterative_with_an_overflowing_norm():
+    # ||z|| overflows, so the tolerance relative to it is inf: only a finite
+    # residual may end the inner solve, never the overflowed one at y = 0
+    problem = random_quadratic(3)
+    p = problem.params
+    no_closed_form = SaddleProblem(
+        grad_f=problem.grad_f, grad_g=problem.grad_g, coupling=problem.coupling,
+        rho=p.rho, alpha=p.alpha, beta=p.beta,
+    )
+    z = np.full(problem.d2, 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, inner = _conj_grad_counted(no_closed_form, z)
+        assert inner > 0
+        assert np.max(np.abs(problem.grad_g(y) - z)) <= 1e-10 * 1e200
+        with pytest.raises(ConvergenceError):
+            conj_grad(no_closed_form, np.full(problem.d2, np.inf), max_inner_iters=50)
 
 
 def test_grad_primal_scalar(unit_problem):

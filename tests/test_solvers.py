@@ -124,6 +124,41 @@ def test_run_pdg_divergence():
     assert err.value.trace is not None and len(err.value.trace) >= 1
 
 
+def test_iterative_conjugate_map_follows_a_growing_run():
+    # without its closed form every conjugate map is the inner solve; at 1.8x
+    # the theory steps A x grows until an absolute residual of 1e-10 sits at
+    # the roundoff floor, and the solve must still end, relative to ||z||
+    quad = random_quadratic(11, 5, 7)
+    p = quad.params
+    problem = SaddleProblem(quad.grad_f, quad.grad_g, quad.coupling,
+                            rho=p.rho, alpha=p.alpha, beta=p.beta)
+    x_star, _, _ = reference_solution(quad, "direct")
+    s = pdg_schedule(p)
+    with pytest.raises(DivergenceError, match="distance blew up") as err:
+        run_pdg(problem, eta1=1.8 * s.eta1, eta2=1.8 * s.eta2,
+                stop=StoppingRule(5000, 1e-4), x_star=x_star)
+    assert err.value.trace.inner_evals > 0
+
+
+@pytest.mark.parametrize("bad", ["x_inf", "y_inf", "y_nan"])
+@pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
+def test_batch_runs_reject_a_non_finite_start(bad, with_x_star):
+    # with x_star a finite distance stands in for the entrywise check, so a
+    # non-finite y must be caught by its distance too
+    problem = random_quadratic(4)
+    x_star = reference_solution(problem, "direct")[0] if with_x_star else None
+    x, y = np.ones(problem.d1), np.ones(problem.d2)
+    {"x_inf": x, "y_inf": y, "y_nan": y}[bad][1] = np.nan if bad == "y_nan" else np.inf
+    s = pdg_schedule(problem.params)
+    runs = [lambda: run_pdg(problem, Iterate(x, y), schedule=s, x_star=x_star)]
+    if bad == "x_inf":
+        runs.append(lambda: run_primal_gd(problem, x, eta=s.eta1, x_star=x_star))
+    for run in runs:
+        with pytest.raises(DivergenceError, match="^non-finite iterate at iteration 0$") as err:
+            run()
+        assert len(err.value.trace) == 0
+
+
 def test_run_pdg_deterministic():
     problem = random_quadratic(19)
     x_star, _, _ = reference_solution(problem, "direct")
