@@ -61,13 +61,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(report: dict, out: str | None):
+    """Print ``report`` as JSON, and write it to ``out`` when given."""
+    text = json.dumps(report, indent=2, default=str)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command in ("solve", "grid"):
+            # the flags are config fields, checked as the document is read
+            config = ExperimentConfig.load(args.config, seed=args.seed,
+                                           budget=getattr(args, "budget", None))
         if args.command == "solve":
-            config = ExperimentConfig.load(args.config)
-            if args.seed is not None:
-                config.seed = args.seed
             summary = cmd_solve(config, args.out)
             diverged = [s["name"] for s in summary["solvers"]
                         if s.get("status") == "diverged"]
@@ -82,18 +92,11 @@ def main(argv=None) -> int:
             if args.suite == "props":
                 kw = {"eta1_scale": args.eta1_scale, "eta2_scale": args.eta2_scale}
             report = cmd_verify(args.suite, args.trials, args.seed, **kw)
-            text = json.dumps(report, indent=2, default=str)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            print(text)
+            _print_report(report, args.out)
             return 2 if report.get("refuted") else 0
 
         if args.command == "grid":
-            config = ExperimentConfig.load(args.config)
-            if args.seed is not None:
-                config.seed = args.seed
-            report = cmd_grid(config, args.out, budget=args.budget)
+            report = cmd_grid(config, args.out)
             for entry in report["solvers"]:
                 print(f"{entry['name']}: {entry['status']} best={entry['best']}")
             if not report["solvers"]:
@@ -104,13 +107,9 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            spec = doc.get("instance", doc)
+            spec = doc.get("instance", doc) if isinstance(doc, dict) else doc
             report = cmd_estimate(spec)
-            text = json.dumps(report, indent=2, default=str)
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            print(text)
+            _print_report(report, args.out)
             return 0 if report.get("status") == "ok" else 1
 
     except ConfigError as exc:

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,50 +91,135 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _get(doc: dict, key: str, path: str, kind=None, default=..., choices=None):
-    if key not in doc:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind.__name__ if not isinstance(kind, tuple) else "/".join(
-            k.__name__ for k in kind
-        )
-        raise ConfigError(f"{path}.{key}", f"expected {names}, got {type(value).__name__}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}.{key}", f"must be one of {sorted(choices)}, got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# the config format: every field, declared once
+# ---------------------------------------------------------------------------
+
+class _Field(NamedTuple):
+    """A config field: its JSON type (a Python type or tuple of them, or
+    [type] for a grid: a nonempty list of positive values), its default
+    (``...``: required) and its bound, a pair (what the value must be, test)."""
+    kind: type | tuple | list
+    default: object = ...
+    bound: tuple | None = None
 
 
-def _check_steps(solver: str, schedule: dict, path: str):
-    """Reject an explicit schedule whose step fields are not positive numbers
-    (inner_iters and epochs: positive integers).  A batch solver needs all
-    its keys; a stochastic one needs eta1, and _svrg_point fills in the
-    rest."""
-    batch = SOLVERS[solver].form is None
-    keys = SOLVERS[solver].keys if batch else ("eta1", "eta2", "inner_iters", "mu", "epochs")
-    for key in keys:
-        value = _get(schedule, key, path,
-                     int if key in ("inner_iters", "epochs") else (int, float),
-                     default=... if batch or key == "eta1" else None)
-        if value is not None and not value > 0:
-            raise ConfigError(f"{path}.{key}", f"must be > 0, got {value!r}")
+_NUMBER = (int, float)
+_SEED = _Field(int, 0, (">= 0", lambda v: v >= 0))
 
 
-def _check_grid_values(values, path: str):
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(path, "grid values must be a nonempty list")
-    if not all(isinstance(v, (int, float)) and v > 0 for v in values):
-        raise ConfigError(path, f"grid values must be positive numbers, got {values!r}")
+# a choice bound; tests read the choices back from its test's __self__
+def _one_of(*choices):
+    return (f"one of {sorted(choices)}", choices.__contains__)
+
+
+def _positive(kind, default=...) -> _Field:
+    """A count (int) or a step-like number (finite), > 0."""
+    if kind is int:
+        return _Field(int, default, ("> 0", lambda v: v > 0))
+    return _Field(kind, default, ("finite and > 0", lambda v: 0 < v < math.inf))
+
+
+_CONFIG = {"instance": _Field(dict), "solvers": _Field(list, ..., ("nonempty", bool)),
+           "stopping": _Field(dict, {}), "budget": _positive(_NUMBER, 2000), "seed": _SEED}
+_STOPPING = {"max_iters": _positive(int, 2000), "tol": _positive(_NUMBER, 1e-10)}
+_ENTRY = {"name": _Field(str, ..., _one_of(*SOLVERS)), "schedule": _Field(dict, {}),
+          "repetitions": _positive(int, 1), "label": _Field(str, "")}
+_PIN = {"data": _Field(dict, None), "path": _Field(str, None)}
+# family -> (fields of a generated instance, fields of one pinned by data or
+# path); None where the family cannot be built that way
+_FAMILIES = {
+    "quadratic": (None, {**_PIN, "splits": _positive(int, None), "seed": _SEED}),
+    "random_quadratic": ({"d1": _positive(int, None), "d2": _positive(int, None),
+                          "strongly_convex": _Field(bool, False),
+                          "splits": _positive(int, None), "seed": _SEED}, None),
+    "smoothed_l1": ({"n": _positive(int), "d": _positive(int),
+                     "covariance": _Field(str, "identity", _one_of("identity", "exp_decay")),
+                     "decay": _positive(_NUMBER, None), "a": _positive(_NUMBER, 10.0),
+                     "lambda_reg": _positive(_NUMBER, None),
+                     "noise": _Field(_NUMBER, 0.01,
+                                     ("finite and >= 0", lambda v: 0 <= v < math.inf)),
+                     "density": _Field(_NUMBER, 0.1, ("in (0, 1]", lambda v: 0 < v <= 1)),
+                     "seed": _SEED}, _PIN),
+    "mspbe": ({"n": _positive(int), "d": _positive(int),
+               "gamma": _Field(_NUMBER, 0.9, ("in (0, 1)", lambda v: 0 < v < 1)),
+               "normalize": _Field(bool, False), "seed": _SEED},
+              {**_PIN, "normalize": _Field(bool, False)}),
+}
+_FAMILY = _Field(str, ..., _one_of(*_FAMILIES))
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` has JSON type ``kind``; a bool is never an int or a number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _read(doc, fields: dict, path: str) -> dict:
+    """``doc``'s value for each of ``fields``, defaults other than None filled
+    in; ConfigError at the first non-object, missing required field, wrong
+    JSON type, value out of bound or unknown field."""
+    if not _is(doc, dict):
+        raise ConfigError(path, f"expected dict, got {type(doc).__name__}")
+    out = {}
+    for key, (kind, default, bound) in fields.items():
+        where, value = f"{path}.{key}", doc.get(key, default)
+        if key not in doc:
+            if default is ...:
+                raise ConfigError(where, "missing required field")
+        elif isinstance(kind, list):
+            if not (_is(value, list) and value
+                    and all(_is(v, kind[0]) and 0 < v < math.inf for v in value)):
+                noun = "integers" if kind[0] is int else "finite numbers"
+                raise ConfigError(where, f"grid values must be positive {noun} in a "
+                                         f"nonempty list, got {value!r}")
+        elif not _is(value, kind):
+            names = "/".join(k.__name__ for k in kind) if kind is _NUMBER else kind.__name__
+            raise ConfigError(where, f"expected {names}, got {type(value).__name__}")
+        elif bound is not None and not bound[1](value):
+            raise ConfigError(where, f"must be {bound[0]}, got {value!r}")
+        if value is not None:
+            out[key] = value
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", "unknown field")
+    return out
+
+
+def _schedule_fields(solver: str, source) -> dict:
+    """The fields of a ``source`` schedule for ``solver``, from its step keys:
+    a theory schedule has none but pdg's variant; an explicit one needs every
+    key (a stochastic one only eta1, and it may fix epochs); a grid needs a
+    list per key, with inner_iters = [2n] and mu = [1.0] by default."""
+    entry = SOLVERS[solver]
+    stochastic = entry.form is not None
+    fields = {"source": _Field(str, "theory", _one_of("theory", "explicit", "grid"))}
+    if source == "theory" and solver == "pdg":
+        fields["variant"] = _Field(str, "pdg", _one_of("pdg", "sc"))
+    for key in entry.keys + ("epochs",) * (stochastic and source == "explicit"):
+        kind = int if key in ("inner_iters", "epochs") else _NUMBER
+        if source == "explicit":
+            fields[key] = _positive(kind, None if stochastic and key != "eta1" else ...)
+        elif source == "grid":
+            fields[key] = _Field([kind], {"inner_iters": None, "mu": [1.0]}.get(key, ...))
+    return fields
+
+
+def _read_instance(spec) -> dict:
+    """The field values of an instance spec, as its family declares them."""
+    family = spec.get("family") if _is(spec, dict) else None
+    # a tuple, not the dict: the family may be any JSON value, a list included
+    generated, pinned = _FAMILIES[family] if family in tuple(_FAMILIES) else ({}, None)
+    if generated is None or pinned is not None and ("data" in spec or "path" in spec):
+        generated = pinned
+    return _read(spec, {"family": _FAMILY, **generated}, "config.instance")
 
 
 @dataclass
 class SolverSpec:
     name: str
     schedule: dict
-    repetitions: int = 1
-    label: str = ""
+    repetitions: int
+    label: str
 
 
 @dataclass
@@ -143,58 +229,36 @@ class ExperimentConfig:
     stopping: StoppingRule
     budget: float
     seed: int
-    raw: dict = field(default_factory=dict)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config", "top level must be a JSON object")
-        instance = _get(doc, "instance", "config", dict)
-        solver_docs = _get(doc, "solvers", "config", list)
-        if not solver_docs:
-            raise ConfigError("config.solvers", "need at least one solver")
+    def from_dict(cls, doc) -> "ExperimentConfig":
+        """Read a config document; every field, the instance spec's and the
+        grid lists included, is checked before anything is built or run."""
+        top = _read(doc, _CONFIG, "config")
+        _read_instance(top["instance"])
         solvers = []
-        for i, sd in enumerate(solver_docs):
+        for i, entry_doc in enumerate(top["solvers"]):
             path = f"config.solvers[{i}]"
-            if not isinstance(sd, dict):
-                raise ConfigError(path, "each solver entry must be an object")
-            name = _get(sd, "name", path, str, choices=set(SOLVERS))
-            schedule = _get(sd, "schedule", path, dict, default={"source": "theory"})
-            source = _get(schedule, "source", f"{path}.schedule", str,
-                          default="theory", choices={"theory", "explicit", "grid"})
-            if source == "explicit":
-                _check_steps(name, schedule, f"{path}.schedule")
-            if source == "grid":
-                for key in SOLVERS[name].keys:
-                    if key in schedule:
-                        _check_grid_values(schedule[key], f"{path}.schedule.{key}")
-            reps = _get(sd, "repetitions", path, int, default=1)
-            if reps < 1:
-                raise ConfigError(f"{path}.repetitions", f"must be >= 1, got {reps}")
-            solvers.append(SolverSpec(name=name, schedule=schedule, repetitions=reps,
-                                      label=_get(sd, "label", path, str, default="")))
-        stop_doc = _get(doc, "stopping", "config", dict, default={})
-        try:
-            stopping = StoppingRule(
-                max_iters=_get(stop_doc, "max_iters", "config.stopping", int, default=2000),
-                tol=float(_get(stop_doc, "tol", "config.stopping", (int, float), default=1e-10)),
-            )
-        except ValueError as exc:
-            raise ConfigError("config.stopping", str(exc)) from exc
-        budget = float(_get(doc, "budget", "config", (int, float), default=2000))
-        if budget <= 0:
-            raise ConfigError("config.budget", f"must be positive, got {budget}")
-        seed = _get(doc, "seed", "config", int, default=0)
-        return cls(instance=instance, solvers=solvers, stopping=stopping,
-                   budget=budget, seed=seed, raw=doc)
+            entry = _read(entry_doc, _ENTRY, path)
+            fields = _schedule_fields(entry["name"], entry["schedule"].get("source", "theory"))
+            entry["schedule"] = _read(entry["schedule"], fields, f"{path}.schedule")
+            solvers.append(SolverSpec(**entry))
+        stop = _read(top["stopping"], _STOPPING, "config.stopping")
+        return cls(instance=top["instance"], solvers=solvers,
+                   stopping=StoppingRule(stop["max_iters"], float(stop["tol"])),
+                   budget=float(top["budget"]), seed=top["seed"])
 
     @classmethod
-    def load(cls, path) -> "ExperimentConfig":
+    def load(cls, path, **overrides) -> "ExperimentConfig":
+        """Read the config file at ``path``; each override that is not None
+        replaces that top-level field before the document is read."""
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON ({exc})") from exc
+        if isinstance(doc, dict):
+            doc.update((k, v) for k, v in overrides.items() if v is not None)
         return cls.from_dict(doc)
 
 
@@ -223,86 +287,61 @@ class InstanceBundle:
         return fsp
 
 
-def _load_data(spec: dict, path: str):
-    if "data" in spec:
-        return inst_mod.instance_from_json(_get(spec, "data", path, dict))
-    if "path" in spec:
-        return inst_mod.load_instance(spec["path"])
-    return None
-
-
-def build_instance(spec: dict, *, splits: int | None = None) -> InstanceBundle:
+def build_instance(spec: dict) -> InstanceBundle:
     """Construct an InstanceBundle from a config instance spec.
 
     Families: "quadratic" (inline data or path, optionally split into
     ``splits`` components), "random_quadratic" (seeded generator),
     "smoothed_l1" (generator parameters or pinned data), "mspbe" (pinned data
-    or seeded generator).  A field of the wrong type, or data a builder
-    rejects, is a ConfigError; a reference solver that misses its tolerance
-    raises RuntimeError.
+    or seeded generator); _FAMILIES declares each one's fields.  A malformed
+    field, or data a builder rejects, is a ConfigError; a reference solver
+    that misses its tolerance raises RuntimeError.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("config.instance", "must be an object")
+    values = _read_instance(spec)
     try:
-        return _build_family(spec, splits)
+        return _build_family(spec, values)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError("config.instance", str(exc)) from exc
 
 
-def _build_family(spec: dict, splits: int | None) -> InstanceBundle:
-    path = "config.instance"
-    family = _get(spec, "family", path, str)
-    seed = _get(spec, "seed", path, int, default=0)
-    number = (int, float)
+def _build_family(spec: dict, v: dict) -> InstanceBundle:
+    path, family = "config.instance", v["family"]
+    data = None
+    if "data" in v:
+        data = inst_mod.instance_from_json(v["data"])
+    elif "path" in v:
+        data = inst_mod.load_instance(v["path"])
+    if data is not None and not isinstance(data, inst_mod._JSON_FIELDS[family][0]):
+        raise ConfigError(path, f"pinned instance is not a {family} instance")
 
     if family in ("quadratic", "random_quadratic"):
-        if family == "quadratic":
-            data = _load_data(spec, path)
-            if data is None:
-                raise ConfigError(path, "quadratic family needs 'data' or 'path'")
-            if not isinstance(data, inst_mod.QuadraticSaddle):
-                raise ConfigError(path, "pinned instance is not a quadratic saddle")
-            problem = data.to_problem()
+        if family == "random_quadratic":
+            problem = inst_mod.random_quadratic(v["seed"], v.get("d1"), v.get("d2"),
+                                                strongly_convex=v["strongly_convex"])
+        elif data is None:
+            raise ConfigError(path, "quadratic family needs 'data' or 'path'")
         else:
-            problem = inst_mod.random_quadratic(
-                seed,
-                _get(spec, "d1", path, int, default=None),
-                _get(spec, "d2", path, int, default=None),
-                strongly_convex=_get(spec, "strongly_convex", path, bool, default=False),
-            )
-        n_split = splits if splits is not None else _get(spec, "splits", path, int,
-                                                           default=None)
+            problem = data.to_problem()
         fsp = primal = None
-        if n_split:
-            fsp = inst_mod.split_quadratic(problem, int(n_split), seed=seed)
-            primal = inst_mod.split_quadratic_primal(problem, int(n_split), seed=seed)
+        if "splits" in v:
+            fsp = inst_mod.split_quadratic(problem, v["splits"], seed=v["seed"])
+            primal = inst_mod.split_quadratic_primal(problem, v["splits"], seed=v["seed"])
         x_star, y_star, _ = reference_solution(problem, "direct")
         return InstanceBundle(family=family, problem=problem, fsp=fsp,
                               primal_fsp=primal, x_star=x_star, y_star=y_star,
                               meta={"spec": spec})
 
     if family == "smoothed_l1":
-        data = _load_data(spec, path)
         if data is None:
-            n = _get(spec, "n", path, int)
-            d = _get(spec, "d", path, int)
-            cov = _get(spec, "covariance", path, str, default="identity",
-                       choices={"identity", "exp_decay"})
-            decay = _get(spec, "decay", path, number, default=None)
-            if cov == "exp_decay" and decay is None:
+            if v["covariance"] == "exp_decay" and "decay" not in v:
                 raise ConfigError(f"{path}.decay", "required for exp_decay covariance")
             data = inst_mod.make_smoothed_l1(
-                n, d, cov=cov, decay=decay,
-                a=float(_get(spec, "a", path, number, default=10.0)),
-                lambda_reg=_get(spec, "lambda_reg", path, number, default=None),
-                noise=float(_get(spec, "noise", path, number, default=0.01)),
-                density=float(_get(spec, "density", path, number, default=0.1)),
-                seed=seed,
+                v["n"], v["d"], cov=v["covariance"], decay=v.get("decay"), a=float(v["a"]),
+                lambda_reg=v.get("lambda_reg"), noise=float(v["noise"]),
+                density=float(v["density"]), seed=v["seed"],
             )
-        elif not isinstance(data, inst_mod.SmoothedL1Regression):
-            raise ConfigError(path, "pinned instance is not a smoothed-L1 regression")
         fsp = inst_mod.smoothed_l1_saddle(data)  # a row sum: both forms
         x_star = inst_mod.smoothed_l1_minimizer(data)
         y_star = conj_grad(fsp.aggregate, fsp.aggregate.coupling @ x_star)
@@ -313,24 +352,12 @@ def _build_family(spec: dict, splits: int | None) -> InstanceBundle:
                               meta={"spec": spec, "instance": data,
                                     "reference_residual": residual})
 
-    if family == "mspbe":
-        data = _load_data(spec, path)
-        if data is None:
-            data = inst_mod.random_mspbe(
-                _get(spec, "n", path, int),
-                _get(spec, "d", path, int),
-                gamma=float(_get(spec, "gamma", path, number, default=0.9)),
-                seed=seed,
-            )
-        elif not isinstance(data, inst_mod.MspbeInstance):
-            raise ConfigError(path, "pinned instance is not an MSPBE instance")
-        problem = inst_mod.mspbe_saddle(
-            data, normalize=_get(spec, "normalize", path, bool, default=False))
-        x_star, y_star, _ = reference_solution(problem, "direct")
-        return InstanceBundle(family=family, problem=problem, x_star=x_star,
-                              y_star=y_star, meta={"spec": spec, "instance": data})
-
-    raise ConfigError(f"{path}.family", f"unknown family {family!r}")
+    if data is None:  # mspbe
+        data = inst_mod.random_mspbe(v["n"], v["d"], gamma=float(v["gamma"]), seed=v["seed"])
+    problem = inst_mod.mspbe_saddle(data, normalize=v["normalize"])
+    x_star, y_star, _ = reference_solution(problem, "direct")
+    return InstanceBundle(family=family, problem=problem, x_star=x_star,
+                          y_star=y_star, meta={"spec": spec, "instance": data})
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +407,7 @@ def _svrg_point(point: dict, n: int, cap: float) -> dict:
     """A stochastic step point with its defaults filled in (eta2 = eta1,
     inner_iters = 2n, mu = 1) and, unless it fixes them, the epochs that
     ``cap`` grad-units afford; the keys are SvrgConfig's."""
-    eta1 = float(_get(point, "eta1", "schedule", (int, float)))
+    eta1 = float(point["eta1"])
     inner = int(point.get("inner_iters", 2 * n))
     return {"eta1": eta1, "eta2": float(point.get("eta2", eta1)),
             "inner_iters": inner, "mu": float(point.get("mu", 1.0)),
@@ -412,15 +439,13 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
     """
     problem = bundle.problem
     entry = SOLVERS[spec.name]
-    source = schedule.get("source", "theory")
+    source = schedule["source"]
     info: dict = {"name": spec.name, "source": source}
     if source == "grid":
         result = grid_search(bundle, spec.name, schedule, budget=budget,
                              seed=base_seed)
         if result["status"] != "ok":
-            raise DivergenceError(
-                "no convergent schedule in the grid", 0, None
-            )
+            raise DivergenceError("no convergent schedule in the grid", 0, None)
         info["grid_best"] = schedule = result["best"]
         source = "explicit"
 
@@ -437,12 +462,10 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
         return traces[0], info, traces
 
     if source == "explicit":
-        point = {k: float(_get(schedule, k, "schedule", (int, float)))
-                 for k in entry.keys}
-        info["schedule"] = point
+        point = info["schedule"] = {k: float(schedule[k]) for k in entry.keys}
     elif spec.name == "primal_gd":
         point = info["schedule"] = {"eta": primal_step(problem.params)}
-    elif schedule.get("variant", "pdg") == "sc":
+    elif schedule["variant"] == "sc":
         sc, trace = _run_sc(problem, stop, bundle.x_star)
         info["schedule"] = {"eta1": sc.eta1, "eta2": sc.eta2, "rate": sc.rate}
         return trace, info, [trace]
@@ -469,9 +492,9 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
     """Run every configured solver, write one trace CSV per solver plus
     summary.json.  A diverging solver is recorded in the summary without
     aborting the others."""
+    bundle = build_instance(config.instance)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = build_instance(config.instance)
 
     used = set()
     summary: dict = {"instance": {"family": bundle.family}, "solvers": []}
@@ -530,19 +553,13 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def _grid_points(solver: str, grid: dict, n: int | None):
-    """Cartesian product of the per-parameter value lists, deterministic order."""
+    """Cartesian product of the per-parameter value lists of a grid read
+    through _schedule_fields, deterministic order."""
     keys = list(SOLVERS[solver].keys)
-    defaults = {"inner_iters": [2 * n] if n else None, "mu": [1.0]}
-    lists = []
-    for key in keys:
-        values = grid.get(key, defaults.get(key))
-        if values is None:
-            raise ConfigError(f"schedule.{key}", "grid needs a list of values")
-        _check_grid_values(values, f"schedule.{key}")
-        lists.append([float(v) for v in values])
     points = [{}]
-    for key, values in zip(keys, lists):
-        points = [dict(p, **{key: v}) for v in values for p in points]
+    for key in keys:
+        values = grid.get(key) or [2 * n]  # inner_iters: [2n] by default
+        points = [dict(p, **{key: float(v)}) for v in values for p in points]
     # deterministic ordering: sort by parameter tuple
     points.sort(key=lambda p: tuple(p[k] for k in keys))
     return keys, points
@@ -559,6 +576,7 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
     if bundle.x_star is None:
         raise ConfigError("config", "grid search needs a reference solution")
     form = SOLVERS[solver].form
+    grid = _read(grid, _schedule_fields(solver, "grid"), "schedule")
     keys, points = _grid_points(solver, grid, bundle.finite_sum(form).n if form else None)
     rows = []
     for point in points:
@@ -627,21 +645,21 @@ def measure_units_to_target(
     return best if best is not None else (None, None)
 
 
-def cmd_grid(config: ExperimentConfig, out_dir, budget: float | None = None) -> dict:
-    """Grid-search each solver entry whose schedule source is 'grid'; write a
-    sweep CSV per solver and best.json with the selected points."""
+def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
+    """Grid-search each solver entry whose schedule source is 'grid' to the
+    config's budget; write a sweep CSV per solver and best.json with the
+    selected points."""
+    bundle = build_instance(config.instance)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = build_instance(config.instance)
-    budget = float(budget if budget is not None else config.budget)
 
-    report: dict = {"budget": budget, "solvers": []}
+    report: dict = {"budget": config.budget, "solvers": []}
     used = set()
     for spec in config.solvers:
-        if spec.schedule.get("source") != "grid":
+        if spec.schedule["source"] != "grid":
             continue
         stem = _unique_stem(spec.label or spec.name, used)
-        result = grid_search(bundle, spec.name, spec.schedule, budget=budget,
+        result = grid_search(bundle, spec.name, spec.schedule, budget=config.budget,
                              seed=config.seed)
         sweep_path = out / f"sweep_{stem}.csv"
         keys = result["keys"]
@@ -828,6 +846,12 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
     }
 
 
+# (step scale x alpha/M^2, epoch length x n) in search order; the 16n points
+# rescue instances that need long epochs at every step scale tried
+_HALVING_SEARCH = [(c, m) for c in (0.5, 0.25, 0.125) for m in (4, 8, 2)] + [
+    (0.5, 16), (0.25, 16), (0.125, 16)]
+
+
 def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
                          seeds: int = 30, epochs: int = 10) -> dict:
     """Find, per random instance, a stochastic config whose seed-averaged
@@ -841,18 +865,15 @@ def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
         base = problem.params.alpha / fsp.M**2
         found = None
         tried = []
-        for c_eta in (0.5, 0.25, 0.125):
-            for n_mult in (4, 8, 2):
-                eta = c_eta * base
-                inner = n_mult * n
-                ratios = _halving_ratio(fsp, x_star, eta, inner, seeds, epochs)
-                tried.append({"eta": eta, "inner_iters": inner,
-                              "max_ratio": ratios})
-                if ratios is not None and ratios <= 0.5:
-                    found = {"eta1": eta, "eta2": eta, "inner_iters": inner,
-                             "mu": 1.0, "max_mean_ratio": ratios}
-                    break
-            if found:
+        for c_eta, n_mult in _HALVING_SEARCH:
+            eta = c_eta * base
+            inner = n_mult * n
+            ratios = _halving_ratio(fsp, x_star, eta, inner, seeds, epochs)
+            tried.append({"eta": eta, "inner_iters": inner,
+                          "max_ratio": ratios})
+            if ratios is not None and ratios <= 0.5:
+                found = {"eta1": eta, "eta2": eta, "inner_iters": inner,
+                         "mu": 1.0, "max_mean_ratio": ratios}
                 break
         if found is None:
             refuted = True
@@ -882,8 +903,9 @@ def _halving_ratio(fsp, x_star, eta, inner, seeds, epochs) -> float | None:
 
 def cmd_verify(suite: str, trials: int, seed: int = 0, **kw) -> dict:
     """Dispatch a certificate suite; the report carries a 'refuted' flag."""
-    if trials < 1:
-        raise ConfigError("trials", f"must be >= 1, got {trials}")
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(name, f"must be >= {least}, got {value}")
     if suite == "contraction":
         return _verify_contraction(trials, seed, **kw)
     if suite == "sc_contraction":

@@ -544,3 +544,119 @@ def test_verify_props_rejects_nonpositive_step_scale(flag, value, capsys):
     assert err.startswith(f"config error: {flag[2:].replace('-', '_')}: must be > 0")
     with pytest.raises(ConfigError, match="eta2_scale"):
         cmd_verify("props", trials=1, eta2_scale=0.0)
+
+
+_QUAD = {"family": "random_quadratic", "d1": 3, "d2": 4}
+_SVRG = {"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.01}}
+_PDG_GRID = {"name": "pdg", "schedule": {"source": "grid", "eta1": [0.1], "eta2": [0.1]}}
+
+
+def _doc(instance=_QUAD, solvers=({"name": "pdg"},), **top):
+    return {"instance": instance, "solvers": list(solvers),
+            "stopping": {"max_iters": 20}, **top}
+
+
+def _grid_svrg(**grid):
+    return {"name": "pdsvrg", "schedule": {"source": "grid", "eta1": [0.01],
+                                           "eta2": [0.01], **grid}}
+
+
+@pytest.mark.parametrize("doc,path", [
+    (_doc({"family": "random_quadratic", "d1": True}), "config.instance.d1"),
+    (_doc({"family": "smoothed_l1", "n": 0, "d": 3}), "config.instance.n"),
+    (_doc(_SPLIT, [_SVRG], budget=float("inf")), "config.budget"),
+    (_doc(solvers=[{"name": "pdg", "repetitions": True}]), "config.solvers[0].repetitions"),
+    (_doc(seed=True), "config.seed"),
+    (_doc(budget=True), "config.budget"),
+    (_doc(solvers=[{"name": "pdg", "schedule": {"variant": "SC"}}]),
+     "config.solvers[0].schedule.variant"),
+    (_doc(solvers=[{"name": "primal_gd", "schedule": {"variant": "sc"}}]),
+     "config.solvers[0].schedule.variant"),
+    (_doc(_SPLIT, [{"name": "pdsvrg", "schedule": {"variant": "sc"}}]),
+     "config.solvers[0].schedule.variant"),
+    (dict(_doc(), stoping={"max_iters": 5}), "config.stoping"),
+    (_doc(solvers=[{"name": "pdg", "schedule": {"source": "theory", "eta": 1}}]),
+     "config.solvers[0].schedule.eta"),
+    (_doc(_SPLIT, [_grid_svrg(epochs=[-3])]), "config.solvers[0].schedule.epochs"),
+    (_doc(solvers=[{"name": "pdg"}, {"name": "pdg", "schedule": {"source": "grid",
+                                                                 "eta1": [0.1]}}]),
+     "config.solvers[1].schedule.eta2"),
+    (_doc(_SPLIT, [_grid_svrg(inner_iters=[6.5])]), "config.solvers[0].schedule.inner_iters"),
+    (_doc({"family": "quadratic", "path": 5}), "config.instance.path"),
+    (_doc({"family": "smoothed_l1", "n": 10, "d": 3, "density": 2}), "config.instance.density"),
+    (_doc(solvers=[{"name": "primal_gd", "schedule": {"source": "explicit",
+                                                      "eta": float("inf")}}]),
+     "config.solvers[0].schedule.eta"),
+    (_doc({"family": "mspbe", "data": {"family": "quadratic", "B": [[0.0]], "b": [0.0],
+                                       "A": [[1.0]], "C": [[0.5]], "c": [0.0]}}),
+     "config.instance"),
+], ids=["d1_bool", "n_zero", "budget_inf", "repetitions_bool", "seed_bool", "budget_bool",
+        "variant_case", "variant_on_primal_gd", "variant_on_pdsvrg", "misspelt_stopping",
+        "eta_in_theory", "epochs_in_grid", "grid_missing_eta2", "grid_inner_iters_fraction",
+        "path_int", "density_above_1", "eta_inf", "pinned_family_mismatch"])
+def test_malformed_documents_exit_1_before_any_output(doc, path, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:"), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("doc,argv,path", [
+    (_doc(solvers=[_PDG_GRID]), ["grid", "--budget", "inf"], "config.budget"),
+    (_doc(solvers=[_PDG_GRID]), ["grid", "--budget", "nan"], "config.budget"),
+    (_doc(solvers=[_PDG_GRID]), ["grid", "--budget", "-5"], "config.budget"),
+    (_doc(solvers=[_PDG_GRID]), ["grid", "--seed", "-1"], "config.seed"),
+    (_doc(_SPLIT, [_SVRG]), ["solve", "--seed", "-1"], "config.seed"),
+], ids=["grid_budget_inf", "grid_budget_nan", "grid_budget_negative", "grid_seed_negative",
+        "solve_seed_negative"])
+def test_cli_flags_are_checked_as_config_fields(doc, argv, path, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", doc)
+    command, *flags = argv
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o"), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_flags_override_the_document(tmp_path):
+    cfg = _write(tmp_path, "cfg.json", _doc(solvers=[_PDG_GRID], budget=7, seed=1))
+    assert ExperimentConfig.load(cfg, seed=None, budget=None).budget == 7.0
+    config = ExperimentConfig.load(cfg, seed=3, budget=12.0)
+    assert (config.seed, config.budget) == (3, 12.0)
+    assert cli.main(["grid", "--config", cfg, "--out", str(tmp_path / "g"),
+                     "--budget", "12"]) == 0
+    assert json.loads((tmp_path / "g" / "best.json").read_text())["budget"] == 12.0
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert cli.main(["verify", "--suite", "contraction", "--trials", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: seed: must be >= 0")
+
+
+def test_estimate_rejects_a_non_object_document(tmp_path, capsys):
+    cfg = _write(tmp_path, "est.json", [1, 2])
+    assert cli.main(["estimate", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: config.instance: expected dict")
+
+
+def test_direct_grid_search_reads_the_grid_through_the_schema():
+    bundle = build_instance(_quad_instance_spec())
+    with_source = grid_search(bundle, "pdg", {"source": "grid", "eta1": [0.05],
+                                               "eta2": [0.3]}, budget=10)
+    assert with_source["ranked"] == grid_search(bundle, "pdg", {"eta1": [0.05],
+                                                                "eta2": [0.3]},
+                                                budget=10)["ranked"]
+    for grid, path in [({"eta1": [0.05]}, "schedule.eta2"),
+                       ({"eta1": [0.05], "eta2": [True]}, "schedule.eta2"),
+                       ({"eta1": [0.05], "eta2": [0.3], "mu": [1.0]}, "schedule.mu")]:
+        with pytest.raises(ConfigError, match=rf"^{path}: "):
+            grid_search(bundle, "pdg", grid, budget=10)
+
+
+def test_svrg_halving_searches_longer_epochs():
+    # trial 75 of the default run (seed 0): no point up to N = 8n halves
+    # every epoch, N = 16n at the largest step does
+    report = cmd_verify("svrg_halving", trials=1, seed=17 * 75)
+    assert not report["refuted"]
+    found = report["results"][0]["config"]
+    assert found["inner_iters"] == 16 * report["n"] and found["max_mean_ratio"] <= 0.5
