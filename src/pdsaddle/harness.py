@@ -45,7 +45,7 @@ from .svrg import (
     run_pdsvrg,
     run_primal_svrg,
 )
-from .theory import ghost_step, pdg_schedule, primal_step, sc_schedule
+from .theory import _b_t, ghost_step, pdg_schedule, primal_step, sc_schedule
 
 __all__ = [
     "ConfigError",
@@ -124,7 +124,10 @@ _CONFIG = {"instance": _Field(dict), "solvers": _Field(list, ..., ("nonempty", b
            "stopping": _Field(dict, {}), "budget": _positive(_NUMBER, 2000), "seed": _SEED}
 _STOPPING = {"max_iters": _positive(int, 2000), "tol": _positive(_NUMBER, 1e-10)}
 _ENTRY = {"name": _Field(str, ..., _one_of(*SOLVERS)), "schedule": _Field(dict, {}),
-          "repetitions": _positive(int, 1), "label": _Field(str, "")}
+          "repetitions": _positive(int, 1),
+          # the stem of the entry's output files, inside the output directory
+          "label": _Field(str, "", ("a plain file name (no '/', not '.' or '..')",
+                                    lambda v: "/" not in v and v not in (".", "..")))}
 _PIN = {"data": _Field(dict, None), "path": _Field(str, None)}
 # family -> (fields of a generated instance, fields of one pinned by data or
 # path); None where the family cannot be built that way
@@ -381,9 +384,9 @@ def fitted_slope(grad_evals, dist_x, burn_in: float = 0.1) -> float | None:
     return float(slope)
 
 
-def _run_sc(problem: SaddleProblem, stop: StoppingRule, x_star):
-    """PDG under the both-strongly-convex schedule, with R_t written into the
-    trace's potential column; returns (schedule, trace)."""
+def _sc_schedule(problem: SaddleProblem):
+    """The both-strongly-convex schedule of a quadratic instance whose f is
+    strongly convex."""
     parts = getattr(problem, "quadratic_parts", None)
     if parts is None:
         raise ConfigError("config", "sc schedule needs a quadratic instance")
@@ -391,12 +394,7 @@ def _run_sc(problem: SaddleProblem, stop: StoppingRule, x_star):
     if eig[0] <= 0:
         raise ConfigError("config", "sc schedule needs strongly convex f")
     p = problem.params
-    sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
-    trace = run_pdg(problem, eta1=sc.eta1, eta2=sc.eta2, stop=stop, x_star=x_star)
-    dx, dy = trace.column("dist_x"), trace.column("dist_y")
-    trace.potential = list(sc.eta2 * dx**2 + sc.eta1 * dy**2)
-    trace.potential_kind = "R_t"
-    return sc, trace
+    return sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
 
 
 def _svrg_epochs(budget: float, n: int, inner: int) -> int:
@@ -465,15 +463,12 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
         point = info["schedule"] = {k: float(schedule[k]) for k in entry.keys}
     elif spec.name == "primal_gd":
         point = info["schedule"] = {"eta": primal_step(problem.params)}
-    elif schedule["variant"] == "sc":
-        sc, trace = _run_sc(problem, stop, bundle.x_star)
-        info["schedule"] = {"eta1": sc.eta1, "eta2": sc.eta2, "rate": sc.rate}
-        return trace, info, [trace]
     else:
-        sched = pdg_schedule(problem.params)
+        sc = schedule["variant"] == "sc"
+        sched = _sc_schedule(problem) if sc else pdg_schedule(problem.params)
         point = {"schedule": sched}
         info["schedule"] = {"eta1": sched.eta1, "eta2": sched.eta2,
-                            "lambda": sched.lambda_, "rate": sched.rate}
+                            **({} if sc else {"lambda": sched.lambda_}), "rate": sched.rate}
     trace = _run_point(bundle, spec.name, point, cap=stop.max_iters, tol=stop.tol)
     return trace, info, [trace]
 
@@ -523,20 +518,17 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
             entry["slope"] = fitted_slope(trace.grad_evals, trace.column("dist_x"))
             entry["potential_kind"] = trace.potential_kind
         if len(reps) > 1:
-            pots = [t.column("potential") for t in reps]
-            rows = min(len(p) for p in pots)
-            entry["mean_potential_per_epoch"] = list(
-                np.mean([p[:rows] for p in pots], axis=0)
-            )
-            dists = [t.column("dist_x") for t in reps]
-            entry["mean_dist_x_per_epoch"] = list(
-                np.mean([d[:rows] for d in dists], axis=0)
-            )
+            rows = min(len(t) for t in reps)
+            if trace.potential_kind is not None:
+                pots = [t.column("potential")[:rows] for t in reps]
+                entry["mean_potential_per_epoch"] = list(np.mean(pots, axis=0))
+            dists = [t.column("dist_x")[:rows] for t in reps]
+            entry["mean_dist_x_per_epoch"] = list(np.mean(dists, axis=0))
             entry["repetitions"] = len(reps)
         summary["solvers"].append(entry)
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default)
+        json.dump(summary, fh, indent=2, default=_json_default, allow_nan=False)
     return summary
 
 
@@ -679,7 +671,7 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
             "best": result["best"],
         })
     with open(out / "best.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=_json_default)
+        json.dump(report, fh, indent=2, default=_json_default, allow_nan=False)
     return report
 
 
@@ -740,12 +732,9 @@ def _verify_contraction(trials: int, seed: int, iters: int = 500, *,
     for k in range(trials):
         problem = inst_mod.random_quadratic(seed + k, strongly_convex=strongly_convex)
         x_star, _, _ = reference_solution(problem, "direct")
-        stop = StoppingRule(iters, 1e-300)
-        if strongly_convex:
-            sched, trace = _run_sc(problem, stop, x_star)
-        else:
-            sched = pdg_schedule(problem.params)
-            trace = run_pdg(problem, schedule=sched, stop=stop, x_star=x_star)
+        sched = _sc_schedule(problem) if strongly_convex else pdg_schedule(problem.params)
+        trace = run_pdg(problem, schedule=sched, stop=StoppingRule(iters, 1e-300),
+                        x_star=x_star)
         P = trace.column("potential")
         bad = np.sum(P[1:] > sched.rate * P[:-1] + 1e-12 * P[0])
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -811,8 +800,7 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
         it = Iterate(np.zeros(problem.d1), np.zeros(problem.d2))
         for _ in range(iters):
             a_t = float(np.linalg.norm(it.x - x_star))
-            b_t = float(np.linalg.norm(
-                it.y - conj_grad(problem, problem.coupling @ it.x)))
+            b_t = _b_t(problem, it.x, it.y)
             slack = 1e-12 * (1.0 + a_t + b_t)
 
             tally("ghost_contraction", pre1, lambda: np.linalg.norm(
@@ -823,8 +811,7 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
                 diverged_trials += 1
                 break
             a_n = float(np.linalg.norm(nxt.x - x_star))
-            b_n = float(np.linalg.norm(
-                nxt.y - conj_grad(problem, problem.coupling @ nxt.x)))
+            b_n = _b_t(problem, nxt.x, nxt.y)
 
             tally("primal_decrease", pre1, lambda: a_n > (
                 (1 - delta * eta1) * a_t + p.sigma_max * eta1 * b_t + slack))

@@ -35,7 +35,7 @@ from .problems import (
     grad_L,
     grad_primal,
 )
-from .theory import primal_step
+from .theory import _certified_potential, primal_step
 
 __all__ = [
     "DivergenceError",
@@ -115,7 +115,6 @@ class Trace:
         self.elapsed: list[float] = []
         self.potential_kind = potential_kind
         self.inner_evals = 0
-        self.schedule: dict | None = None
 
     def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
                b_t=None, potential=None, elapsed=0.0):
@@ -259,10 +258,10 @@ def _resolve_steps(schedule, eta1, eta2):
     if schedule is not None:
         if eta1 is not None or eta2 is not None:
             raise ValueError("pass either a schedule or explicit (eta1, eta2)")
-        return schedule.eta1, schedule.eta2, getattr(schedule, "lambda_", None)
+        return schedule.eta1, schedule.eta2
     if eta1 is None or eta2 is None:
         raise ValueError("explicit runs need both eta1 and eta2")
-    return float(eta1), float(eta2), None
+    return float(eta1), float(eta2)
 
 
 def run_pdg(
@@ -277,18 +276,20 @@ def run_pdg(
 ) -> Trace:
     """Run the primal-dual gradient method and collect a trace.
 
-    Steps come either from a schedule object (whose lambda_ weight, when
-    present, is also used to record the potential P_t) or from explicit
-    (eta1, eta2).  When ``x_star`` is supplied the trace records distances to
-    the saddle point (the dual reference y* = grad g*(A x*) is derived once).
+    Steps come either from a schedule object or from explicit (eta1, eta2).
+    When ``x_star`` is supplied the trace records distances to the saddle
+    point (the dual reference y* = grad g*(A x*) is derived once) and, under
+    a PdgSchedule or an ScSchedule, the potential it certifies: P_t or R_t.
 
     Raises DivergenceError (with the partial trace attached) on non-finite
-    iterates, or on dist_x or P_t exceeding 1e6 times its initial size.
+    iterates, or on dist_x or the potential exceeding 1e6 times its initial
+    size.
     """
-    e1, e2, lam = _resolve_steps(schedule, eta1, eta2)
+    e1, e2 = _resolve_steps(schedule, eta1, eta2)
     if init is None:
         init = Iterate(np.zeros(problem.d1), np.zeros(problem.d2))
-    return _batch_loop(problem, init.x.copy(), init.y.copy(), e1, e2, stop, x_star, lam)
+    return _batch_loop(problem, init.x.copy(), init.y.copy(), e1, e2, stop, x_star,
+                       schedule)
 
 
 def run_primal_gd(
@@ -310,10 +311,11 @@ def run_primal_gd(
     return _batch_loop(problem, x, None, eta, None, stop, x_star)
 
 
-def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
+def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace:
     """The loop of both batch solvers.  With ``y`` None it runs the primal
     form: gs = grad g*(A x) once per step, then x - eta1 (grad f(x) + A^T gs).
-    Otherwise it is the PDG step, and ``lam`` adds the potential P_t.
+    Otherwise it is the PDG step, and with ``x_star`` the potential that
+    ``schedule`` certifies is recorded and watched.
 
     An iteration proves the iterate finite, takes the step and checks its
     gradient norm, all before the conjugate map of a PDG row (a factorized
@@ -333,10 +335,8 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
         if dual:
             y_star = conj_grad(problem, A @ x_star)
 
-    trace = Trace(potential_kind="P_t" if (lam is not None and x_star is not None) else None)
-    trace.schedule = {"eta1": eta1, "eta2": eta2} if dual else {"eta": eta1}
-    if lam is not None:
-        trace.schedule["lambda"] = lam
+    kind, potential = _certified_potential(schedule) if x_star is not None else (None, None)
+    trace = Trace(potential_kind=kind)
     rec = _Recorder(trace, "at iteration", ("distance", "potential"))
 
     def counted_conj(z):
@@ -374,8 +374,8 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, lam=None) -> Trace:
             if dual:
                 d = y - conj(ax)
                 b_t = math.sqrt(d @ d)
-                if lam is not None and dist is not None:
-                    pot = lam * dist + b_t
+                if potential is not None:
+                    pot = potential(dist, dist_y, b_t)
             rec.append(t, t, float(t), dist, dist_y, b_t, pot)
             if stopping:
                 return trace

@@ -51,6 +51,7 @@ import numpy as np
 
 from .problems import SaddleProblem, conj_grad, grad_L
 from .solvers import StoppingRule, Trace, _Recorder
+from .theory import _b_t, _q
 
 __all__ = [
     "RowSum",
@@ -349,9 +350,8 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         dist = float(np.linalg.norm(x - x_star))
         if not dual:
             return (dist,)
-        dist_y = float(np.linalg.norm(y - y_star))
-        b = float(np.linalg.norm(y - conj_grad(agg, agg.coupling @ x)))
-        return dist, dist_y, b, dist**2 + cfg.mu * b**2
+        b = _b_t(agg, x, y)
+        return dist, float(np.linalg.norm(y - y_star)), b, _q(cfg.mu, dist, b)
 
     def record(row, units, epoch, x, y, *unrecorded):
         """Append the trace row at (x, y) once it and the unrecorded iterates
@@ -366,9 +366,6 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
 
     rng = np.random.default_rng(cfg.seed)
     trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)
-    trace.schedule = ({"eta1": eta1, "eta2": eta2, "inner_iters": N, "mu": cfg.mu,
-                       "seed": cfg.seed} if dual else
-                      {"eta1": eta1, "inner_iters": N, "seed": cfg.seed})
     rec = _Recorder(trace, "in epoch", ("potential",) if dual else ("distance",))
 
     comp_evals = 0  # component-gradient evaluations; n per grad-unit

@@ -124,6 +124,46 @@ def sc_schedule(
     return ScSchedule(eta1=eta1, eta2=eta2, rate=rate)
 
 
+# The three potentials from measured distances: dist_x = ||x - x*||,
+# dist_y = ||y - y*|| and b_t = ||y - grad g*(Ax)||.  Every producer of a
+# potential value calls these.
+
+def _p(lam, dist_x, b_t):
+    return lam * dist_x + b_t
+
+
+def _q(mu, dist_x, b_t):
+    return dist_x**2 + mu * b_t**2
+
+
+def _r(eta1, eta2, dist_x, dist_y):
+    # products, not **2: for a float, ** is libm pow, which can differ from
+    # the product in the last bit
+    return eta2 * (dist_x * dist_x) + eta1 * (dist_y * dist_y)
+
+
+def _certified_potential(schedule):
+    """The potential ``schedule`` certifies, as (kind, its value from a trace
+    row's (dist_x, dist_y, b_t)): P_t for a PdgSchedule, R_t for an
+    ScSchedule, (None, None) for steps that certify none."""
+    if isinstance(schedule, PdgSchedule):
+        return "P_t", lambda dx, dy, b: _p(schedule.lambda_, dx, b)
+    if isinstance(schedule, ScSchedule):
+        return "R_t", lambda dx, dy, b: _r(schedule.eta1, schedule.eta2, dx, dy)
+    return None, None
+
+
+def _b_t(problem: SaddleProblem, x: np.ndarray, y: np.ndarray) -> float:
+    """||y - grad g*(A x)||, the dual distance to the primal iterate's best
+    response."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return float(np.linalg.norm(y - conj_grad(problem, problem.coupling @ x)))
+
+
+def _dist(v: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.linalg.norm(np.asarray(v, dtype=float) - ref))
+
+
 def potential_P(
     problem: SaddleProblem,
     x: np.ndarray,
@@ -135,10 +175,7 @@ def potential_P(
 
     Vanishes exactly at the saddle point, where y* = grad g*(A x*).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b = np.linalg.norm(y - conj_grad(problem, problem.coupling @ x))
-    return float(lam * np.linalg.norm(x - x_star) + b)
+    return _p(lam, _dist(x, x_star), _b_t(problem, x, y))
 
 
 def potential_Q(
@@ -153,10 +190,7 @@ def potential_Q(
     Expectations over solver randomness are estimated by averaging this value
     across independently seeded runs.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    b = np.linalg.norm(y - conj_grad(problem, problem.coupling @ x))
-    return float(np.linalg.norm(x - x_star) ** 2 + mu * b**2)
+    return _q(mu, _dist(x, x_star), _b_t(problem, x, y))
 
 
 def potential_R(
@@ -168,9 +202,7 @@ def potential_R(
     eta2: float,
 ) -> float:
     """R = eta2 * ||x - x*||^2 + eta1 * ||y - y*||^2."""
-    dx = np.linalg.norm(np.asarray(x, dtype=float) - x_star)
-    dy = np.linalg.norm(np.asarray(y, dtype=float) - y_star)
-    return float(eta2 * dx**2 + eta1 * dy**2)
+    return _r(eta1, eta2, _dist(x, x_star), _dist(y, y_star))
 
 
 def primal_step(p: SmoothnessParams) -> float:

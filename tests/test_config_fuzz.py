@@ -154,6 +154,8 @@ def _out_of_bound(field):
         return []
     if kind is list:
         return [[]]
+    if kind is str:
+        return [v for v in ("/", "../escaped", ".", "..") if not bound[1](v)]
     probes = [0, -1, 2] if kind is int else [0, -1.0, 1.5, math.inf, math.nan]
     return [v for v in probes if not bound[1](v)]
 

@@ -4,13 +4,14 @@
   one component at a time (per-row dots, per-matrix matvecs, one closure per
   component, one index draw per inner step).
 * The one batch loop behind ``run_pdg`` and ``run_primal_gd`` against the two
-  separate loops it replaced.
+  separate loops it replaced, under the sc schedule against the R_t that was
+  computed over a finished trace.
 
 The fast paths must reproduce their oracles bit for bit, so every comparison
 is exact.
 """
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from pdsaddle import (
     run_pdsvrg,
     run_primal_gd,
     run_primal_svrg,
+    sc_schedule,
     vr_grad,
 )
 from pdsaddle.instances import (
@@ -294,10 +296,13 @@ class _OracleDivergence(Exception):
         self.iteration = iteration
 
 
-def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam):
+def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
     """The run_pdg loop as it was: returns (rows, inner_evals, error), rows
     of (iter, grad_evals, dist_x, dist_y, b_t, potential) with NaN for an
-    unmeasured column and error an _OracleDivergence or None."""
+    unmeasured column and error an _OracleDivergence or None.  The potential
+    is P_t with ``lam``, and with the ScSchedule ``sc`` the R_t that the sc
+    path used to write over the finished trace's dist columns, watched like
+    P_t."""
     rows, inner_evals = [], 0
     A = problem.coupling
     if x_star is not None:
@@ -329,6 +334,10 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam):
             b_t = float(np.linalg.norm(y - gs))
             if lam is not None and dist is not None:
                 pot = lam * dist + b_t
+            if sc is not None and dist is not None:
+                # array squares, as over the dist columns
+                pot = float(sc.eta2 * np.square(dist) + sc.eta1 * np.square(dist_y))
+            if pot is not None:
                 if p_first is None:
                     p_first = pot
             rows.append([t, float(t), dist, dist_y, b_t, pot])
@@ -481,7 +490,7 @@ def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
     if isinstance(steps, str):
         boost = 1e3 if steps == "dual_x1e3" else 1.0
         eta1, eta2, lam = sched.eta1, boost * sched.eta2, sched.lambda_
-        kw = {"schedule": SimpleNamespace(eta1=eta1, eta2=eta2, lambda_=lam)}
+        kw = {"schedule": replace(sched, eta2=eta2)}
     else:
         eta1, eta2, lam = steps * sched.eta1, steps * sched.eta2, None
         kw = {"eta1": eta1, "eta2": eta2}
@@ -489,6 +498,26 @@ def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
     want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), eta1,
                                           eta2, stop, x_star, lam)
     _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)
+
+
+# "sc_dual_x1e3": eta2 1e3 times larger trips the R_t guard
+@pytest.mark.parametrize("boost", [1.0, 1e3], ids=["sc_schedule", "sc_dual_x1e3"])
+@pytest.mark.parametrize("stop", sorted(STOPS))
+def test_pdg_under_sc_schedule_matches_old_loop(boost, stop):
+    problem = random_quadratic(11, 5, 7, strongly_convex=True)
+    x_star = reference_solution(problem, "direct")[0]
+    eig, p = np.linalg.eigvalsh(problem.quadratic_parts[0]), problem.params
+    sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+    sc = replace(sc, eta2=boost * sc.eta2)
+    stop = STOPS[stop]
+    init = Iterate(np.linspace(-1.0, 1.0, problem.d1), np.linspace(0.5, -0.5, problem.d2))
+    trace, error = _run(lambda: run_pdg(problem, init, schedule=sc, stop=stop,
+                                        x_star=x_star))
+    want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), sc.eta1,
+                                          sc.eta2, stop, x_star, None, sc)
+    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)
+    assert trace.potential_kind == "R_t"
+    assert (error is None) == (boost == 1.0)
 
 
 def _past_overflow(size):

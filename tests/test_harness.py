@@ -127,6 +127,26 @@ def test_cmd_solve_stochastic_repetitions(tmp_path):
     assert mean_q[-1] < mean_q[0]
 
 
+def test_summary_json_is_strict_without_a_potential(tmp_path):
+    # primal SVRG records no potential, so its repetitions have no mean
+    # potential to write; the summary holds no bare NaN
+    config = ExperimentConfig.from_dict({
+        "instance": dict(_quad_instance_spec(seed=21, d1=6, d2=6), splits=10),
+        "solvers": [{"name": "primal_svrg", "repetitions": 2,
+                     "schedule": {"source": "explicit", "eta1": 0.02, "epochs": 3}}],
+    })
+    cmd_solve(config, tmp_path / "out")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    entry = json.loads(text, parse_constant=reject)["solvers"][0]
+    assert entry["potential_kind"] is None and entry["repetitions"] == 2
+    assert "mean_potential_per_epoch" not in entry
+    assert len(entry["mean_dist_x_per_epoch"]) == 4
+
+
 def test_cmd_solve_deterministic_trace_bytes(tmp_path):
     doc = {
         "seed": 9,
@@ -590,10 +610,12 @@ def _grid_svrg(**grid):
     (_doc({"family": "mspbe", "data": {"family": "quadratic", "B": [[0.0]], "b": [0.0],
                                        "A": [[1.0]], "C": [[0.5]], "c": [0.0]}}),
      "config.instance"),
+    (_doc(solvers=[{"name": "pdg", "label": "../escaped"}]), "config.solvers[0].label"),
 ], ids=["d1_bool", "n_zero", "budget_inf", "repetitions_bool", "seed_bool", "budget_bool",
         "variant_case", "variant_on_primal_gd", "variant_on_pdsvrg", "misspelt_stopping",
         "eta_in_theory", "epochs_in_grid", "grid_missing_eta2", "grid_inner_iters_fraction",
-        "path_int", "density_above_1", "eta_inf", "pinned_family_mismatch"])
+        "path_int", "density_above_1", "eta_inf", "pinned_family_mismatch",
+        "label_escapes_out_dir"])
 def test_malformed_documents_exit_1_before_any_output(doc, path, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", doc)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

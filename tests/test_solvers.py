@@ -16,6 +16,7 @@ from pdsaddle import (
     reference_solution,
     run_pdg,
     run_primal_gd,
+    sc_schedule,
 )
 from pdsaddle.instances import random_quadratic
 from pdsaddle.problems import SaddleProblem
@@ -104,6 +105,20 @@ def test_run_pdg_potential_contracts():
         trace = run_pdg(problem, schedule=s, stop=StoppingRule(200, 1e-300), x_star=x_star)
         P = trace.column("potential")
         assert np.all(P[1:] <= s.rate * P[:-1] + 1e-12 * P[0])
+
+
+def test_run_pdg_under_sc_schedule_records_r_t():
+    # R_t is recorded in the run, equal bit for bit to the value once
+    # computed over the finished trace's dist columns
+    problem = random_quadratic(8, 4, 6, strongly_convex=True)
+    x_star, _, _ = reference_solution(problem, "direct")
+    eig, p = np.linalg.eigvalsh(problem.quadratic_parts[0]), problem.params
+    sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+    trace = run_pdg(problem, schedule=sc, stop=StoppingRule(150, 1e-300), x_star=x_star)
+    assert trace.potential_kind == "R_t"
+    dx, dy = trace.column("dist_x"), trace.column("dist_y")
+    np.testing.assert_array_equal(trace.column("potential"),
+                                  sc.eta2 * dx**2 + sc.eta1 * dy**2)
 
 
 def test_run_pdg_divergence():

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from pdsaddle import (
+    Iterate,
     SmoothnessParams,
+    StoppingRule,
+    SvrgConfig,
     ghost_step,
     iteration_budget,
     pdg_schedule,
     potential_P,
     potential_Q,
     potential_R,
+    pdg_step,
+    run_pdg,
+    run_pdsvrg,
     sc_schedule,
 )
-from pdsaddle.instances import random_quadratic
+from pdsaddle.instances import random_quadratic, split_quadratic
 from pdsaddle.solvers import reference_solution
 from pdsaddle.problems import conj_grad
 
@@ -116,6 +122,32 @@ def test_potential_q_values(unit_problem):
     val0 = potential_Q(unit_problem, np.array([0.3]), np.array([123.0]),
                        np.zeros(1), mu=0.0)
     assert val0 == pytest.approx(0.09)
+
+
+def test_potentials_equal_the_columns_runs_record():
+    # each potential is defined once: at a run's iterates, replayed with
+    # pdg_step, the public functions give its recorded column bit for bit
+    problem = random_quadratic(8, 4, 6, strongly_convex=True)
+    x_star, _, _ = reference_solution(problem, "direct")
+    y_star = conj_grad(problem, problem.coupling @ x_star)  # the runs' y*
+    eig, p = np.linalg.eigvalsh(problem.quadratic_parts[0]), problem.params
+    sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+    pdg = pdg_schedule(p)
+    init = Iterate(np.linspace(-1.0, 1.0, problem.d1), np.linspace(0.5, -0.5, problem.d2))
+    for sched, potential in (
+            (pdg, lambda it: potential_P(problem, it.x, it.y, x_star, pdg.lambda_)),
+            (sc, lambda it: potential_R(it.x, it.y, x_star, y_star, sc.eta1, sc.eta2))):
+        trace = run_pdg(problem, init, schedule=sched, stop=StoppingRule(60, 1e-300),
+                        x_star=x_star)
+        it, replayed = init, []
+        for _ in range(len(trace)):
+            replayed.append(potential(it))
+            it = pdg_step(problem, it, sched.eta1, sched.eta2)
+        assert replayed == trace.potential
+    fsp = split_quadratic(problem, 6, seed=1)
+    cfg = SvrgConfig(eta1=0.01, eta2=0.01, inner_iters=12, epochs=1, mu=1.5)
+    trace = run_pdsvrg(fsp, (init.x, init.y), cfg=cfg, x_star=x_star)
+    assert potential_Q(fsp.aggregate, init.x, init.y, x_star, cfg.mu) == trace.potential[0]
 
 
 def test_potential_r_values():
