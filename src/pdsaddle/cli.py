@@ -11,6 +11,7 @@ import json
 import sys
 
 from .harness import (
+    _SUITES,
     ConfigError,
     ExperimentConfig,
     cmd_estimate,
@@ -34,8 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p_verify = sub.add_parser("verify", help="run a certificate suite")
-    p_verify.add_argument("--suite", required=True,
-                          choices=["contraction", "sc_contraction", "props", "svrg_halving"])
+    p_verify.add_argument("--suite", required=True, choices=list(_SUITES))
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--eta1-scale", type=float, default=None,

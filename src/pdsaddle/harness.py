@@ -18,11 +18,12 @@ Commands (exposed through the CLI):
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .svrg import (
     run_pdsvrg,
     run_primal_svrg,
 )
-from .theory import _b_t, ghost_step, pdg_schedule, primal_step, sc_schedule
+from .theory import PdgSchedule, _b_t, ghost_step, pdg_schedule, primal_step, sc_schedule
 
 __all__ = [
     "ConfigError",
@@ -62,33 +63,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverEntry:
-    """How the harness runs one solver: the step parameters a grid sweeps
-    (in sweep order), the InstanceBundle field holding the finite sum it runs
-    on (None: the aggregate problem), and the name of the module global that
-    runs it, looked up at call time so that a wrapper installed on this
-    module sees every run."""
-
-    keys: tuple[str, ...]
-    form: str | None
-    runner: str
-
-
-SOLVERS = {
-    "pdg": SolverEntry(("eta1", "eta2"), None, "run_pdg"),
-    "primal_gd": SolverEntry(("eta",), None, "run_primal_gd"),
-    "pdsvrg": SolverEntry(("eta1", "eta2", "inner_iters", "mu"), "fsp", "run_pdsvrg"),
-    "primal_svrg": SolverEntry(("eta1", "inner_iters"), "primal_fsp", "run_primal_svrg"),
-}
-
-
 class ConfigError(ValueError):
     """Configuration problem, reported as '<path>: <message>'."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+@dataclass(frozen=True)
+class SolverEntry:
+    """How the harness runs one solver: the step parameters a grid sweeps
+    (in sweep order), the InstanceBundle field holding the finite sum it runs
+    on (None: the aggregate problem), the name of the module global that
+    runs it, looked up at call time so that a wrapper installed on this
+    module sees every run, and its theory step points on an instance, by
+    the variant a theory schedule names (the first is the default; None: the
+    solver has one, and a schedule names none)."""
+
+    keys: tuple[str, ...]
+    form: str | None
+    runner: str
+    theory: dict[str | None, Callable[[InstanceBundle], dict]]
+
+
+def _sc_schedule(problem: SaddleProblem):
+    """The both-strongly-convex schedule of a quadratic instance whose f is
+    strongly convex."""
+    parts = getattr(problem, "quadratic_parts", None)
+    if parts is None:
+        raise ConfigError("config", "sc schedule needs a quadratic instance")
+    eig = np.linalg.eigvalsh(parts[0])
+    if eig[0] <= 0:
+        raise ConfigError("config", "sc schedule needs strongly convex f")
+    p = problem.params
+    return sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+
+
+def _svrg_theory(bundle: InstanceBundle) -> dict:
+    """The saddle sum's default step alpha/(10 M^2), for both stochastic
+    solvers; the other keys take their defaults."""
+    return {"eta1": default_svrg_config(bundle.finite_sum("fsp")).eta1}
+
+
+SOLVERS = {
+    "pdg": SolverEntry(("eta1", "eta2"), None, "run_pdg", {
+        "pdg": lambda b: {"schedule": pdg_schedule(b.problem.params)},
+        "sc": lambda b: {"schedule": _sc_schedule(b.problem)}}),
+    "primal_gd": SolverEntry(("eta",), None, "run_primal_gd",
+                             {None: lambda b: {"eta": primal_step(b.problem.params)}}),
+    "pdsvrg": SolverEntry(("eta1", "eta2", "inner_iters", "mu"), "fsp", "run_pdsvrg",
+                          {None: _svrg_theory}),
+    "primal_svrg": SolverEntry(("eta1", "inner_iters"), "primal_fsp", "run_primal_svrg",
+                               {None: _svrg_theory}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +152,6 @@ _CONFIG = {"instance": _Field(dict), "solvers": _Field(list, ..., ("nonempty", b
            "stopping": _Field(dict, {}), "budget": _positive(_NUMBER, 2000), "seed": _SEED}
 _STOPPING = {"max_iters": _positive(int, 2000), "tol": _positive(_NUMBER, 1e-10)}
 _ENTRY = {"name": _Field(str, ..., _one_of(*SOLVERS)), "schedule": _Field(dict, {}),
-          "repetitions": _positive(int, 1),
           # the stem of the entry's output files, inside the output directory
           "label": _Field(str, "", ("a plain file name (no '/', not '.' or '..')",
                                     lambda v: "/" not in v and v not in (".", "..")))}
@@ -188,22 +215,31 @@ def _read(doc, fields: dict, path: str) -> dict:
     return out
 
 
+def _entry_fields(name) -> dict:
+    """The fields of a solver entry named ``name``; only a stochastic
+    solver's entry may repeat its run (SolverSpec.repetitions)."""
+    if name in tuple(SOLVERS) and SOLVERS[name].form is not None:
+        return {**_ENTRY, "repetitions": _positive(int, None)}
+    return _ENTRY
+
+
 def _schedule_fields(solver: str, source) -> dict:
-    """The fields of a ``source`` schedule for ``solver``, from its step keys:
-    a theory schedule has none but pdg's variant; an explicit one needs every
-    key (a stochastic one only eta1, and it may fix epochs); a grid needs a
-    list per key, with inner_iters = [2n] and mu = [1.0] by default."""
+    """The fields of a ``source`` schedule for ``solver``, from its SOLVERS
+    entry: a theory schedule has none but its variant, if the solver has
+    several; an explicit one needs every key (a stochastic one only eta1,
+    and it may fix epochs); a grid needs a list per key but inner_iters and
+    mu, which _filled defaults."""
     entry = SOLVERS[solver]
     stochastic = entry.form is not None
     fields = {"source": _Field(str, "theory", _one_of("theory", "explicit", "grid"))}
-    if source == "theory" and solver == "pdg":
-        fields["variant"] = _Field(str, "pdg", _one_of("pdg", "sc"))
+    if source == "theory" and None not in entry.theory:
+        fields["variant"] = _Field(str, next(iter(entry.theory)), _one_of(*entry.theory))
     for key in entry.keys + ("epochs",) * (stochastic and source == "explicit"):
         kind = int if key in ("inner_iters", "epochs") else _NUMBER
         if source == "explicit":
             fields[key] = _positive(kind, None if stochastic and key != "eta1" else ...)
         elif source == "grid":
-            fields[key] = _Field([kind], {"inner_iters": None, "mu": [1.0]}.get(key, ...))
+            fields[key] = _Field([kind], None if key in ("inner_iters", "mu") else ...)
     return fields
 
 
@@ -214,15 +250,18 @@ def _read_instance(spec) -> dict:
     generated, pinned = _FAMILIES[family] if family in tuple(_FAMILIES) else ({}, None)
     if generated is None or pinned is not None and ("data" in spec or "path" in spec):
         generated = pinned
-    return _read(spec, {"family": _FAMILY, **generated}, "config.instance")
+    values = _read(spec, {"family": _FAMILY, **generated}, "config.instance")
+    if "data" in values and "path" in values:
+        raise ConfigError("config.instance.path", "must not be given together with data")
+    return values
 
 
 @dataclass
 class SolverSpec:
     name: str
     schedule: dict
-    repetitions: int
     label: str
+    repetitions: int = 1
 
 
 @dataclass
@@ -242,7 +281,8 @@ class ExperimentConfig:
         solvers = []
         for i, entry_doc in enumerate(top["solvers"]):
             path = f"config.solvers[{i}]"
-            entry = _read(entry_doc, _ENTRY, path)
+            name = entry_doc.get("name") if _is(entry_doc, dict) else None
+            entry = _read(entry_doc, _entry_fields(name), path)
             fields = _schedule_fields(entry["name"], entry["schedule"].get("source", "theory"))
             entry["schedule"] = _read(entry["schedule"], fields, f"{path}.schedule")
             solvers.append(SolverSpec(**entry))
@@ -275,6 +315,8 @@ class InstanceBundle:
     fsp: RowSum | DenseSum | None = None
     primal_fsp: RowSum | DenseSum | None = None
     x_star: np.ndarray | None = None
+    # nothing reads y_star; deleting it waits for the fix to perfbench's
+    # reference loop (ROADMAP item 2), whose timing its 4 KB array moves
     y_star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -302,20 +344,23 @@ def build_instance(spec: dict) -> InstanceBundle:
     """
     values = _read_instance(spec)
     try:
-        return _build_family(spec, values)
+        return _build_family(values)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError("config.instance", str(exc)) from exc
 
 
-def _build_family(spec: dict, v: dict) -> InstanceBundle:
+def _build_family(v: dict) -> InstanceBundle:
     path, family = "config.instance", v["family"]
     data = None
-    if "data" in v:
-        data = inst_mod.instance_from_json(v["data"])
-    elif "path" in v:
-        data = inst_mod.load_instance(v["path"])
+    # a pinned document's faults are reported at the field that holds it
+    for key, load in (("data", inst_mod.instance_from_json), ("path", inst_mod.load_instance)):
+        if key in v:
+            try:
+                data = load(v[key])
+            except ValueError as exc:
+                raise ConfigError(f"{path}.{key}", str(exc)) from exc
     if data is not None and not isinstance(data, inst_mod._JSON_FIELDS[family][0]):
         raise ConfigError(path, f"pinned instance is not a {family} instance")
 
@@ -333,8 +378,7 @@ def _build_family(spec: dict, v: dict) -> InstanceBundle:
             primal = inst_mod.split_quadratic_primal(problem, v["splits"], seed=v["seed"])
         x_star, y_star, _ = reference_solution(problem, "direct")
         return InstanceBundle(family=family, problem=problem, fsp=fsp,
-                              primal_fsp=primal, x_star=x_star, y_star=y_star,
-                              meta={"spec": spec})
+                              primal_fsp=primal, x_star=x_star, y_star=y_star)
 
     if family == "smoothed_l1":
         if data is None:
@@ -352,30 +396,27 @@ def _build_family(spec: dict, v: dict) -> InstanceBundle:
         residual = float(np.linalg.norm(grad_primal(fsp.aggregate, x_star)))
         return InstanceBundle(family=family, problem=fsp.aggregate, fsp=fsp,
                               primal_fsp=fsp, x_star=x_star, y_star=y_star,
-                              meta={"spec": spec, "instance": data,
-                                    "reference_residual": residual})
+                              meta={"reference_residual": residual})
 
     if data is None:  # mspbe
         data = inst_mod.random_mspbe(v["n"], v["d"], gamma=float(v["gamma"]), seed=v["seed"])
     problem = inst_mod.mspbe_saddle(data, normalize=v["normalize"])
     x_star, y_star, _ = reference_solution(problem, "direct")
-    return InstanceBundle(family=family, problem=problem, x_star=x_star,
-                          y_star=y_star, meta={"spec": spec, "instance": data})
+    return InstanceBundle(family=family, problem=problem, x_star=x_star, y_star=y_star)
 
 
 # ---------------------------------------------------------------------------
 # trace post-processing
 # ---------------------------------------------------------------------------
 
-def fitted_slope(grad_evals, dist_x, burn_in: float = 0.1) -> float | None:
+def fitted_slope(grad_evals, dist_x) -> float | None:
     """OLS slope of log10(dist_x) against grad-units, after dropping the
-    first ``burn_in`` fraction of rows.  None when fewer than two usable rows
-    remain."""
+    first tenth of the rows.  None when fewer than two usable rows remain."""
     u = np.asarray(grad_evals, dtype=float)
     d = np.asarray(dist_x, dtype=float)
     keep = np.isfinite(u) & np.isfinite(d) & (d > 0)
     u, d = u[keep], d[keep]
-    skip = int(math.ceil(burn_in * len(u)))
+    skip = int(math.ceil(0.1 * len(u)))
     u, d = u[skip:], d[skip:]
     if len(u) < 2 or np.ptp(u) == 0:
         return None
@@ -384,93 +425,79 @@ def fitted_slope(grad_evals, dist_x, burn_in: float = 0.1) -> float | None:
     return float(slope)
 
 
-def _sc_schedule(problem: SaddleProblem):
-    """The both-strongly-convex schedule of a quadratic instance whose f is
-    strongly convex."""
-    parts = getattr(problem, "quadratic_parts", None)
-    if parts is None:
-        raise ConfigError("config", "sc schedule needs a quadratic instance")
-    eig = np.linalg.eigvalsh(parts[0])
-    if eig[0] <= 0:
-        raise ConfigError("config", "sc schedule needs strongly convex f")
-    p = problem.params
-    return sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
-
+# ---------------------------------------------------------------------------
+# from a step point to a run
+# ---------------------------------------------------------------------------
 
 def _svrg_epochs(budget: float, n: int, inner: int) -> int:
     return max(1, int(budget / (1.0 + 2.0 * inner / n)))
 
 
-def _svrg_point(point: dict, n: int, cap: float) -> dict:
-    """A stochastic step point with its defaults filled in (eta2 = eta1,
-    inner_iters = 2n, mu = 1) and, unless it fixes them, the epochs that
-    ``cap`` grad-units afford; the keys are SvrgConfig's."""
+def _filled(point: dict, n: int) -> dict:
+    """SvrgConfig's step keys, in its order, from a stochastic step point on
+    an n-component sum, with defaults for the keys it leaves out:
+    eta2 = eta1, inner_iters = 2n, mu = 1."""
     eta1 = float(point["eta1"])
-    inner = int(point.get("inner_iters", 2 * n))
     return {"eta1": eta1, "eta2": float(point.get("eta2", eta1)),
-            "inner_iters": inner, "mu": float(point.get("mu", 1.0)),
-            "epochs": int(point.get("epochs", _svrg_epochs(cap, n, inner)))}
+            "inner_iters": int(point.get("inner_iters", 2 * n)),
+            "mu": float(point.get("mu", 1.0))}
 
 
 def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
                cap: float, tol: float, seed: int = 0):
     """One run of ``solver`` from the step ``point``, capped at ``cap``
-    grad-units and stopped once dist_x <= tol.  A batch point holds the
-    runner's step arguments; a stochastic one is completed by _svrg_point."""
+    grad-units and stopped once dist_x <= tol; returns the trace and the
+    runner's step arguments.  A batch point holds those already; a
+    stochastic one is completed here, the one place that does so: _filled's
+    defaults and, unless the point fixes them, the epochs ``cap`` affords."""
     entry = SOLVERS[solver]
     run = globals()[entry.runner]
     stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol)
     if entry.form is None:
-        return run(bundle.problem, **point, stop=stop, x_star=bundle.x_star)
+        return run(bundle.problem, **point, stop=stop, x_star=bundle.x_star), point
     fsp = bundle.finite_sum(entry.form)
-    cfg = SvrgConfig(seed=seed, **_svrg_point(point, fsp.n, cap))
-    return run(fsp, cfg=cfg, x_star=bundle.x_star, stop=stop)
+    full = _filled(point, fsp.n)
+    full["epochs"] = (int(point["epochs"]) if "epochs" in point
+                      else _svrg_epochs(cap, fsp.n, full["inner_iters"]))
+    return run(fsp, cfg=SvrgConfig(seed=seed, **full), x_star=bundle.x_star, stop=stop), full
 
 
-def _run_one(bundle: InstanceBundle, spec: SolverSpec, schedule: dict,
-             stop: StoppingRule, budget: float, base_seed: int,
-             repetitions: int = 1):
+def _shown(point: dict) -> dict:
+    """Runner step arguments as summary.json shows them: a certified
+    schedule by its steps, its lambda (a PdgSchedule's) and its rate."""
+    sched = point.get("schedule")
+    if sched is None:
+        return point
+    lam = {"lambda": sched.lambda_} if isinstance(sched, PdgSchedule) else {}
+    return {"eta1": sched.eta1, "eta2": sched.eta2, **lam, "rate": sched.rate}
+
+
+def _run_one(bundle: InstanceBundle, spec: SolverSpec, stop: StoppingRule,
+             budget: float, seed: int):
     """Run one solver entry; returns (trace, info dict, list of rep traces).
 
-    The stopping rule's max_iters caps a batch run and ``budget`` a
-    stochastic one; only stochastic entries repeat, over seeds base_seed + r.
-    """
-    problem = bundle.problem
+    The step point comes from the entry's theory variant, its explicit
+    steps or the best point of its grid.  The stopping rule's max_iters caps
+    a batch run and ``budget`` a stochastic one, which runs
+    ``spec.repetitions`` times, over seeds seed + r."""
     entry = SOLVERS[spec.name]
-    source = schedule["source"]
-    info: dict = {"name": spec.name, "source": source}
-    if source == "grid":
-        result = grid_search(bundle, spec.name, schedule, budget=budget,
-                             seed=base_seed)
-        if result["status"] != "ok":
-            raise DivergenceError("no convergent schedule in the grid", 0, None)
-        info["grid_best"] = schedule = result["best"]
-        source = "explicit"
-
-    if entry.form is not None:
-        n = bundle.finite_sum(entry.form).n
-        if source == "theory":
-            base = default_svrg_config(bundle.finite_sum("fsp"))
-            schedule = dict(schedule, eta1=base.eta1, eta2=base.eta2,
-                            inner_iters=base.inner_iters, mu=base.mu)
-        point = info["schedule"] = _svrg_point(schedule, n, budget)
-        traces = [_run_point(bundle, spec.name, point, cap=budget, tol=stop.tol,
-                             seed=base_seed + r)
-                  for r in range(repetitions)]
-        return traces[0], info, traces
-
-    if source == "explicit":
-        point = info["schedule"] = {k: float(schedule[k]) for k in entry.keys}
-    elif spec.name == "primal_gd":
-        point = info["schedule"] = {"eta": primal_step(problem.params)}
+    schedule = spec.schedule
+    info: dict = {"name": spec.name, "source": schedule["source"]}
+    if schedule["source"] == "theory":
+        point = entry.theory[schedule.get("variant")](bundle)
     else:
-        sc = schedule["variant"] == "sc"
-        sched = _sc_schedule(problem) if sc else pdg_schedule(problem.params)
-        point = {"schedule": sched}
-        info["schedule"] = {"eta1": sched.eta1, "eta2": sched.eta2,
-                            **({} if sc else {"lambda": sched.lambda_}), "rate": sched.rate}
-    trace = _run_point(bundle, spec.name, point, cap=stop.max_iters, tol=stop.tol)
-    return trace, info, [trace]
+        if schedule["source"] == "grid":
+            result = grid_search(bundle, spec.name, schedule, budget=budget, seed=seed)
+            if result["status"] != "ok":
+                raise DivergenceError("no convergent schedule in the grid", 0, None)
+            info["grid_best"] = schedule = result["best"]
+        point = {k: float(schedule[k]) for k in (*entry.keys, "epochs") if k in schedule}
+    cap = stop.max_iters if entry.form is None else budget
+    runs = [_run_point(bundle, spec.name, point, cap=cap, tol=stop.tol, seed=seed + r)
+            for r in range(spec.repetitions)]
+    info["schedule"] = _shown(runs[0][1])
+    traces = [trace for trace, _ in runs]
+    return traces[0], info, traces
 
 
 def _unique_stem(name: str, used: set) -> str:
@@ -500,10 +527,8 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         stem = _unique_stem(spec.label or spec.name, used)
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
-            trace, info, reps = _run_one(
-                bundle, spec, spec.schedule, config.stopping, config.budget,
-                config.seed, spec.repetitions,
-            )
+            trace, info, reps = _run_one(bundle, spec, config.stopping, config.budget,
+                                         config.seed)
             entry.update(info)
             entry["status"] = "ok"
         except DivergenceError as exc:
@@ -528,16 +553,8 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         summary["solvers"].append(entry)
 
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=_json_default, allow_nan=False)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     return summary
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -545,24 +562,27 @@ def _json_default(obj):
 # ---------------------------------------------------------------------------
 
 def _grid_points(solver: str, grid: dict, n: int | None):
-    """Cartesian product of the per-parameter value lists of a grid read
-    through _schedule_fields, deterministic order."""
+    """The keys of ``solver``'s grid and its points, sorted by value: the
+    Cartesian product of the value lists of a grid read through
+    _schedule_fields, with a stochastic point's defaults (_filled) on an
+    n-component sum for the keys the grid leaves out."""
     keys = list(SOLVERS[solver].keys)
     points = [{}]
-    for key in keys:
-        values = grid.get(key) or [2 * n]  # inner_iters: [2n] by default
-        points = [dict(p, **{key: float(v)}) for v in values for p in points]
-    # deterministic ordering: sort by parameter tuple
+    for key in (k for k in keys if k in grid):
+        points = [dict(p, **{key: v}) for v in grid[key] for p in points]
+    if n is not None:
+        points = [_filled(p, n) for p in points]
+    points = [{k: float(p[k]) for k in keys} for p in points]
     points.sort(key=lambda p: tuple(p[k] for k in keys))
     return keys, points
 
 
 def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
-                budget: float, seed: int = 0, stop_tol: float = 1e-300) -> dict:
+                budget: float, seed: int = 0) -> dict:
     """Run every grid point to the grad-unit budget; rank by final dist_x
     (ties broken by smaller eta1 then smaller eta2).
 
-    Returns {"status", "best", "ranked", "rows"}; status is
+    Returns {"status", "best", "ranked", "keys"}; status is
     "no_convergent_schedule" when every point diverges.
     """
     if bundle.x_star is None:
@@ -574,8 +594,7 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
     for point in points:
         row = dict(point)
         try:
-            trace = _run_point(bundle, solver, point, cap=budget, tol=stop_tol,
-                               seed=seed)
+            trace, _ = _run_point(bundle, solver, point, cap=budget, tol=1e-300, seed=seed)
             row["final_dist_x"] = trace.final_dist_x()
             row["status"] = "ok"
         except DivergenceError as exc:
@@ -584,15 +603,9 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
             row["error"] = str(exc)
         rows.append(row)
 
-    def rank_key(row):
-        fd = row["final_dist_x"]
-        return (
-            math.inf if fd is None else fd,
-            row.get("eta1", row.get("eta", 0.0)),
-            row.get("eta2", 0.0),
-        )
-
-    ranked = sorted(rows, key=rank_key)
+    ranked = sorted(rows, key=lambda row: (row["final_dist_x"],
+                                           row.get("eta1", row.get("eta", 0.0)),
+                                           row.get("eta2", 0.0)))
     ok = [r for r in ranked if r["status"] == "ok"]
     if not ok:
         return {"status": "no_convergent_schedule", "best": None,
@@ -626,7 +639,7 @@ def measure_units_to_target(
         point = {k: row[k] for k in entry.keys if k in row}
         cap = max_units if best is None else best[0]
         try:
-            trace = _run_point(bundle, solver, point, cap=cap, tol=tol, seed=seed)
+            trace, _ = _run_point(bundle, solver, point, cap=cap, tol=tol, seed=seed)
         except DivergenceError:
             continue
         units = trace.units_to_target(target)
@@ -660,18 +673,12 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
             writer.writerow([*keys, "final_dist_x", "status"])
             for row in result["ranked"]:
                 writer.writerow([
-                    *(repr(row[k]) for k in keys),
-                    "" if row["final_dist_x"] is None else repr(float(row["final_dist_x"])),
-                    row["status"],
+                    *(repr(row[k]) for k in keys), repr(row["final_dist_x"]), row["status"],
                 ])
-        report["solvers"].append({
-            "name": spec.name,
-            "sweep_csv": sweep_path.name,
-            "status": result["status"],
-            "best": result["best"],
-        })
+        report["solvers"].append({"name": spec.name, "sweep_csv": sweep_path.name,
+                                  "status": result["status"], "best": result["best"]})
     with open(out / "best.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, default=_json_default, allow_nan=False)
+        json.dump(report, fh, indent=2, allow_nan=False)
     return report
 
 
@@ -697,21 +704,10 @@ def cmd_estimate(instance_spec: dict) -> dict:
         raise
     p = bundle.problem.params
     sched = pdg_schedule(p)
-    out = {
-        "status": "ok",
-        "family": bundle.family,
-        "d1": bundle.problem.d1,
-        "d2": bundle.problem.d2,
-        "rho": p.rho,
-        "alpha": p.alpha,
-        "beta": p.beta,
-        "sigma_max": p.sigma_max,
-        "sigma_min": p.sigma_min,
-        "lambda": sched.lambda_,
-        "eta1": sched.eta1,
-        "eta2": sched.eta2,
-        "rate": sched.rate,
-    }
+    # the curvature constants, rho to sigma_min, in SmoothnessParams order
+    out = {"status": "ok", "family": bundle.family, "d1": bundle.problem.d1,
+           "d2": bundle.problem.d2, **vars(p), "lambda": sched.lambda_,
+           "eta1": sched.eta1, "eta2": sched.eta2, "rate": sched.rate}
     if bundle.fsp is not None:
         out["M"] = bundle.fsp.M
     return out
@@ -853,14 +849,12 @@ def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
         found = None
         tried = []
         for c_eta, n_mult in _HALVING_SEARCH:
-            eta = c_eta * base
-            inner = n_mult * n
-            ratios = _halving_ratio(fsp, x_star, eta, inner, seeds, epochs)
-            tried.append({"eta": eta, "inner_iters": inner,
+            point = _filled({"eta1": c_eta * base, "inner_iters": n_mult * n}, n)
+            ratios = _halving_ratio(fsp, x_star, point, seeds, epochs)
+            tried.append({"eta": point["eta1"], "inner_iters": point["inner_iters"],
                           "max_ratio": ratios})
             if ratios is not None and ratios <= 0.5:
-                found = {"eta1": eta, "eta2": eta, "inner_iters": inner,
-                         "mu": 1.0, "max_mean_ratio": ratios}
+                found = {**point, "max_mean_ratio": ratios}
                 break
         if found is None:
             refuted = True
@@ -872,11 +866,10 @@ def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
     }
 
 
-def _halving_ratio(fsp, x_star, eta, inner, seeds, epochs) -> float | None:
+def _halving_ratio(fsp, x_star, point, seeds, epochs) -> float | None:
     pots = []
     for s in range(seeds):
-        cfg = SvrgConfig(eta1=eta, eta2=eta, inner_iters=inner,
-                         epochs=epochs, seed=s, mu=1.0)
+        cfg = SvrgConfig(**point, epochs=epochs, seed=s)
         try:
             trace = run_pdsvrg(fsp, cfg=cfg, x_star=x_star)
         except DivergenceError:
@@ -888,22 +881,23 @@ def _halving_ratio(fsp, x_star, eta, inner, seeds, epochs) -> float | None:
     return float(np.max(mean[1:] / mean[:-1]))
 
 
+# suite -> its check, called as (trials, seed, **options)
+_SUITES = {
+    "contraction": _verify_contraction,
+    "sc_contraction": functools.partial(_verify_contraction, iters=300, strongly_convex=True),
+    "props": _verify_props,
+    "svrg_halving": _verify_svrg_halving,
+}
+
+
 def cmd_verify(suite: str, trials: int, seed: int = 0, **kw) -> dict:
-    """Dispatch a certificate suite; the report carries a 'refuted' flag."""
+    """Run the certificate suite ``suite`` of _SUITES; the report carries a
+    'refuted' flag."""
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if value < least:
             raise ConfigError(name, f"must be >= {least}, got {value}")
-    if suite == "contraction":
-        return _verify_contraction(trials, seed, **kw)
-    if suite == "sc_contraction":
-        return _verify_contraction(trials, seed, **{"iters": 300, **kw},
-                                   strongly_convex=True)
-    if suite == "props":
-        return _verify_props(trials, seed, **kw)
-    if suite == "svrg_halving":
-        return _verify_svrg_halving(trials, seed, **kw)
-    raise ConfigError(
-        "suite",
-        f"unknown suite {suite!r}; expected contraction, sc_contraction, props "
-        f"or svrg_halving",
-    )
+    if suite not in _SUITES:
+        *names, last = _SUITES
+        raise ConfigError("suite", f"unknown suite {suite!r}; expected "
+                                   f"{', '.join(names)} or {last}")
+    return _SUITES[suite](trials, seed, **kw)

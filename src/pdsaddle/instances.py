@@ -13,6 +13,7 @@ forms, or closed-form bounds for the smoothed-L1 regularizer).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -598,10 +599,27 @@ def instance_to_json(inst) -> dict:
     raise TypeError(f"cannot serialize {type(inst).__name__}")
 
 
+def _leaves(value):
+    """The entries of a nested list, depth first."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _finite(value) -> bool:
+    """Whether a JSON value is a number a float holds finitely; a bool is
+    not a number."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def instance_from_json(doc: dict):
-    """The instance an ``instance_to_json`` document describes; ValueError
-    when the document is not an object, names no known family, lacks one of
-    the family's fields or holds a non-number where a number belongs."""
+    """The instance an ``instance_to_json`` document describes; ValueError,
+    naming the field, when the document is not an object, names no known
+    family, lacks one of the family's fields or holds anything but a finite
+    number where a number belongs, in a number field or an array entry."""
     if not isinstance(doc, dict):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
     family = doc.get("family")
@@ -612,9 +630,14 @@ def instance_from_json(doc: dict):
     if missing:
         raise ValueError(f"{family} instance document lacks {', '.join(missing)}")
     for k in numbers:
-        if not isinstance(doc[k], (int, float)):
-            raise ValueError(f"{family} instance field {k} must be a number, "
-                             f"got {type(doc[k]).__name__}")
+        if not _finite(doc[k]):
+            raise ValueError(f"{family} instance field {k} must be a finite number, "
+                             f"got {doc[k]!r}")
+    for k in arrays:
+        bad = [v for v in _leaves(doc[k]) if not _finite(v)]
+        if bad:
+            raise ValueError(f"{family} instance field {k} must hold finite numbers "
+                             f"only, got {bad[0]!r}")
     return cls(**{k: doc[k] for k in arrays + numbers})
 
 

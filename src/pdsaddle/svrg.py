@@ -73,7 +73,7 @@ class _FiniteSum:
     step-size heuristics.  With an aggregate, construction spot-checks that
     the averaged component gradients reproduce its oracles."""
 
-    def _finish(self, aggregate, norms, M, validate):
+    def _finish(self, aggregate, norms, M):
         self.aggregate = aggregate
         self.M = None
         if norms is not None:
@@ -81,7 +81,7 @@ class _FiniteSum:
             self.M = float(M) if M is not None else norm
             if self.M < norm - 1e-9 * max(1.0, norm):
                 raise ValueError(f"M={M} is below max component norm {norm:.6g}")
-        if validate and aggregate is not None:
+        if aggregate is not None:
             _validate(self)
 
     def __repr__(self):
@@ -98,8 +98,7 @@ class RowSum(_FiniteSum):
     forms = ("saddle", "primal")
 
     def __init__(self, A, b, grad_f: Callable[[np.ndarray], np.ndarray],
-                 aggregate: SaddleProblem, M: float | None = None,
-                 validate: bool = True):
+                 aggregate: SaddleProblem, M: float | None = None):
         # C order keeps the stacked gradients' axis-0 sums in row order
         self.A = np.ascontiguousarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
@@ -109,7 +108,7 @@ class RowSum(_FiniteSum):
         self.grad_f = grad_f
         self.n, self.d1 = self.A.shape
         self.d2 = self.n
-        self._finish(aggregate, [float(np.linalg.norm(a)) for a in self.A], M, validate)
+        self._finish(aggregate, [float(np.linalg.norm(a)) for a in self.A], M)
 
     def _full_pass(self, x, y=None):
         """All component gradients at (x, y) and their averages; the primal
@@ -139,8 +138,7 @@ class DenseSum(_FiniteSum):
     ``M`` defaults to max_i sigma_max(A_i)."""
 
     def __init__(self, B, b, A=None, C=None, c=None,
-                 aggregate: SaddleProblem | None = None, M: float | None = None,
-                 validate: bool = True):
+                 aggregate: SaddleProblem | None = None, M: float | None = None):
         self.B, self.b = np.asarray(B, dtype=float), np.asarray(b, dtype=float)
         self.n, self.d1 = self.b.shape
         if any((v is None) != (A is None) for v in (C, c, aggregate)):
@@ -159,7 +157,7 @@ class DenseSum(_FiniteSum):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape}")
-        self._finish(aggregate, norms, M, validate)
+        self._finish(aggregate, norms, M)
 
     def _full_pass(self, x, y=None):
         """All component gradients at (x, y) and their averages; the primal

@@ -89,8 +89,6 @@ def pdg_schedule(p: SmoothnessParams) -> PdgSchedule:
     The resulting eta1 always satisfies eta1 <= 1/(2 kappa_P), which is what
     the contraction argument needs.
     """
-    if not isinstance(p, SmoothnessParams):
-        p = SmoothnessParams(*p)
     kappa_p = p.rho + p.sigma_max**2 / p.alpha
     lam = 2.0 * p.beta * p.sigma_max * kappa_p / (p.alpha * p.sigma_min**2)
     eta1 = p.alpha / ((p.alpha + p.beta) * (p.sigma_max**2 / p.alpha + lam * p.sigma_max))

@@ -87,7 +87,7 @@ def _entry(draw):
     source = draw(st.sampled_from(_choices(harness._schedule_fields(name, None)["source"])))
     schedule = _object(harness._schedule_fields(name, source),
                        {"source": st.just(source)})
-    return draw(_object(harness._ENTRY,
+    return draw(_object(harness._entry_fields(name),
                         {"name": st.just(name), "schedule": schedule}))
 
 
@@ -125,7 +125,7 @@ def _tables(doc):
     yield "config.stopping", doc["stopping"], harness._STOPPING
     for i, entry in enumerate(doc["solvers"]):
         path = f"config.solvers[{i}]"
-        yield path, entry, harness._ENTRY
+        yield path, entry, harness._entry_fields(entry["name"])
         schedule = entry["schedule"]
         yield (f"{path}.schedule", schedule,
                harness._schedule_fields(entry["name"], schedule["source"]))

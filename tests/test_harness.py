@@ -291,6 +291,7 @@ def test_cmd_verify_contraction_small():
 def test_cmd_verify_sc_contraction_small():
     report = cmd_verify("sc_contraction", trials=5, seed=200)
     assert report["passes"] == 5 and not report["refuted"]
+    assert report["iters"] == 300  # the suite's own default
 
 
 def test_cmd_verify_props_small_and_gating():
@@ -344,6 +345,13 @@ def test_cmd_estimate_diagonal_singular_values():
     assert report["sigma_min"] == pytest.approx(1.0)
 
 
+def test_cmd_estimate_reports_the_component_bound_of_a_split_instance():
+    spec = dict(_quad_instance_spec(), splits=9)
+    report = cmd_estimate(spec)
+    assert report["status"] == "ok"
+    assert report["M"] == build_instance(spec).fsp.M
+
+
 def test_cmd_estimate_rank_deficient_diagnostic():
     report = cmd_estimate({"family": "quadratic", "data": {
         "family": "quadratic",
@@ -391,6 +399,49 @@ def test_cli_end_to_end(tmp_path):
 
     bad = _write(tmp_path, "bad.json", {"instance": {"family": "nope"}, "solvers": []})
     assert cli.main(["solve", "--config", bad, "--out", str(tmp_path / "x")]) == 1
+
+
+def test_cmd_solve_mspbe_generated_and_pinned(tmp_path):
+    from pdsaddle.instances import instance_to_json, random_mspbe
+    pinned = {"family": "mspbe", "normalize": True,
+              "data": instance_to_json(random_mspbe(30, 4, seed=2))}
+    for k, instance in enumerate([{"family": "mspbe", "n": 30, "d": 4, "seed": 2},
+                                  pinned]):
+        config = ExperimentConfig.from_dict({
+            "stopping": {"max_iters": 300, "tol": 1e-9}, "instance": instance,
+            "solvers": [{"name": "pdg"}, {"name": "primal_gd"}]})
+        summary = cmd_solve(config, tmp_path / f"out{k}")
+        assert summary["instance"]["family"] == "mspbe"
+        for entry in summary["solvers"]:
+            # runs start at the origin, so the reference norm is the initial distance
+            assert entry["status"] == "ok" and entry["rows"] > 1
+            assert entry["final_dist_x"] < summary["instance"]["reference_norm"]
+
+
+def test_pinned_smoothed_l1_data_builds_as_its_generator():
+    from pdsaddle.instances import instance_to_json, make_smoothed_l1
+    spec = {"family": "smoothed_l1", "n": 40, "d": 6, "seed": 3}
+    data = make_smoothed_l1(40, 6, seed=3)
+    generated = build_instance(spec)
+    pinned = build_instance({"family": "smoothed_l1", "data": instance_to_json(data)})
+    assert np.array_equal(pinned.x_star, generated.x_star)
+    assert pinned.meta == generated.meta
+    assert pinned.fsp.M == generated.fsp.M
+
+
+@pytest.mark.parametrize("instance,message", [
+    ({"family": "smoothed_l1", "n": 20, "d": 4, "seed": 1},
+     "sc schedule needs a quadratic instance"),
+    # seed 0 draws a linear f: no strong convexity
+    ({"family": "random_quadratic", "d1": 3, "d2": 4, "seed": 0},
+     "sc schedule needs strongly convex f"),
+], ids=["smoothed_l1", "f_not_strongly_convex"])
+def test_sc_variant_needs_a_strongly_convex_quadratic(instance, message, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", {
+        "instance": instance,
+        "solvers": [{"name": "pdg", "schedule": {"source": "theory", "variant": "sc"}}]})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: config: {message}\n"
 
 
 def test_fitted_slope_behaviour():
@@ -581,6 +632,15 @@ def _grid_svrg(**grid):
                                            "eta2": [0.01], **grid}}
 
 
+# a valid pinned smoothed-L1 document, and that document with one field replaced
+_L1_DATA = {"family": "smoothed_l1", "A": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+            "b": [1.0, 2.0, 0.5], "a": 10.0, "lambda_reg": 0.1}
+
+
+def _pinned_l1(**fields):
+    return {"family": "smoothed_l1", "data": dict(_L1_DATA, **fields)}
+
+
 @pytest.mark.parametrize("doc,path", [
     (_doc({"family": "random_quadratic", "d1": True}), "config.instance.d1"),
     (_doc({"family": "smoothed_l1", "n": 0, "d": 3}), "config.instance.n"),
@@ -611,11 +671,18 @@ def _grid_svrg(**grid):
                                        "A": [[1.0]], "C": [[0.5]], "c": [0.0]}}),
      "config.instance"),
     (_doc(solvers=[{"name": "pdg", "label": "../escaped"}]), "config.solvers[0].label"),
+    (_doc(_pinned_l1(a=True)), "config.instance.data"),
+    (_doc(_pinned_l1(lambda_reg=float("inf"))), "config.instance.data"),
+    (_doc(_pinned_l1(A=[[1.0, 0.0], [0.0, float("nan")], [1.0, 1.0]])),
+     "config.instance.data"),
+    (_doc({**_pinned_l1(), "path": "elsewhere.json"}), "config.instance.path"),
+    (_doc(solvers=[{"name": "pdg", "repetitions": 5}]), "config.solvers[0].repetitions"),
 ], ids=["d1_bool", "n_zero", "budget_inf", "repetitions_bool", "seed_bool", "budget_bool",
         "variant_case", "variant_on_primal_gd", "variant_on_pdsvrg", "misspelt_stopping",
         "eta_in_theory", "epochs_in_grid", "grid_missing_eta2", "grid_inner_iters_fraction",
         "path_int", "density_above_1", "eta_inf", "pinned_family_mismatch",
-        "label_escapes_out_dir"])
+        "label_escapes_out_dir", "pinned_sharpness_bool", "pinned_lambda_inf",
+        "pinned_entry_nan", "data_and_path", "repetitions_on_batch_entry"])
 def test_malformed_documents_exit_1_before_any_output(doc, path, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", doc)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
