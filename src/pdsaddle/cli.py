@@ -88,9 +88,15 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
+            # a suite takes the scale flags its _SUITES entry names
             kw = {}
-            if args.suite == "props":
-                kw = {"eta1_scale": args.eta1_scale, "eta2_scale": args.eta2_scale}
+            for option in ("eta1_scale", "eta2_scale"):
+                value = getattr(args, option)
+                if option in _SUITES[args.suite].options:
+                    kw[option] = value
+                elif value is not None:
+                    raise ConfigError("--" + option.replace("_", "-"),
+                                      f"the {args.suite} suite takes no step scale")
             report = cmd_verify(args.suite, args.trials, args.seed, **kw)
             _print_report(report, args.out)
             return 2 if report.get("refuted") else 0

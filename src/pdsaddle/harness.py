@@ -472,20 +472,26 @@ def _shown(point: dict) -> dict:
     return {"eta1": sched.eta1, "eta2": sched.eta2, **lam, "rate": sched.rate}
 
 
-def _run_one(bundle: InstanceBundle, spec: SolverSpec, stop: StoppingRule,
-             budget: float, seed: int):
+def _theory_point(bundle: InstanceBundle, spec: SolverSpec) -> dict | None:
+    """The step point of a theory entry on ``bundle``; None for the other
+    sources."""
+    if spec.schedule["source"] != "theory":
+        return None
+    return SOLVERS[spec.name].theory[spec.schedule.get("variant")](bundle)
+
+
+def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
+             stop: StoppingRule, budget: float, seed: int):
     """Run one solver entry; returns (trace, info dict, list of rep traces).
 
-    The step point comes from the entry's theory variant, its explicit
-    steps or the best point of its grid.  The stopping rule's max_iters caps
-    a batch run and ``budget`` a stochastic one, which runs
+    The step point is ``point``, the entry's theory point, or else its
+    explicit steps or the best point of its grid.  The stopping rule's
+    max_iters caps a batch run and ``budget`` a stochastic one, which runs
     ``spec.repetitions`` times, over seeds seed + r."""
     entry = SOLVERS[spec.name]
     schedule = spec.schedule
     info: dict = {"name": spec.name, "source": schedule["source"]}
-    if schedule["source"] == "theory":
-        point = entry.theory[schedule.get("variant")](bundle)
-    else:
+    if point is None:
         if schedule["source"] == "grid":
             result = grid_search(bundle, spec.name, schedule, budget=budget, seed=seed)
             if result["status"] != "ok":
@@ -513,8 +519,11 @@ def _unique_stem(name: str, used: set) -> str:
 def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
     """Run every configured solver, write one trace CSV per solver plus
     summary.json.  A diverging solver is recorded in the summary without
-    aborting the others."""
+    aborting the others.  Every theory point is taken before the output
+    directory is made, so an instance that refuses one (say an sc variant on
+    an f that is not strongly convex) exits with nothing written."""
     bundle = build_instance(config.instance)
+    points = [_theory_point(bundle, spec) for spec in config.solvers]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -523,12 +532,12 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
     if bundle.x_star is not None:
         summary["instance"]["reference_norm"] = float(np.linalg.norm(bundle.x_star))
 
-    for spec in config.solvers:
+    for spec, point in zip(config.solvers, points):
         stem = _unique_stem(spec.label or spec.name, used)
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
-            trace, info, reps = _run_one(bundle, spec, config.stopping, config.budget,
-                                         config.seed)
+            trace, info, reps = _run_one(bundle, spec, point, config.stopping,
+                                         config.budget, config.seed)
             entry.update(info)
             entry["status"] = "ok"
         except DivergenceError as exc:
@@ -881,12 +890,19 @@ def _halving_ratio(fsp, x_star, point, seeds, epochs) -> float | None:
     return float(np.max(mean[1:] / mean[:-1]))
 
 
-# suite -> its check, called as (trials, seed, **options)
+class _Suite(NamedTuple):
+    """A verify suite: its check, called as (trials, seed, **options), and
+    the options it takes (the CLI's step-scale flags)."""
+    check: Callable[..., dict]
+    options: tuple[str, ...] = ()
+
+
 _SUITES = {
-    "contraction": _verify_contraction,
-    "sc_contraction": functools.partial(_verify_contraction, iters=300, strongly_convex=True),
-    "props": _verify_props,
-    "svrg_halving": _verify_svrg_halving,
+    "contraction": _Suite(_verify_contraction),
+    "sc_contraction": _Suite(functools.partial(_verify_contraction, iters=300,
+                                               strongly_convex=True)),
+    "props": _Suite(_verify_props, ("eta1_scale", "eta2_scale")),
+    "svrg_halving": _Suite(_verify_svrg_halving),
 }
 
 
@@ -900,4 +916,4 @@ def cmd_verify(suite: str, trials: int, seed: int = 0, **kw) -> dict:
         *names, last = _SUITES
         raise ConfigError("suite", f"unknown suite {suite!r}; expected "
                                    f"{', '.join(names)} or {last}")
-    return _SUITES[suite](trials, seed, **kw)
+    return _SUITES[suite].check(trials, seed, **kw)

@@ -21,7 +21,9 @@ Storage: a finite sum is held as arrays, in one of two kinds.
   and one gradient grad_f shared by every component.  Saddle form:
   f_i = f, A_i = e_i a_i^T and g_i(y) = y_i^2/2 + b_i y_i, so the dual part
   of component i's gradient is nonzero at coordinate i only.  Primal form,
-  on the same rows: P_i(x) = (a_i^T x - b_i)^2/2 + f(x).
+  on the same rows: P_i(x) = (a_i^T x - b_i)^2/2 + f(x).  grad_f is called
+  as grad_f(x); one whose second parameter is named ``out`` is also called
+  as grad_f(x, buf), and must then write grad f(x) into buf and return it.
 * ``DenseSum``, explicit quadratic components stacked along axis 0:
   gradient (B_i x + b_i + A_i^T y, A_i x - (C_i y - c_i)), i.e.
   f_i(x) = x^T B_i x/2 + b_i^T x and g_i(y) = y^T C_i y/2 - c_i^T y.
@@ -30,7 +32,10 @@ Storage: a finite sum is held as arrays, in one of two kinds.
 A full pass evaluates all components as one array expression whose
 arithmetic is that of one component at a time, bit for bit: stacked matvecs
 are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
-``A @ x`` sums in another order).
+``A @ x`` sums in another order).  A single component is written into
+buffers its caller owns (``_buffers``), so the inner loop allocates nothing;
+each kind has that one component formula, which ``component_grad`` and the
+epoch loop share.
 
 Random stream: per epoch the N component indices are drawn as one
 ``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``, both
@@ -44,6 +49,7 @@ inner step).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -106,6 +112,10 @@ class RowSum(_FiniteSum):
             raise ValueError(f"need rows A (n x d) and n targets, got shapes "
                              f"{self.A.shape} and {self.b.shape}")
         self.grad_f = grad_f
+        self._grad_f_into = _writer(grad_f)
+        # row views and float targets, built once: a list index is cheaper
+        # than A[i] or b[i] in the inner loop
+        self._rows, self._targets = list(self.A), self.b.tolist()
         self.n, self.d1 = self.A.shape
         self.d2 = self.n
         self._finish(aggregate, [float(np.linalg.norm(a)) for a in self.A], M)
@@ -122,13 +132,26 @@ class RowSum(_FiniteSum):
         gys = dots - (y + self.b)
         return gxs, gys, np.sum(gxs, axis=0) / self.n, gys / self.n
 
-    def _component(self, i, x, y=None):
-        """Gradient of component i; its dual part is the scalar at
-        coordinate i."""
-        a = self.A[i]
+    def _buffers(self):
+        """Fresh buffers for ``_component``: the primal part and scratch."""
+        return np.empty(self.d1), np.empty(self.d1), np.empty(())
+
+    def _component(self, i, x, y=None, out=None):
+        """Gradient of component i, gx in the primal form (y None), else
+        (gx, gy) with gy the dual part's scalar at coordinate i.  gx is
+        written into ``out`` from ``_buffers`` (fresh ones when None).  The
+        row dots are BLAS dots, and the scalar factors 0-d arrays
+        (``y[i, ...]`` is a view): a ufunc multiplies by those faster than
+        by a float."""
+        a = self._rows[i]
+        gx, tmp, r = self._buffers() if out is None else out
+        self._grad_f_into(x, gx)
         if y is None:
-            return self.grad_f(x) + (a @ x - self.b[i]) * a
-        return self.grad_f(x) + y[i] * a, a @ x - (y[i] + self.b[i])
+            r[()] = a.dot(x) - self._targets[i]
+            np.multiply(r, a, tmp)
+            return np.add(gx, tmp, gx)
+        np.multiply(y[i, ...], a, tmp)
+        return np.add(gx, tmp, gx), a.dot(x) - (y[i] + self._targets[i])
 
 
 class DenseSum(_FiniteSum):
@@ -150,6 +173,8 @@ class DenseSum(_FiniteSum):
             self.A, self.C, self.c = (np.asarray(v, dtype=float) for v in (A, C, c))
             self.d2 = self.c.shape[1]
             self._At = np.swapaxes(self.A, 1, 2)
+            self._Ai, self._Ati, self._Ci, self._ci = map(list, (self.A, self._At,
+                                                                self.C, self.c))
             want.update(A=(self.n, self.d2, self.d1), C=(self.n, self.d2, self.d2),
                         c=(self.n, self.d2))
             norms = [float(np.linalg.svd(a, compute_uv=False)[0]) for a in self.A]
@@ -157,6 +182,7 @@ class DenseSum(_FiniteSum):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape}")
+        self._Bi, self._bi = list(self.B), list(self.b)  # per-component views
         self._finish(aggregate, norms, M)
 
     def _full_pass(self, x, y=None):
@@ -169,11 +195,39 @@ class DenseSum(_FiniteSum):
         gys = self.A @ x - (self.C @ y - self.c)
         return gxs, gys, np.sum(gxs, axis=0) / self.n, np.sum(gys, axis=0) / self.n
 
-    def _component(self, i, x, y=None):
-        gx = self.B[i] @ x + self.b[i]
+    def _buffers(self):
+        """Fresh buffers for ``_component``: the two parts and scratch."""
+        d2 = self.d2 or 0
+        return np.empty(self.d1), np.empty(self.d1), np.empty(d2), np.empty(d2)
+
+    def _component(self, i, x, y=None, out=None):
+        """Gradient of component i, gx in the primal form (y None), else
+        (gx, gy), written into ``out`` from ``_buffers`` (fresh ones when
+        None)."""
+        gx, tx, gy, ty = self._buffers() if out is None else out
+        np.add(np.matmul(self._Bi[i], x, gx), self._bi[i], gx)
         if y is None:
             return gx
-        return gx + self.A[i].T @ y, self.A[i] @ x - (self.C[i] @ y - self.c[i])
+        np.add(gx, np.matmul(self._Ati[i], y, tx), gx)
+        np.subtract(np.matmul(self._Ci[i], y, ty), self._ci[i], ty)
+        return gx, np.subtract(np.matmul(self._Ai[i], x, gy), ty, gy)
+
+
+def _writer(grad_f):
+    """``grad_f`` as a call (x, out) that writes grad f(x) into ``out``:
+    grad_f itself when its second parameter is ``out``, else a copy of
+    grad_f(x)."""
+    try:
+        takes_out = list(inspect.signature(grad_f).parameters)[1:2] == ["out"]
+    except (TypeError, ValueError):  # a callable without a signature
+        takes_out = False
+    if takes_out:
+        return grad_f
+
+    def into(x, out):
+        out[...] = grad_f(x)
+        return out
+    return into
 
 
 def _validate(fsp, points: int = 2, tol: float = 1e-9):
@@ -239,6 +293,7 @@ def component_grad(fsp: RowSum | DenseSum, i: int, x: np.ndarray, y: np.ndarray
     """
     if not 0 <= i < fsp.n:
         raise IndexError(f"component index {i} out of range [0, {fsp.n})")
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     gx, gy = fsp._component(i, x, y)
     if isinstance(fsp, RowSum):
         gy_i, gy = gy, np.zeros(fsp.n)
@@ -322,7 +377,10 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     its primal form and the dual block is skipped (plain SVRG).  Inner
     iterates alternate between two rows per variable; the snapshot index is
     drawn before the inner loop and its iterate copied when the loop reaches
-    it, and the end-of-epoch row checks x_N, y_N for finiteness.  Rows
+    it, and the end-of-epoch row checks x_N, y_N for finiteness.  A step
+    allocates nothing: the component goes into the run's own buffers, the
+    update x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in that
+    order, and the snapshot gradients are read through row views.  Rows
     go through the solvers' one recorder, which watches Q_t (primal-dual) or
     dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
     after a step with dist_x <= stop.tol."""
@@ -333,6 +391,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     row_sum = isinstance(fsp, RowSum)
     n, N = fsp.n, cfg.inner_iters
     eta1, eta2 = cfg.eta1, cfg.eta2
+    step1, step2 = np.array(eta1), np.array(eta2)  # 0-d: cheaper ufunc operands
     x_snap = np.asarray(x0, dtype=float).copy()
     y_snap = np.asarray(y0, dtype=float).copy() if dual else None
     agg = fsp.aggregate
@@ -373,6 +432,8 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     y = y_next = None
     if dual:
         y, y_next = np.empty(y_snap.size), np.empty(y_snap.size)
+    component, out = fsp._component, fsp._buffers()
+    add, subtract, multiply = np.add, np.subtract, np.multiply
 
     for epoch in range(cfg.epochs):
         # the snapshot draw follows the index draws in the stream, and the
@@ -387,8 +448,11 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
             if row_sum:
                 # per-coordinate dual scalars, read as Python floats
                 gys_at, full_gy_at = gys.tolist(), full_gy.tolist()
+            else:
+                gys = list(gys)
         else:
             gxs, full_gx = fsp._full_pass(x_snap)
+        gxs = list(gxs)
         comp_evals += n
         # gxs/gys hold every component gradient at the snapshot, so the inner
         # updates below reproduce vr_grad bit for bit without re-evaluating
@@ -400,17 +464,19 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                     if dual:
                         y_snap = y.copy()
                 if not dual:
-                    gx = fsp._component(i, x)
+                    gx = component(i, x, None, out)
                 else:
-                    gx, gy = fsp._component(i, x, y)
+                    gx, gy = component(i, x, y, out)
                     if row_sum:
                         # away from coordinate i the dual estimate is
                         # (0 - 0) + full_gy, so only coordinate i needs work
-                        np.add(y, drift, out=y_next)
+                        add(y, drift, y_next)
                         y_next[i] = y[i] + eta2 * ((gy - gys_at[i]) + full_gy_at[i])
                     else:
-                        np.add(y, eta2 * ((gy - gys[i]) + full_gy), out=y_next)
-                np.subtract(x, eta1 * ((gx - gxs[i]) + full_gx), out=x_next)
+                        add(subtract(gy, gys[i], gy), full_gy, gy)
+                        add(y, multiply(step2, gy, gy), y_next)
+                add(subtract(gx, gxs[i], gx), full_gx, gx)
+                subtract(x, multiply(step1, gx, gx), x_next)
                 if record_inner and stopped(record(
                         epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
                         epoch, x_next, y_next)):

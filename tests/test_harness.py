@@ -444,6 +444,19 @@ def test_sc_variant_needs_a_strongly_convex_quadratic(instance, message, tmp_pat
     assert capsys.readouterr().err == f"config error: config: {message}\n"
 
 
+def test_sc_variant_error_leaves_no_output(tmp_path, capsys):
+    # the pdg entry before it would run and write its CSV if the theory
+    # points were taken entry by entry
+    cfg = _write(tmp_path, "cfg.json", {
+        "instance": {"family": "random_quadratic", "seed": 1},
+        "solvers": [{"name": "pdg"},
+                    {"name": "pdg", "schedule": {"source": "theory", "variant": "sc"}}]})
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("config error: config: sc schedule needs "
+                                       "strongly convex f\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_fitted_slope_behaviour():
     units = np.arange(100, dtype=float)
     decaying = 10.0 ** (-0.05 * units)
@@ -615,6 +628,17 @@ def test_verify_props_rejects_nonpositive_step_scale(flag, value, capsys):
     assert err.startswith(f"config error: {flag[2:].replace('-', '_')}: must be > 0")
     with pytest.raises(ConfigError, match="eta2_scale"):
         cmd_verify("props", trials=1, eta2_scale=0.0)
+
+
+@pytest.mark.parametrize("suite", ["contraction", "sc_contraction", "svrg_halving"])
+@pytest.mark.parametrize("flag", ["--eta1-scale", "--eta2-scale"])
+def test_verify_step_scale_on_a_suite_without_scales_exits_1(suite, flag, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["verify", "--suite", suite, "--trials", "1", flag, "5", "--out", str(report)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"config error: {flag}: the {suite} suite takes no step scale\n"
+    assert out == "" and not report.exists()
 
 
 _QUAD = {"family": "random_quadratic", "d1": 3, "d2": 4}

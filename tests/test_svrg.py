@@ -202,6 +202,56 @@ def test_pdsvrg_inner_loop_replays_vr_grad(quad_fsp):
     np.testing.assert_array_equal(trace.column("dist_x")[1:], dists)
 
 
+def _buffer_cases(quad_fsp):
+    """(saddle sum, primal sum, x_star) for both sum kinds; the row sum's
+    grad_f returns its argument, so a sum that wrote into grad_f's result
+    would write into the iterate."""
+    problem, fsp, x_star, _ = quad_fsp
+    prim = split_quadratic_primal(problem, 20, seed=1)
+    rng = np.random.default_rng(5)
+    A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
+    agg = SaddleProblem(grad_f=lambda x: x, grad_g=lambda y: (y + b) / 12,
+                        coupling=A / 12, rho=1.0, alpha=1 / 12, beta=1 / 12)
+    rows = RowSum(A, b, agg.grad_f, agg)
+    return [(fsp, prim, x_star), (rows, rows, rng.standard_normal(4))]
+
+
+@pytest.mark.parametrize("kind", ["dense", "row"])
+def test_svrg_runs_leave_their_inputs_unchanged(quad_fsp, kind):
+    fsp, prim, x_star = _buffer_cases(quad_fsp)[kind == "row"]
+    rng = np.random.default_rng(8)
+    x0, y0 = rng.standard_normal(fsp.d1), rng.standard_normal(fsp.d2)
+    kept = [v.copy() for v in (x0, y0, x_star)]
+    cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=15, epochs=3, seed=4)
+    for record_inner in (False, True):
+        runs = [(run_pdsvrg(fsp, (x0, y0), cfg=cfg, x_star=x_star,
+                            record_inner=record_inner),
+                 run_primal_svrg(prim, x0, cfg=cfg, x_star=x_star,
+                                 record_inner=record_inner)) for _ in range(2)]
+        for v, k in zip((x0, y0, x_star), kept):
+            np.testing.assert_array_equal(v, k)
+        for first, second in zip(*runs):
+            for col in ("dist_x", "dist_y", "b_t", "potential"):
+                np.testing.assert_array_equal(first.column(col), second.column(col))
+
+
+@pytest.mark.parametrize("kind", ["dense", "row"])
+def test_component_and_vr_grads_are_not_overwritten_by_later_calls(quad_fsp, kind):
+    fsp = _buffer_cases(quad_fsp)[kind == "row"][0]
+    rng = np.random.default_rng(9)
+    x, y, xs, ys = (rng.standard_normal(d) for d in (fsp.d1, fsp.d2, fsp.d1, fsp.d2))
+    snap = full_grad(fsp, xs, ys)
+    got = [component_grad(fsp, 0, x, y), vr_grad(fsp, 1, x, y, xs, ys, snap)]
+    kept = [[v.copy() for v in pair] for pair in got]
+    for i in range(fsp.n):
+        component_grad(fsp, i, -x, 2 * y)
+        vr_grad(fsp, i, 3 * x, y, xs, -ys, snap)
+    for pair, copies in zip(got, kept):
+        for v, k in zip(pair, copies):
+            np.testing.assert_array_equal(v, k)
+    assert not np.shares_memory(got[0][0], got[1][0])
+
+
 def test_pdsvrg_deterministic(quad_fsp):
     _, fsp, x_star, _ = quad_fsp
     cfg = SvrgConfig(eta1=0.01, eta2=0.01, inner_iters=40, epochs=3, seed=123)
