@@ -307,22 +307,17 @@ def _reg_value(x, a):
     return float(np.sum(t + 2.0 * np.log1p(np.exp(-t))) / a)
 
 
-def _reg_grad(x, a):
-    # derivative of (1/a)[log(1+e^{at}) + log(1+e^{-at})] is tanh(at/2)
-    return np.tanh(0.5 * a * x)
-
-
 def _reg_grad_f(a, lam):
-    """grad f of the smoothed-L1 saddle, x -> lam * tanh(0.5 a x), written
-    into ``out`` when one is given.  Both factors are held as 0-d arrays: a
-    ufunc multiplies by those at about half the cost of a Python float, and
-    the products are the same."""
+    """Gradient of lam times the regularizer, x -> lam * tanh(0.5 a x): the
+    derivative of (1/a)[log(1+e^{at}) + log(1+e^{-at})] is tanh(at/2).  Both
+    factors are held as 0-d arrays: a ufunc multiplies by those at about
+    half the cost of a Python float, and the products are the same."""
     half_a, lam = np.array(0.5 * a), np.array(lam)
 
-    def grad_f(x, out=None):
-        out = np.multiply(half_a, x, out)
-        np.tanh(out, out)
-        return np.multiply(lam, out, out)
+    def grad_f(x):
+        g = np.multiply(half_a, x)
+        np.tanh(g, g)
+        return np.multiply(lam, g, g)
     return grad_f
 
 
@@ -426,13 +421,14 @@ def smoothed_l1_minimizer(
     n = inst.n
     ata = A.T @ A / n
     atb = A.T @ b / n
+    reg_grad = _reg_grad_f(a, lam)
 
     def value(x):
         r = A @ x - b
         return float(0.5 * r @ r / n + lam * _reg_value(x, a))
 
     def grad(x):
-        return ata @ x - atb + lam * _reg_grad(x, a)
+        return ata @ x - atb + reg_grad(x)
 
     x = np.zeros(inst.d)
     g = grad(x)

@@ -324,13 +324,11 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
     reference proves the iterate finite, so entries are checked one by one
     only without ``x_star`` or when a distance is not finite (an iterate
     that is finite but whose distance overflowed runs on).  One np.errstate
-    block covers the whole loop.  Norms are BLAS dots (``ndarray.dot``) and
-    the steps 0-d arrays, the cheapest call forms of the same arithmetic.
+    block covers the whole loop.
     """
     dual = y is not None
     if not (eta1 > 0 and (not dual or eta2 > 0)):
         raise ValueError("step sizes must be positive")
-    eta1, eta2 = np.array(eta1), np.array(eta2) if dual else None
     oracles = A, At, grad_f, _ = _oracles(problem)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
@@ -352,21 +350,21 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
         while True:
             if x_star is not None:
                 d = x - x_star
-                dist = math.sqrt(d.dot(d))
+                dist = math.sqrt(d @ d)
                 if dual:
                     d = y - y_star
-                    dist_y = math.sqrt(d.dot(d))
+                    dist_y = math.sqrt(d @ d)
             if not (x_star is not None and math.isfinite(dist)
                     and (not dual or math.isfinite(dist_y))):
                 rec.finite(t, x, y)
             if dual:
                 ax, gx, gy, x_next, y_next = _pd_step(oracles, x, y, eta1, eta2)
-                gnorm = math.sqrt(gx.dot(gx) + gy.dot(gy))
+                gnorm = math.sqrt(gx @ gx + gy @ gy)
             else:
                 gs = conj(A @ x)
                 gx = grad_f(x) + At @ gs
                 x_next = x - eta1 * gx
-                gnorm = math.sqrt(gx.dot(gx))
+                gnorm = math.sqrt(gx @ gx)
             if not math.isfinite(gnorm):
                 raise rec.error("non-finite gradient", t)
 
@@ -375,7 +373,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
             b_t = pot = None
             if dual:
                 d = y - conj(ax)
-                b_t = math.sqrt(d.dot(d))
+                b_t = math.sqrt(d @ d)
                 if potential is not None:
                     pot = potential(dist, dist_y, b_t)
             rec.append(t, t, float(t), dist, dist_y, b_t, pot)

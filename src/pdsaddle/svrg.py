@@ -21,9 +21,7 @@ Storage: a finite sum is held as arrays, in one of two kinds.
   and one gradient grad_f shared by every component.  Saddle form:
   f_i = f, A_i = e_i a_i^T and g_i(y) = y_i^2/2 + b_i y_i, so the dual part
   of component i's gradient is nonzero at coordinate i only.  Primal form,
-  on the same rows: P_i(x) = (a_i^T x - b_i)^2/2 + f(x).  grad_f is called
-  as grad_f(x); one whose second parameter is named ``out`` is also called
-  as grad_f(x, buf), and must then write grad f(x) into buf and return it.
+  on the same rows: P_i(x) = (a_i^T x - b_i)^2/2 + f(x).
 * ``DenseSum``, explicit quadratic components stacked along axis 0:
   gradient (B_i x + b_i + A_i^T y, A_i x - (C_i y - c_i)), i.e.
   f_i(x) = x^T B_i x/2 + b_i^T x and g_i(y) = y^T C_i y/2 - c_i^T y.
@@ -32,10 +30,9 @@ Storage: a finite sum is held as arrays, in one of two kinds.
 A full pass evaluates all components as one array expression whose
 arithmetic is that of one component at a time, bit for bit: stacked matvecs
 are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
-``A @ x`` sums in another order).  A single component is written into
-buffers its caller owns (``_buffers``), so the inner loop allocates nothing;
-each kind has that one component formula, which ``component_grad`` and the
-epoch loop share.
+``A @ x`` sums in another order).  Each kind has one formula for a single
+component, which ``component_grad`` and the epoch loop share; a row-sum
+component is written into buffers its caller owns (``_buffers``).
 
 Random stream: per epoch the N component indices are drawn as one
 ``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``, both
@@ -49,7 +46,6 @@ inner step).
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -112,7 +108,6 @@ class RowSum(_FiniteSum):
             raise ValueError(f"need rows A (n x d) and n targets, got shapes "
                              f"{self.A.shape} and {self.b.shape}")
         self.grad_f = grad_f
-        self._grad_f_into = _writer(grad_f)
         # row views and float targets, built once: a list index is cheaper
         # than A[i] or b[i] in the inner loop
         self._rows, self._targets = list(self.A), self.b.tolist()
@@ -133,25 +128,23 @@ class RowSum(_FiniteSum):
         return gxs, gys, np.sum(gxs, axis=0) / self.n, gys / self.n
 
     def _buffers(self):
-        """Fresh buffers for ``_component``: the primal part and scratch."""
-        return np.empty(self.d1), np.empty(self.d1), np.empty(())
+        """Fresh buffers for ``_component``: the primal part and a scalar."""
+        return np.empty(self.d1), np.empty(())
 
     def _component(self, i, x, y=None, out=None):
         """Gradient of component i, gx in the primal form (y None), else
         (gx, gy) with gy the dual part's scalar at coordinate i.  gx is
-        written into ``out`` from ``_buffers`` (fresh ones when None).  The
-        row dots are BLAS dots, and the scalar factors 0-d arrays
-        (``y[i, ...]`` is a view): a ufunc multiplies by those faster than
-        by a float."""
+        written into ``out`` from ``_buffers`` (fresh ones when None), never
+        into grad_f's result.  The row dots are BLAS dots, and the scalar
+        factors 0-d arrays (``y[i, ...]`` is a view): a ufunc multiplies by
+        those faster than by a float."""
         a = self._rows[i]
-        gx, tmp, r = self._buffers() if out is None else out
-        self._grad_f_into(x, gx)
+        gx, r = self._buffers() if out is None else out
         if y is None:
             r[()] = a.dot(x) - self._targets[i]
-            np.multiply(r, a, tmp)
-            return np.add(gx, tmp, gx)
-        np.multiply(y[i, ...], a, tmp)
-        return np.add(gx, tmp, gx), a.dot(x) - (y[i] + self._targets[i])
+            return np.add(self.grad_f(x), np.multiply(r, a, gx), gx)
+        return (np.add(self.grad_f(x), np.multiply(y[i, ...], a, gx), gx),
+                a.dot(x) - (y[i] + self._targets[i]))
 
 
 class DenseSum(_FiniteSum):
@@ -173,8 +166,6 @@ class DenseSum(_FiniteSum):
             self.A, self.C, self.c = (np.asarray(v, dtype=float) for v in (A, C, c))
             self.d2 = self.c.shape[1]
             self._At = np.swapaxes(self.A, 1, 2)
-            self._Ai, self._Ati, self._Ci, self._ci = map(list, (self.A, self._At,
-                                                                self.C, self.c))
             want.update(A=(self.n, self.d2, self.d1), C=(self.n, self.d2, self.d2),
                         c=(self.n, self.d2))
             norms = [float(np.linalg.svd(a, compute_uv=False)[0]) for a in self.A]
@@ -182,7 +173,6 @@ class DenseSum(_FiniteSum):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape}")
-        self._Bi, self._bi = list(self.B), list(self.b)  # per-component views
         self._finish(aggregate, norms, M)
 
     def _full_pass(self, x, y=None):
@@ -196,38 +186,16 @@ class DenseSum(_FiniteSum):
         return gxs, gys, np.sum(gxs, axis=0) / self.n, np.sum(gys, axis=0) / self.n
 
     def _buffers(self):
-        """Fresh buffers for ``_component``: the two parts and scratch."""
-        d2 = self.d2 or 0
-        return np.empty(self.d1), np.empty(self.d1), np.empty(d2), np.empty(d2)
+        """None: a dense component comes as fresh arrays."""
+        return None
 
     def _component(self, i, x, y=None, out=None):
         """Gradient of component i, gx in the primal form (y None), else
-        (gx, gy), written into ``out`` from ``_buffers`` (fresh ones when
-        None)."""
-        gx, tx, gy, ty = self._buffers() if out is None else out
-        np.add(np.matmul(self._Bi[i], x, gx), self._bi[i], gx)
+        (gx, gy), as fresh arrays; ``out`` is ignored."""
+        gx = self.B[i] @ x + self.b[i]
         if y is None:
             return gx
-        np.add(gx, np.matmul(self._Ati[i], y, tx), gx)
-        np.subtract(np.matmul(self._Ci[i], y, ty), self._ci[i], ty)
-        return gx, np.subtract(np.matmul(self._Ai[i], x, gy), ty, gy)
-
-
-def _writer(grad_f):
-    """``grad_f`` as a call (x, out) that writes grad f(x) into ``out``:
-    grad_f itself when its second parameter is ``out``, else a copy of
-    grad_f(x)."""
-    try:
-        takes_out = list(inspect.signature(grad_f).parameters)[1:2] == ["out"]
-    except (TypeError, ValueError):  # a callable without a signature
-        takes_out = False
-    if takes_out:
-        return grad_f
-
-    def into(x, out):
-        out[...] = grad_f(x)
-        return out
-    return into
+        return gx + self.A[i].T @ y, self.A[i] @ x - (self.C[i] @ y - self.c[i])
 
 
 def _validate(fsp, points: int = 2, tol: float = 1e-9):
@@ -377,10 +345,10 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     its primal form and the dual block is skipped (plain SVRG).  Inner
     iterates alternate between two rows per variable; the snapshot index is
     drawn before the inner loop and its iterate copied when the loop reaches
-    it, and the end-of-epoch row checks x_N, y_N for finiteness.  A step
-    allocates nothing: the component goes into the run's own buffers, the
-    update x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in that
-    order, and the snapshot gradients are read through row views.  Rows
+    it, and the end-of-epoch row checks x_N, y_N for finiteness.  The
+    component comes in the run's own buffers (fresh arrays for a dense sum),
+    the update x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in
+    that order, and the snapshot gradients are read through row views.  Rows
     go through the solvers' one recorder, which watches Q_t (primal-dual) or
     dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
     after a step with dist_x <= stop.tol."""

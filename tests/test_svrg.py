@@ -208,12 +208,17 @@ def _buffer_cases(quad_fsp):
     would write into the iterate."""
     problem, fsp, x_star, _ = quad_fsp
     prim = split_quadratic_primal(problem, 20, seed=1)
+    rows = _identity_rows(lambda x: x)
+    return [(fsp, prim, x_star), (rows, rows, np.random.default_rng(5).standard_normal(4))]
+
+
+def _identity_rows(grad_f):
+    """A 12-row sum in d=4 whose f has gradient x, computed by ``grad_f``."""
     rng = np.random.default_rng(5)
     A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
-    agg = SaddleProblem(grad_f=lambda x: x, grad_g=lambda y: (y + b) / 12,
+    agg = SaddleProblem(grad_f=grad_f, grad_g=lambda y: (y + b) / 12,
                         coupling=A / 12, rho=1.0, alpha=1 / 12, beta=1 / 12)
-    rows = RowSum(A, b, agg.grad_f, agg)
-    return [(fsp, prim, x_star), (rows, rows, rng.standard_normal(4))]
+    return RowSum(A, b, grad_f, agg)
 
 
 @pytest.mark.parametrize("kind", ["dense", "row"])
@@ -237,9 +242,12 @@ def test_svrg_runs_leave_their_inputs_unchanged(quad_fsp, kind):
 
 @pytest.mark.parametrize("kind", ["dense", "row"])
 def test_component_and_vr_grads_are_not_overwritten_by_later_calls(quad_fsp, kind):
+    # and leave their arguments unchanged, though the row sum's grad_f
+    # returns x itself
     fsp = _buffer_cases(quad_fsp)[kind == "row"][0]
     rng = np.random.default_rng(9)
-    x, y, xs, ys = (rng.standard_normal(d) for d in (fsp.d1, fsp.d2, fsp.d1, fsp.d2))
+    args = x, y, xs, ys = [rng.standard_normal(d) for d in (fsp.d1, fsp.d2, fsp.d1, fsp.d2)]
+    args_before = [v.copy() for v in args]
     snap = full_grad(fsp, xs, ys)
     got = [component_grad(fsp, 0, x, y), vr_grad(fsp, 1, x, y, xs, ys, snap)]
     kept = [[v.copy() for v in pair] for pair in got]
@@ -249,7 +257,21 @@ def test_component_and_vr_grads_are_not_overwritten_by_later_calls(quad_fsp, kin
     for pair, copies in zip(got, kept):
         for v, k in zip(pair, copies):
             np.testing.assert_array_equal(v, k)
+    for v, k in zip(args, args_before):
+        np.testing.assert_array_equal(v, k)
     assert not np.shares_memory(got[0][0], got[1][0])
+
+
+def test_row_sum_never_writes_into_grad_fs_result():
+    # a grad_f that returns its argument gives the traces of one that
+    # returns a copy, in both forms
+    cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=15, epochs=3, seed=4)
+    x_star = np.random.default_rng(6).standard_normal(4)
+    traces = [[run(fsp, cfg=cfg, x_star=x_star, record_inner=True).column("dist_x")
+               for run in (run_pdsvrg, run_primal_svrg)]
+              for fsp in (_identity_rows(lambda x: x), _identity_rows(np.copy))]
+    for own, copied in zip(*traces):
+        np.testing.assert_array_equal(own, copied)
 
 
 def test_pdsvrg_deterministic(quad_fsp):
