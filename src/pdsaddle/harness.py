@@ -444,15 +444,16 @@ def _filled(point: dict, n: int) -> dict:
 
 
 def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
-               cap: float, tol: float, seed: int = 0):
+               cap: float, tol: float, dist_tol: float | None = None, seed: int = 0):
     """One run of ``solver`` from the step ``point``, capped at ``cap``
-    grad-units and stopped once dist_x <= tol; returns the trace and the
-    runner's step arguments.  A batch point holds those already; a
-    stochastic one is completed here, the one place that does so: _filled's
-    defaults and, unless the point fixes them, the epochs ``cap`` affords."""
+    grad-units and stopped once a batch run's gradient norm drops to tol or
+    dist_x to dist_tol (default: tol); returns the trace and the runner's
+    step arguments.  A batch point holds those already; a stochastic one is
+    completed here, the one place that does so: _filled's defaults and,
+    unless the point fixes them, the epochs ``cap`` affords."""
     entry = SOLVERS[solver]
     run = globals()[entry.runner]
-    stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol)
+    stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol, dist_tol=dist_tol)
     if entry.form is None:
         return run(bundle.problem, **point, stop=stop, x_star=bundle.x_star), point
     fsp = bundle.finite_sum(entry.form)
@@ -633,11 +634,16 @@ def measure_units_to_target(
     winner guards against near-boundary points that led at the tuning budget
     but never converge; measuring a few points smooths out ranking noise
     among configurations that all hit the numeric floor before the budget
-    ended.  Later candidates only run as long as the incumbent's units."""
+    ended.  Later candidates only run as long as the incumbent's units.
+
+    Every candidate runs with dist_tol = target and a gradient-norm floor of
+    tol = target * 1e-3 (only batch runs check it), so it ends at the first
+    row with dist_x <= target, the row Trace.units_to_target reads, or at
+    the floor or the cap.  Such a run is a prefix of one that goes on to
+    dist_x <= target * 1e-3, so the units and the point are the ones that
+    longer run gives, with one exception: a run that reaches the target and
+    diverges later counts here, where the longer run was skipped."""
     entry = SOLVERS[solver]
-    # a batch run also stops on the gradient norm, so its tolerance sits well
-    # below the target; a stochastic run checks dist_x once per epoch
-    tol = target * 1e-3 if entry.form is None else 0.99 * target
     best: tuple[float, dict] | None = None
     measured = 0
     for row in ranked:
@@ -648,7 +654,8 @@ def measure_units_to_target(
         point = {k: row[k] for k in entry.keys if k in row}
         cap = max_units if best is None else best[0]
         try:
-            trace, _ = _run_point(bundle, solver, point, cap=cap, tol=tol, seed=seed)
+            trace, _ = _run_point(bundle, solver, point, cap=cap, tol=target * 1e-3,
+                                  dist_tol=target, seed=seed)
         except DivergenceError:
             continue
         units = trace.units_to_target(target)
@@ -772,8 +779,8 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
     diverging run ends the trial early without counting as a refutation.
     """
     for name, scale in (("eta1_scale", eta1_scale), ("eta2_scale", eta2_scale)):
-        if scale is not None and not scale > 0:
-            raise ConfigError(name, f"must be > 0, got {scale}")
+        if scale is not None and not 0 < scale < math.inf:
+            raise ConfigError(name, f"must be > 0 and finite, got {scale}")
     counts = {p: {"checked": 0, "violations": 0, "out_of_precondition": 0}
               for p in ("ghost_contraction", "primal_decrease",
                         "step_length", "dual_decrease")}

@@ -76,21 +76,29 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stop after max_iters steps or once an error measure drops below tol.
+    """Stop after max_iters steps, once the gradient norm drops to tol, or
+    once the distance drops to dist_tol.
 
-    The error measure is the joint gradient norm ||(gx, gy)||; when a
-    reference solution is supplied to the solver, ||x_t - x*|| <= tol also
-    stops the run.
+    The gradient norm is the joint ||(gx, gy)|| of a batch run (the
+    stochastic runs do not check it).  The distance ||x_t - x*|| is checked
+    when a reference solution is supplied to the solver.  ``dist_tol``
+    defaults to ``tol``, so one tolerance governs both unless a caller, such
+    as a run to a target distance, splits them.
     """
 
     max_iters: int = 1000
     tol: float = 1e-10
+    dist_tol: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise ValueError(f"tol must be > 0, got {self.tol}")
+        if self.dist_tol is None:
+            object.__setattr__(self, "dist_tol", self.tol)
+        elif not self.dist_tol > 0:
+            raise ValueError(f"dist_tol must be > 0, got {self.dist_tol}")
 
 
 class Trace:
@@ -369,7 +377,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
                 raise rec.error("non-finite gradient", t)
 
             stopping = (t >= stop.max_iters or gnorm <= stop.tol
-                        or (dist is not None and dist <= stop.tol))
+                        or (dist is not None and dist <= stop.dist_tol))
             b_t = pot = None
             if dual:
                 d = y - conj(ax)

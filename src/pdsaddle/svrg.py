@@ -46,7 +46,7 @@ inner step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -242,9 +242,6 @@ class SvrgConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def with_(self, **kw) -> "SvrgConfig":
-        return replace(self, **kw)
-
 
 def default_svrg_config(fsp: RowSum | DenseSum, epochs: int = 10, seed: int = 0) -> SvrgConfig:
     """Conservative defaults: eta1 = eta2 = alpha/(10 M^2), N = 2n, mu = 1."""
@@ -351,7 +348,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     that order, and the snapshot gradients are read through row views.  Rows
     go through the solvers' one recorder, which watches Q_t (primal-dual) or
     dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
-    after a step with dist_x <= stop.tol."""
+    after a step with dist_x <= stop.dist_tol."""
     dual = y0 is not None
     form = "saddle" if dual else "primal"
     if form not in fsp.forms:
@@ -387,7 +384,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         return cols
 
     def stopped(cols):
-        return stop is not None and cols and cols[0] <= stop.tol
+        return stop is not None and cols and cols[0] <= stop.dist_tol
 
     rng = np.random.default_rng(cfg.seed)
     trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)

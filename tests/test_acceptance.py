@@ -211,7 +211,7 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
         u_psvrg, _ = measure_units_to_target(
             bundle, "primal_svrg", candidates, deep, max_units=120_000, seed=seed)
         gd_trace = run_primal_gd(bundle.problem, eta=pt_gd["eta"],
-                                 stop=StoppingRule(500_000, deep * 1e-3),
+                                 stop=StoppingRule(500_000, deep * 1e-3, dist_tol=deep),
                                  x_star=bundle.x_star)
         u_gd_deep = gd_trace.units_to_target(deep)
         assert u_psvrg is not None and u_gd_deep is not None

@@ -547,6 +547,84 @@ def test_solver_table_reaches_runners_through_module_globals(monkeypatch, tmp_pa
     assert calls == {k: v + 1 for k, v in before.items()}
 
 
+def test_batch_to_target_runs_end_at_the_target_row(monkeypatch):
+    # a to-target run stops at the row units_to_target reads, not deeper
+    traces = []
+    for name in ("run_pdg", "run_primal_gd"):
+        def keeping(*args, _original=getattr(harness, name), **kwargs):
+            traces.append(_original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(harness, name, keeping)
+
+    bundle = build_instance(_split_spec())
+    target = 1e-4
+    for solver in ("pdg", "primal_gd"):
+        result = grid_search(bundle, solver, SMALL_GRIDS[solver], budget=40)
+        del traces[:]
+        units, _ = measure_units_to_target(bundle, solver, result["ranked"], target,
+                                           max_units=5000, try_top=2)
+        reached = [t for t in traces if t.units_to_target(target) is not None]
+        assert units is not None and reached
+        for trace in reached:
+            assert trace.grad_evals[-1] == trace.units_to_target(target)
+            assert trace.dist_x[-1] <= target < min(trace.dist_x[:-1])
+
+
+# three points per solver that all reach 1e-4 on _split_spec() within 5000 units
+WIDE_GRIDS = {
+    "pdg": {"eta1": [0.02, 0.035, 0.05], "eta2": [0.3]},
+    "primal_gd": {"eta": [0.1, 0.2, 0.3]},
+    "pdsvrg": {"eta1": [0.01, 0.02, 0.03], "eta2": [0.02]},
+    "primal_svrg": {"eta1": [0.01, 0.025, 0.04]},
+}
+
+
+def _units_to_target_past_the_target(bundle, solver, ranked, target, *,
+                                      max_units, seed, try_top):
+    """measure_units_to_target with one tolerance per run: a batch candidate
+    runs on until dist_x or its gradient norm is <= target * 1e-3, a
+    stochastic one until dist_x <= 0.99 * target."""
+    entry = harness.SOLVERS[solver]
+    tol = target * 1e-3 if entry.form is None else 0.99 * target
+    best, measured = None, 0
+    for row in ranked:
+        if measured >= try_top:
+            break
+        if row.get("status") != "ok":
+            continue
+        point = {k: row[k] for k in entry.keys if k in row}
+        cap = max_units if best is None else best[0]
+        try:
+            trace, _ = harness._run_point(bundle, solver, point, cap=cap, tol=tol,
+                                          seed=seed)
+        except harness.DivergenceError:
+            continue
+        units = trace.units_to_target(target)
+        if units is not None:
+            measured += 1
+            if best is None or units < best[0]:
+                best = (units, point)
+    return best if best is not None else (None, None)
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("order", ["ranked", "reversed"])
+@pytest.mark.parametrize("try_top", [1, 3])
+@pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
+def test_units_to_target_match_runs_past_the_target(solver, try_top, order):
+    bundle = build_instance(_split_spec())
+    ranked = grid_search(bundle, solver, WIDE_GRIDS[solver], budget=40, seed=1)["ranked"]
+    if order == "reversed":
+        ranked = ranked[::-1]  # the slowest point first, so try_top decides
+    for target in (1e-4, 1e-6):
+        got = measure_units_to_target(bundle, solver, ranked, target, max_units=5000,
+                                      seed=1, try_top=try_top)
+        assert got[0] is not None
+        assert got == _units_to_target_past_the_target(
+            bundle, solver, ranked, target, max_units=5000, seed=1, try_top=try_top)
+
+
 # ---------------------------------------------------------------------------
 # input errors end as exit 1 with a message
 # ---------------------------------------------------------------------------
@@ -628,6 +706,16 @@ def test_verify_props_rejects_nonpositive_step_scale(flag, value, capsys):
     assert err.startswith(f"config error: {flag[2:].replace('-', '_')}: must be > 0")
     with pytest.raises(ConfigError, match="eta2_scale"):
         cmd_verify("props", trials=1, eta2_scale=0.0)
+
+
+@pytest.mark.parametrize("flag", ["--eta1-scale", "--eta2-scale"])
+def test_verify_props_rejects_an_infinite_step_scale(flag, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = ["verify", "--suite", "props", "--trials", "1", flag, "inf", "--out", str(report)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == f"config error: {flag[2:].replace('-', '_')}: must be > 0 and finite, got inf\n"
+    assert out == "" and not report.exists()
 
 
 @pytest.mark.parametrize("suite", ["contraction", "sc_contraction", "svrg_halving"])

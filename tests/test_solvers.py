@@ -20,6 +20,7 @@ from pdsaddle import (
 )
 from pdsaddle.instances import random_quadratic
 from pdsaddle.problems import SaddleProblem
+from pdsaddle.theory import primal_step
 
 
 def test_pdg_step_zero_f(unit_problem):
@@ -264,3 +265,41 @@ def test_stopping_rule_validation():
         StoppingRule(max_iters=0)
     with pytest.raises(ValueError):
         StoppingRule(tol=0.0)
+
+
+def test_stopping_rule_dist_tol_defaults_to_tol():
+    assert StoppingRule(10, 1e-5).dist_tol == 1e-5
+    assert StoppingRule(10, 1e-5) == StoppingRule(10, 1e-5, dist_tol=1e-5)
+    assert StoppingRule(10, 1e-5, dist_tol=1e-2).dist_tol == 1e-2
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan])
+def test_stopping_rule_dist_tol_must_be_positive(bad):
+    with pytest.raises(ValueError, match="dist_tol must be > 0"):
+        StoppingRule(10, 1e-5, dist_tol=bad)
+
+
+@pytest.mark.parametrize("solver", ["pdg", "primal_gd"])
+def test_batch_run_stops_on_dist_tol_and_on_the_gradient_norm_at_tol(solver):
+    problem = random_quadratic(16)
+    x_star, _, _ = reference_solution(problem, "direct")
+    s = pdg_schedule(problem.params)
+
+    def run(stop, x_star=x_star):
+        if solver == "pdg":
+            return run_pdg(problem, eta1=s.eta1, eta2=s.eta2, stop=stop, x_star=x_star)
+        return run_primal_gd(problem, eta=primal_step(problem.params), stop=stop,
+                             x_star=x_star)
+
+    cap, target = 20_000, 1e-6
+    full = run(StoppingRule(cap, 1e-300))
+    hit = int(np.flatnonzero(full.column("dist_x") <= target)[0])
+    # distance: the run ends at the first row within dist_tol, a prefix of
+    # the run that goes on
+    short = run(StoppingRule(cap, 1e-300, dist_tol=target))
+    assert len(short) == hit + 1
+    np.testing.assert_array_equal(short.column("dist_x"), full.column("dist_x")[:hit + 1])
+    # gradient norm: tol alone ends the run, at the row it ends a run that
+    # measures no distance
+    by_grad = run(StoppingRule(cap, 1e-3, dist_tol=1e-300))
+    assert len(by_grad) == len(run(StoppingRule(cap, 1e-3), x_star=None)) < hit + 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,7 @@ def test_pdsvrg_deterministic(quad_fsp):
     t2 = run_pdsvrg(fsp, cfg=cfg, x_star=x_star)
     np.testing.assert_array_equal(t1.column("dist_x"), t2.column("dist_x"))
     np.testing.assert_array_equal(t1.column("potential"), t2.column("potential"))
-    t3 = run_pdsvrg(fsp, cfg=cfg.with_(seed=124), x_star=x_star)
+    t3 = run_pdsvrg(fsp, cfg=replace(cfg, seed=124), x_star=x_star)
     assert not np.array_equal(t1.column("dist_x"), t3.column("dist_x"))
 
 
