@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_report(report: dict, out: str | None):
     """Print ``report`` as JSON, and write it to ``out`` when given."""
-    text = json.dumps(report, indent=2, default=str)
+    text = json.dumps(report, indent=2, default=str, allow_nan=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -316,7 +316,7 @@ class InstanceBundle:
     primal_fsp: RowSum | DenseSum | None = None
     x_star: np.ndarray | None = None
     # nothing reads y_star; deleting it waits for the fix to perfbench's
-    # reference loop (ROADMAP item 2), whose timing its 4 KB array moves
+    # reference loop (ROADMAP item 1), whose timing its 4 KB array moves
     y_star: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -473,12 +473,26 @@ def _shown(point: dict) -> dict:
     return {"eta1": sched.eta1, "eta2": sched.eta2, **lam, "rate": sched.rate}
 
 
+def _theory(make, *args):
+    """``make(*args)``, a schedule or step of the theory.  Finite but extreme
+    curvature constants can overflow its formulas, divide by an underflowed
+    sigma_min^2 or give a rate outside (0, 1): that is a ConfigError at the
+    instance."""
+    try:
+        return make(*args)
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ConfigError("config.instance",
+                          f"no theory step for its curvature constants: {exc}") from exc
+
+
 def _theory_point(bundle: InstanceBundle, spec: SolverSpec) -> dict | None:
     """The step point of a theory entry on ``bundle``; None for the other
     sources."""
     if spec.schedule["source"] != "theory":
         return None
-    return SOLVERS[spec.name].theory[spec.schedule.get("variant")](bundle)
+    return _theory(SOLVERS[spec.name].theory[spec.schedule.get("variant")], bundle)
 
 
 def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
@@ -719,7 +733,7 @@ def cmd_estimate(instance_spec: dict) -> dict:
             }
         raise
     p = bundle.problem.params
-    sched = pdg_schedule(p)
+    sched = _theory(pdg_schedule, p)
     # the curvature constants, rho to sigma_min, in SmoothnessParams order
     out = {"status": "ok", "family": bundle.family, "d1": bundle.problem.d1,
            "d2": bundle.problem.d2, **vars(p), "lambda": sched.lambda_,
@@ -894,7 +908,10 @@ def _halving_ratio(fsp, x_star, point, seeds, epochs) -> float | None:
     mean = np.mean(pots, axis=0)
     if np.any(mean <= 0):
         return None
-    return float(np.max(mean[1:] / mean[:-1]))
+    # an underflowed potential gives an infinite ratio: no point found
+    with np.errstate(over="ignore"):
+        ratio = float(np.max(mean[1:] / mean[:-1]))
+    return ratio if math.isfinite(ratio) else None
 
 
 class _Suite(NamedTuple):

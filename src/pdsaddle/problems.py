@@ -17,7 +17,6 @@ the primal gradient grad P, and a finite-difference gradient checker.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,7 +41,8 @@ RANK_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
-    """An inner iterative solve failed to reach its tolerance.
+    """An iterative solve failed to reach its tolerance: raised by
+    ``reference_solution(mode="iterate")``.
 
     Carries the final residual so callers can decide whether the partial
     answer is still usable.
@@ -101,8 +101,9 @@ class SaddleProblem:
     grad_f, grad_g : callables mapping a vector to the gradient of f resp. g.
     coupling : the matrix A, shape (d2, d1).
     rho, alpha, beta : curvature constants, see SmoothnessParams.
-    conj_grad_g : optional closed-form map z -> grad g*(z).  When absent,
-        ``conj_grad`` falls back to an inner gradient-descent solve.
+    conj_grad_g : the closed-form conjugate map z -> grad g*(z), i.e. the
+        unique y with grad g(y) = z.  The ghost update, y* and b_t all go
+        through it.
     f_value, g_value : optional value oracles, used for finite-difference
         checks and objective-value reporting.
     """
@@ -116,7 +117,7 @@ class SaddleProblem:
         rho: float,
         alpha: float,
         beta: float,
-        conj_grad_g: Callable[[np.ndarray], np.ndarray] | None = None,
+        conj_grad_g: Callable[[np.ndarray], np.ndarray],
         f_value: Callable[[np.ndarray], float] | None = None,
         g_value: Callable[[np.ndarray], float] | None = None,
     ):
@@ -220,68 +221,18 @@ def _grad_L(oracles, x: np.ndarray, y: np.ndarray):
     return ax, grad_f(x) + At @ y, ax - grad_g(y)
 
 
-def _conj_grad_counted(
-    problem: SaddleProblem,
-    z: np.ndarray,
-    inner_tol: float = 1e-10,
-    max_inner_iters: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """grad g*(z) together with the number of inner iterations spent.
-
-    The count is 0 when a closed form is available.  The inner solve stops
-    once ||grad g(y) - z|| <= inner_tol * max(1, ||z||): relative to z, so
-    a large z does not ask for a residual below its roundoff floor.
+def conj_grad(problem: SaddleProblem, z: np.ndarray) -> np.ndarray:
+    """Gradient of the conjugate g* at z, i.e. the unique y with grad g(y) = z,
+    from the problem's closed form.  Strong convexity of g guarantees
+    existence and uniqueness.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (problem.d2,):
         raise ValueError(f"z has shape {z.shape}, expected ({problem.d2},)")
-    if problem.conj_grad_g is not None:
-        return problem.conj_grad_g(z), 0
-
-    # Minimize g(y) - <z, y>; its unique minimizer satisfies grad g(y) = z.
-    # Plain gradient descent with step 2/(alpha+beta) contracts the distance
-    # to the minimizer by (beta-alpha)/(beta+alpha) per iteration.
-    p = problem.params
-    step = 2.0 / (p.alpha + p.beta)
-    y = np.zeros(problem.d2)
-    tol = inner_tol * max(1.0, float(np.linalg.norm(z)))
-    residual = np.inf
-    for k in range(max_inner_iters):
-        r = problem.grad_g(y) - z
-        residual = float(np.linalg.norm(r))
-        # an overflowed ||z|| makes tol infinite; the residual must be finite
-        if residual <= tol and math.isfinite(residual):
-            return y, k
-        y = y - step * r
-    raise ConvergenceError(
-        f"conjugate-gradient inner solve stalled at residual {residual:.3e} "
-        f"after {max_inner_iters} iterations (tol {tol:.1e})",
-        residual=residual,
-    )
+    return problem.conj_grad_g(z)
 
 
-def conj_grad(
-    problem: SaddleProblem,
-    z: np.ndarray,
-    inner_tol: float = 1e-10,
-    max_inner_iters: int = 100_000,
-) -> np.ndarray:
-    """Gradient of the conjugate g* at z, i.e. the unique y with grad g(y) = z.
-
-    Uses the problem's closed form when supplied, otherwise the iterative
-    fallback described in ``_conj_grad_counted``.  Strong convexity of g
-    guarantees existence and uniqueness.
-    """
-    y, _ = _conj_grad_counted(problem, z, inner_tol, max_inner_iters)
-    return y
-
-
-def grad_primal(
-    problem: SaddleProblem,
-    x: np.ndarray,
-    inner_tol: float = 1e-10,
-    max_inner_iters: int = 100_000,
-) -> np.ndarray:
+def grad_primal(problem: SaddleProblem, x: np.ndarray) -> np.ndarray:
     """Gradient of the primal objective P(x) = g*(Ax) + f(x).
 
     grad P(x) = grad f(x) + A^T grad g*(Ax).  P is (rho + sigma_max^2/alpha)-
@@ -290,7 +241,7 @@ def grad_primal(
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d1,):
         raise ValueError(f"x has shape {x.shape}, expected ({problem.d1},)")
-    ystar = conj_grad(problem, problem.coupling @ x, inner_tol, max_inner_iters)
+    ystar = conj_grad(problem, problem.coupling @ x)
     return problem.grad_f(x) + problem.coupling.T @ ystar
 
 

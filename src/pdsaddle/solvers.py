@@ -28,7 +28,6 @@ from .problems import (
     ConvergenceError,
     Iterate,
     SaddleProblem,
-    _conj_grad_counted,
     _grad_L,
     _oracles,
     conj_grad,
@@ -109,8 +108,6 @@ class Trace:
     (P_t, Q_t or R_t depending on the solver; see ``potential_kind``),
     elapsed_seconds.  They are lists of floats (iter of ints); a column a
     run does not measure holds NaN, written as an empty CSV field.
-    ``inner_evals`` counts iterations spent inside the conjugate-gradient
-    fallback, kept separate from grad_evals.
     """
 
     def __init__(self, potential_kind: str | None = None):
@@ -122,7 +119,6 @@ class Trace:
         self.potential: list[float] = []
         self.elapsed: list[float] = []
         self.potential_kind = potential_kind
-        self.inner_evals = 0
 
     def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
                b_t=None, potential=None, elapsed=0.0):
@@ -311,9 +307,7 @@ def run_primal_gd(
     """Gradient descent on the primal objective P(x) = g*(Ax) + f(x).
 
     This is PDG's ghost update x - eta grad P(x): the PDG step with y tied to
-    grad g*(A x).  Each step costs one full-gradient unit; iterations of the
-    iterative conjugate fallback (if any) are accumulated in
-    ``trace.inner_evals``.
+    grad g*(A x).  Each step costs one full-gradient unit.
     """
     x = np.zeros(problem.d1) if x0 is None else np.asarray(x0, dtype=float).copy()
     return _batch_loop(problem, x, None, eta, None, stop, x_star)
@@ -347,12 +341,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
     trace = Trace(potential_kind=kind)
     rec = _Recorder(trace, "at iteration", ("distance", "potential"))
 
-    def counted_conj(z):
-        gs, inner = _conj_grad_counted(problem, z)
-        trace.inner_evals += inner
-        return gs
-
-    conj = problem.conj_grad_g if problem.conj_grad_g is not None else counted_conj
+    conj = problem.conj_grad_g
     t, y_next, dist, dist_y = 0, None, None, None
     with np.errstate(over="ignore", invalid="ignore"):
         while True:

@@ -19,7 +19,6 @@ import pytest
 from pdsaddle import (
     DivergenceError,
     Iterate,
-    SaddleProblem,
     StoppingRule,
     SvrgConfig,
     conj_grad,
@@ -42,7 +41,6 @@ from pdsaddle.instances import (
     split_quadratic,
     split_quadratic_primal,
 )
-from pdsaddle.problems import _conj_grad_counted
 from pdsaddle.solvers import BLOWUP_FACTOR
 from pdsaddle.theory import primal_step
 
@@ -297,13 +295,13 @@ class _OracleDivergence(Exception):
 
 
 def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
-    """The run_pdg loop as it was: returns (rows, inner_evals, error), rows
-    of (iter, grad_evals, dist_x, dist_y, b_t, potential) with NaN for an
-    unmeasured column and error an _OracleDivergence or None.  The potential
+    """The run_pdg loop as it was: returns (rows, error), rows of (iter,
+    grad_evals, dist_x, dist_y, b_t, potential) with NaN for an unmeasured
+    column and error an _OracleDivergence or None.  The potential
     is P_t with ``lam``, and with the ScSchedule ``sc`` the R_t that the sc
     path used to write over the finished trace's dist columns, watched like
     P_t."""
-    rows, inner_evals = [], 0
+    rows = []
     A = problem.coupling
     if x_star is not None:
         y_star = conj_grad(problem, A @ x_star)
@@ -329,8 +327,7 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
                         f"distance blew up at iteration {t}: {dist:.3e}", t)
             stopping = (t >= stop.max_iters or gnorm <= stop.tol
                         or (dist is not None and dist <= stop.tol))
-            gs, inner = _conj_grad_counted(problem, ax)
-            inner_evals += inner
+            gs = problem.conj_grad_g(ax)
             b_t = float(np.linalg.norm(y - gs))
             if lam is not None and dist is not None:
                 pot = lam * dist + b_t
@@ -354,21 +351,20 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
         error = None
     except _OracleDivergence as exc:
         error = exc
-    return np.array(rows, dtype=float).reshape(-1, 6), inner_evals, error
+    return np.array(rows, dtype=float).reshape(-1, 6), error
 
 
 def _gd_oracle(problem, x, eta, stop, x_star):
     """The run_primal_gd loop as it was; returns like _pdg_oracle."""
-    rows, inner_evals = [], 0
+    rows = []
     A = problem.coupling
     t, d_first = 0, None
     try:
         while True:
             with np.errstate(over="ignore", invalid="ignore"):
-                ystar, inner = _conj_grad_counted(problem, A @ x)
+                ystar = problem.conj_grad_g(A @ x)
                 g = problem.grad_f(x) + A.T @ ystar
                 gnorm = float(np.linalg.norm(g))
-            inner_evals += inner
             if not np.isfinite(gnorm):
                 raise _OracleDivergence(f"non-finite gradient at iteration {t}", t)
             dist = None
@@ -391,15 +387,7 @@ def _gd_oracle(problem, x, eta, stop, x_star):
         error = None
     except _OracleDivergence as exc:
         error = exc
-    return np.array(rows, dtype=float).reshape(-1, 6), inner_evals, error
-
-
-def _no_closed_form(problem):
-    """``problem`` without its closed-form conjugate map, so every conjugate
-    goes through the counted inner solve."""
-    p = problem.params
-    return SaddleProblem(problem.grad_f, problem.grad_g, problem.coupling,
-                         rho=p.rho, alpha=p.alpha, beta=p.beta)
+    return np.array(rows, dtype=float).reshape(-1, 6), error
 
 
 def _batch_problems():
@@ -409,7 +397,6 @@ def _batch_problems():
     return {
         "quadratic": (quad, reference_solution(quad, "direct")[0]),
         "smoothed_l1": (l1, smoothed_l1_minimizer(inst)),
-        "iterative_conjugate": (_no_closed_form(quad), reference_solution(quad, "direct")[0]),
     }
 
 
@@ -419,15 +406,6 @@ STOPS = {"cap": StoppingRule(120, 1e-9), "tol": StoppingRule(5000, 1e-4)}
 # multiples of the theory steps: 1e3 and 1e8 trip the distance guard (with
 # x_star) or overflow the gradient, 1e200 the gradient, 1e308 the iterate
 SCALES = (1.0, 1.8, 1e3, 1e8, 1e200, 1e308)
-
-
-def _batch_cases(steps, *converging):
-    """(problem, steps) pairs; the inner conjugate solve of the problem
-    without a closed form runs only on ``converging`` steps, because it is
-    not meant to follow diverging iterates far; primal GD at 1.8x the theory
-    steps, whose iterates grow, needs its tolerance relative to ||z||."""
-    return [(name, st) for name in sorted(BATCH_PROBLEMS) for st in steps
-            if name != "iterative_conjugate" or st in converging]
 
 
 def _run(fn):
@@ -442,7 +420,7 @@ def _columns(trace):
                             ("iter", "grad_evals", "dist_x", "dist_y", "b_t", "potential")])
 
 
-def _assert_matches(trace, error, want, want_inner, want_error, *, tripping_row_allowed):
+def _assert_matches(trace, error, want, want_error, *, tripping_row_allowed):
     got = _columns(trace)
     if want_error is None:
         assert error is None
@@ -456,11 +434,11 @@ def _assert_matches(trace, error, want, want_inner, want_error, *, tripping_row_
             assert got[-1, 2] > BLOWUP_FACTOR * (1.0 + got[0, 2])
             got = got[:-1]
     np.testing.assert_array_equal(got, want)
-    assert trace.inner_evals == want_inner
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("name,scale", _batch_cases(SCALES, 1.0, 1.8))
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
 @pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
 @pytest.mark.parametrize("stop", sorted(STOPS))
 def test_primal_gd_matches_old_loop(name, scale, with_x_star, stop):
@@ -471,14 +449,14 @@ def test_primal_gd_matches_old_loop(name, scale, with_x_star, stop):
     x0 = np.linspace(-1.0, 1.0, problem.d1)
     trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta, stop=stop,
                                               x_star=x_star))
-    want, inner, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
-    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)
+    want, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
+    _assert_matches(trace, error, want, want_error, tripping_row_allowed=False)
 
 
 # "dual_x1e3": the schedule with eta2 1e3 times larger trips the P_t guard
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("name,steps", _batch_cases(("schedule", "dual_x1e3", *SCALES),
-                                                    "schedule", 1.0))
+@pytest.mark.parametrize("steps", ("schedule", "dual_x1e3", *SCALES))
+@pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
 @pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
 @pytest.mark.parametrize("stop", sorted(STOPS))
 def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
@@ -495,9 +473,9 @@ def test_pdg_matches_old_loop(name, steps, with_x_star, stop):
         eta1, eta2, lam = steps * sched.eta1, steps * sched.eta2, None
         kw = {"eta1": eta1, "eta2": eta2}
     trace, error = _run(lambda: run_pdg(problem, init, stop=stop, x_star=x_star, **kw))
-    want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), eta1,
-                                          eta2, stop, x_star, lam)
-    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)
+    want, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), eta1,
+                                   eta2, stop, x_star, lam)
+    _assert_matches(trace, error, want, want_error, tripping_row_allowed=True)
 
 
 # "sc_dual_x1e3": eta2 1e3 times larger trips the R_t guard
@@ -513,9 +491,9 @@ def test_pdg_under_sc_schedule_matches_old_loop(boost, stop):
     init = Iterate(np.linspace(-1.0, 1.0, problem.d1), np.linspace(0.5, -0.5, problem.d2))
     trace, error = _run(lambda: run_pdg(problem, init, schedule=sc, stop=stop,
                                         x_star=x_star))
-    want, inner, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), sc.eta1,
-                                          sc.eta2, stop, x_star, None, sc)
-    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)
+    want, want_error = _pdg_oracle(problem, init.x.copy(), init.y.copy(), sc.eta1,
+                                   sc.eta2, stop, x_star, None, sc)
+    _assert_matches(trace, error, want, want_error, tripping_row_allowed=False)
     assert trace.potential_kind == "R_t"
     assert (error is None) == (boost == 1.0)
 
@@ -544,12 +522,12 @@ def test_batch_runs_from_overflowed_distance_match_old_loops(name, start):
     sched, stop = pdg_schedule(problem.params), STOPS["cap"]
     trace, error = _run(lambda: run_pdg(problem, Iterate(x0, y0), schedule=sched,
                                         stop=stop, x_star=x_star))
-    want, inner, want_error = _pdg_oracle(problem, x0.copy(), y0.copy(), sched.eta1,
-                                          sched.eta2, stop, x_star, sched.lambda_)
-    _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=True)
+    want, want_error = _pdg_oracle(problem, x0.copy(), y0.copy(), sched.eta1,
+                                   sched.eta2, stop, x_star, sched.lambda_)
+    _assert_matches(trace, error, want, want_error, tripping_row_allowed=True)
     if start != "y":
         eta = primal_step(problem.params)
         trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta, stop=stop,
                                                   x_star=x_star))
-        want, inner, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
-        _assert_matches(trace, error, want, inner, want_error, tripping_row_allowed=False)
+        want, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
+        _assert_matches(trace, error, want, want_error, tripping_row_allowed=False)

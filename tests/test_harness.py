@@ -17,6 +17,7 @@ from pdsaddle.harness import (
     grid_search,
     measure_units_to_target,
 )
+from pdsaddle.solvers import Trace
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -838,6 +839,50 @@ def test_estimate_rejects_a_non_object_document(tmp_path, capsys):
     cfg = _write(tmp_path, "est.json", [1, 2])
     assert cli.main(["estimate", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: config.instance: expected dict")
+
+
+def _pinned_quadratic(coupling):
+    return {"family": "quadratic", "data": {"family": "quadratic", "B": [[0.0]], "b": [0.0],
+                                            "A": [[coupling]], "C": [[0.5]], "c": [0.0]}}
+
+
+# finite instances whose curvature constants break the theory formulas: the
+# rate rounds to 1, sigma_min^4 overflows, sigma_min^2 underflows to 0
+_EXTREME_INSTANCES = {
+    "rate_rounds_to_1": {"family": "smoothed_l1", "n": 5, "d": 2, "a": 1e300, "seed": 1},
+    "coupling_1e150": _pinned_quadratic(1e150),
+    "coupling_1e-200": _pinned_quadratic(1e-200),
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "solve"])
+@pytest.mark.parametrize("instance", sorted(_EXTREME_INSTANCES))
+def test_extreme_curvature_constants_exit_1_before_any_output(instance, command, tmp_path,
+                                                             capsys):
+    cfg = _write(tmp_path, "cfg.json", _doc(_EXTREME_INSTANCES[instance]))
+    out_dir = tmp_path / "o"
+    extra = ["--out", str(out_dir)] if command == "solve" else []
+    assert cli.main([command, "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.instance: no theory step"), err
+    assert not out_dir.exists()
+
+
+def test_verify_report_stays_strict_json_when_a_potential_underflows(monkeypatch, capsys):
+    def underflowing(fsp, cfg, x_star):
+        trace = Trace("Q_t")
+        for k, pot in enumerate([1e-320, 1.0]):
+            trace.append(k, float(k), potential=pot)
+        return trace
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    monkeypatch.setattr(harness, "run_pdsvrg", underflowing)
+    assert cli.main(["verify", "--suite", "svrg_halving", "--trials", "1"]) == 2
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    tried = report["results"][0]["tried"]
+    assert tried and all(point["max_ratio"] is None for point in tried)
 
 
 def test_direct_grid_search_reads_the_grid_through_the_schema():

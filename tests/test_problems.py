@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pdsaddle import (
-    ConvergenceError,
     Iterate,
     SaddleProblem,
     SmoothnessParams,
@@ -12,8 +11,15 @@ from pdsaddle import (
     grad_primal,
     primal_value,
 )
-from pdsaddle.instances import quadratic_saddle, random_quadratic
-from pdsaddle.problems import _conj_grad_counted
+from pdsaddle.instances import (
+    make_smoothed_l1,
+    mspbe_saddle,
+    quadratic_saddle,
+    random_mspbe,
+    random_quadratic,
+    smoothed_l1_saddle,
+    split_quadratic,
+)
 from pdsaddle.solvers import reference_solution
 
 
@@ -47,65 +53,27 @@ def test_conj_grad_identity(unit_problem):
     assert conj_grad(unit_problem, z) == pytest.approx(z)
 
 
-def test_conj_grad_iterative_matches_closed_form():
-    # g(y) = (||y||^2/2 + b^T y)/n has grad g*(z) = n z - b
-    n = 5
-    b = np.array([0.3, -1.2, 0.5, 0.0, 2.0])
-    problem = SaddleProblem(
-        grad_f=lambda x: np.zeros(3),
-        grad_g=lambda y: (y + b) / n,
-        coupling=np.vstack([np.eye(3), np.zeros((2, 3))]),
-        rho=0.0, alpha=1.0 / n, beta=1.0 / n,
-    )
-    z = np.array([0.5, -0.25, 1.0, 0.75, -2.0])
-    got = conj_grad(problem, z)
-    assert got == pytest.approx(n * z - b, abs=1e-8)
-
-
 def test_conj_grad_round_trip():
-    problem = random_quadratic(3)
+    # the closed form of every shipped builder inverts grad g
+    pinned = quadratic_saddle(
+        np.array([[1.0, 0.2], [0.0, 0.5]]), np.array([0.1, -0.3]),
+        np.array([[2.0, 0.5], [0.0, 1.0], [1.0, -1.0]]),
+        np.array([[1.5, 0.3, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 2.0]]),
+        np.array([0.5, 0.0, -1.0]),
+    )
+    problems = [
+        random_quadratic(3),
+        pinned,
+        split_quadratic(random_quadratic(4), 6, seed=1).aggregate,
+        smoothed_l1_saddle(make_smoothed_l1(30, 5, seed=2)).aggregate,
+        mspbe_saddle(random_mspbe(40, 4, seed=3)),
+    ]
     rng = np.random.default_rng(0)
-    # closed form and iterative fallback both invert grad g
-    no_closed_form = SaddleProblem(
-        grad_f=problem.grad_f, grad_g=problem.grad_g, coupling=problem.coupling,
-        rho=problem.params.rho, alpha=problem.params.alpha, beta=problem.params.beta,
-    )
-    for _ in range(50):
-        z = rng.standard_normal(problem.d2) * rng.uniform(0.1, 5)
-        for prob in (problem, no_closed_form):
-            y = conj_grad(prob, z)
-            back = prob.grad_g(y)
+    for problem in problems:
+        for _ in range(50):
+            z = rng.standard_normal(problem.d2) * rng.uniform(0.1, 5)
+            back = problem.grad_g(conj_grad(problem, z))
             assert np.linalg.norm(back - z) <= 1e-8 * (1 + np.linalg.norm(z))
-
-
-def test_conj_grad_inner_failure():
-    problem = SaddleProblem(
-        grad_f=lambda x: np.zeros(1),
-        grad_g=lambda y: 0.5 * y,
-        coupling=np.array([[1.0]]),
-        rho=0.0, alpha=0.5, beta=0.5,
-    )
-    with pytest.raises(ConvergenceError) as err:
-        conj_grad(problem, np.array([100.0]), max_inner_iters=1)
-    assert err.value.residual is not None and err.value.residual > 0
-
-
-def test_conj_grad_iterative_with_an_overflowing_norm():
-    # ||z|| overflows, so the tolerance relative to it is inf: only a finite
-    # residual may end the inner solve, never the overflowed one at y = 0
-    problem = random_quadratic(3)
-    p = problem.params
-    no_closed_form = SaddleProblem(
-        grad_f=problem.grad_f, grad_g=problem.grad_g, coupling=problem.coupling,
-        rho=p.rho, alpha=p.alpha, beta=p.beta,
-    )
-    z = np.full(problem.d2, 1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, inner = _conj_grad_counted(no_closed_form, z)
-        assert inner > 0
-        assert np.max(np.abs(problem.grad_g(y) - z)) <= 1e-10 * 1e200
-        with pytest.raises(ConvergenceError):
-            conj_grad(no_closed_form, np.full(problem.d2, np.inf), max_inner_iters=50)
 
 
 def test_grad_primal_scalar(unit_problem):
@@ -149,7 +117,7 @@ def test_check_gradients_smoothed_reg_passes():
         grad_f=lambda x: np.tanh(0.5 * a * x),
         grad_g=lambda y: y,
         coupling=np.eye(4),
-        rho=a / 2, alpha=1.0, beta=1.0,
+        rho=a / 2, alpha=1.0, beta=1.0, conj_grad_g=lambda z: z,
         f_value=lambda x: float(np.sum(np.abs(a * x) + 2 * np.log1p(np.exp(-np.abs(a * x)))) / a),
         g_value=lambda y: float(0.5 * y @ y),
     )
@@ -168,7 +136,7 @@ def test_check_gradients_detects_corruption():
     corrupted = SaddleProblem(
         grad_f=bad_grad_f, grad_g=base.grad_g, coupling=base.coupling,
         rho=base.params.rho, alpha=base.params.alpha, beta=base.params.beta,
-        f_value=base.f_value, g_value=base.g_value,
+        conj_grad_g=base.conj_grad_g, f_value=base.f_value, g_value=base.g_value,
     )
     assert not check_gradients(corrupted, tol=1e-6, num_points=5, seed=3).passed
 
@@ -190,7 +158,7 @@ def test_rank_deficient_coupling_rejected():
             grad_f=lambda x: np.zeros(2),
             grad_g=lambda y: y,
             coupling=np.array([[1.0, 0.0]]),  # wide: rank 1 < d1 = 2
-            rho=0.0, alpha=1.0, beta=1.0,
+            rho=0.0, alpha=1.0, beta=1.0, conj_grad_g=lambda z: z,
         )
     with pytest.raises(ValueError, match="full column rank"):
         quadratic_saddle(
@@ -204,8 +172,12 @@ def test_degenerate_dimensions_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         SaddleProblem(
             grad_f=lambda x: x, grad_g=lambda y: y,
-            coupling=np.zeros((0, 1)), rho=0, alpha=1, beta=1,
+            coupling=np.zeros((0, 1)), rho=0, alpha=1, beta=1, conj_grad_g=lambda z: z,
         )
+    # the conjugate map has no fallback: a problem must bring its closed form
+    with pytest.raises(TypeError, match="conj_grad_g"):
+        SaddleProblem(grad_f=lambda x: x, grad_g=lambda y: y, coupling=np.eye(1),
+                      rho=0, alpha=1, beta=1)
 
 
 def test_iterate_validation():

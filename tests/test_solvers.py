@@ -140,22 +140,6 @@ def test_run_pdg_divergence():
     assert err.value.trace is not None and len(err.value.trace) >= 1
 
 
-def test_iterative_conjugate_map_follows_a_growing_run():
-    # without its closed form every conjugate map is the inner solve; at 1.8x
-    # the theory steps A x grows until an absolute residual of 1e-10 sits at
-    # the roundoff floor, and the solve must still end, relative to ||z||
-    quad = random_quadratic(11, 5, 7)
-    p = quad.params
-    problem = SaddleProblem(quad.grad_f, quad.grad_g, quad.coupling,
-                            rho=p.rho, alpha=p.alpha, beta=p.beta)
-    x_star, _, _ = reference_solution(quad, "direct")
-    s = pdg_schedule(p)
-    with pytest.raises(DivergenceError, match="distance blew up") as err:
-        run_pdg(problem, eta1=1.8 * s.eta1, eta2=1.8 * s.eta2,
-                stop=StoppingRule(5000, 1e-4), x_star=x_star)
-    assert err.value.trace.inner_evals > 0
-
-
 @pytest.mark.parametrize("bad", ["x_inf", "y_inf", "y_nan"])
 @pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
 def test_batch_runs_reject_a_non_finite_start(bad, with_x_star):
@@ -234,7 +218,7 @@ def test_reference_solution_requires_quadratic_for_direct():
         grad_f=lambda x: np.tanh(x),
         grad_g=lambda y: y,
         coupling=np.eye(2),
-        rho=1.0, alpha=1.0, beta=1.0,
+        rho=1.0, alpha=1.0, beta=1.0, conj_grad_g=lambda z: z,
     )
     with pytest.raises(ValueError, match="quadratic"):
         reference_solution(problem, "direct")

@@ -69,7 +69,8 @@ def test_row_component_matches_dense():
     A = rng.standard_normal((6, 4))
     eye = np.eye(6)
     aggregate = SaddleProblem(grad_f=lambda x: np.zeros(4), grad_g=lambda y: y / 6,
-                              coupling=A / 6, rho=0.0, alpha=1 / 6, beta=1 / 6)
+                              coupling=A / 6, rho=0.0, alpha=1 / 6, beta=1 / 6,
+                              conj_grad_g=lambda z: 6 * z)
     rc = RowSum(A, np.zeros(6), aggregate.grad_f, aggregate)
     dense = DenseSum(np.zeros((6, 4, 4)), np.zeros((6, 4)),
                      eye[:, :, None] * A[:, None, :], eye[:, :, None] * eye[:, None, :],
@@ -105,7 +106,7 @@ def test_full_grad_hand_average():
     # averaged x-gradient at y = 0 is x
     aggregate = SaddleProblem(
         grad_f=lambda x: x, grad_g=lambda y: y, coupling=np.array([[1.0]]),
-        rho=2.0, alpha=1.0, beta=1.0,
+        rho=2.0, alpha=1.0, beta=1.0, conj_grad_g=lambda z: z,
     )
     fsp = DenseSum([[[2.0]], [[0.0]]], np.zeros((2, 1)), np.ones((2, 1, 1)),
                    np.ones((2, 1, 1)), np.zeros((2, 1)), aggregate=aggregate)
@@ -219,7 +220,8 @@ def _identity_rows(grad_f):
     rng = np.random.default_rng(5)
     A, b = rng.standard_normal((12, 4)), rng.standard_normal(12)
     agg = SaddleProblem(grad_f=grad_f, grad_g=lambda y: (y + b) / 12,
-                        coupling=A / 12, rho=1.0, alpha=1 / 12, beta=1 / 12)
+                        coupling=A / 12, rho=1.0, alpha=1 / 12, beta=1 / 12,
+                        conj_grad_g=lambda z: 12 * z - b)
     return RowSum(A, b, grad_f, agg)
 
 
