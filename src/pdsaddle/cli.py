@@ -102,12 +102,12 @@ def main(argv=None) -> int:
             return 2 if report.get("refuted") else 0
 
         if args.command == "grid":
+            if not any(spec.schedule["source"] == "grid" for spec in config.solvers):
+                print("no grid-source solvers in config", file=sys.stderr)
+                return 1
             report = cmd_grid(config, args.out)
             for entry in report["solvers"]:
                 print(f"{entry['name']}: {entry['status']} best={entry['best']}")
-            if not report["solvers"]:
-                print("no grid-source solvers in config", file=sys.stderr)
-                return 1
             return 0
 
         if args.command == "estimate":

@@ -312,9 +312,9 @@ class InstanceBundle:
 
     family: str
     problem: SaddleProblem
+    x_star: np.ndarray
     fsp: RowSum | DenseSum | None = None
     primal_fsp: RowSum | DenseSum | None = None
-    x_star: np.ndarray | None = None
     # nothing reads y_star; deleting it waits for the fix to perfbench's
     # reference loop (ROADMAP item 1), whose timing its 4 KB array moves
     y_star: np.ndarray | None = None
@@ -531,21 +531,34 @@ def _unique_stem(name: str, used: set) -> str:
     return stem
 
 
+def _prepared(config: ExperimentConfig, specs: list[SolverSpec]):
+    """The built instance and the theory point of each of ``specs``, the
+    entries a command will run, with the finite sum of each stochastic one
+    looked up, before the command makes its output directory: an instance
+    that refuses one (an sc variant on an f that is not strongly convex, a
+    stochastic solver on a family without a finite sum) exits with nothing
+    written."""
+    bundle = build_instance(config.instance)
+    points = [_theory_point(bundle, spec) for spec in specs]
+    for spec in specs:
+        if SOLVERS[spec.name].form is not None:
+            bundle.finite_sum(SOLVERS[spec.name].form)
+    return bundle, points
+
+
 def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
     """Run every configured solver, write one trace CSV per solver plus
     summary.json.  A diverging solver is recorded in the summary without
-    aborting the others.  Every theory point is taken before the output
-    directory is made, so an instance that refuses one (say an sc variant on
-    an f that is not strongly convex) exits with nothing written."""
-    bundle = build_instance(config.instance)
-    points = [_theory_point(bundle, spec) for spec in config.solvers]
+    aborting the others.  An error that needs the instance is found before
+    anything is written (_prepared)."""
+    bundle, points = _prepared(config, config.solvers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     used = set()
-    summary: dict = {"instance": {"family": bundle.family}, "solvers": []}
-    if bundle.x_star is not None:
-        summary["instance"]["reference_norm"] = float(np.linalg.norm(bundle.x_star))
+    summary: dict = {"instance": {"family": bundle.family,
+                                  "reference_norm": float(np.linalg.norm(bundle.x_star))},
+                     "solvers": []}
 
     for spec, point in zip(config.solvers, points):
         stem = _unique_stem(spec.label or spec.name, used)
@@ -609,8 +622,6 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
     Returns {"status", "best", "ranked", "keys"}; status is
     "no_convergent_schedule" when every point diverges.
     """
-    if bundle.x_star is None:
-        raise ConfigError("config", "grid search needs a reference solution")
     form = SOLVERS[solver].form
     grid = _read(grid, _schedule_fields(solver, "grid"), "schedule")
     keys, points = _grid_points(solver, grid, bundle.finite_sum(form).n if form else None)
@@ -683,16 +694,16 @@ def measure_units_to_target(
 def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
     """Grid-search each solver entry whose schedule source is 'grid' to the
     config's budget; write a sweep CSV per solver and best.json with the
-    selected points."""
-    bundle = build_instance(config.instance)
+    selected points.  An error that needs the instance is found before
+    anything is written (_prepared)."""
+    specs = [spec for spec in config.solvers if spec.schedule["source"] == "grid"]
+    bundle, _ = _prepared(config, specs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     report: dict = {"budget": config.budget, "solvers": []}
     used = set()
-    for spec in config.solvers:
-        if spec.schedule["source"] != "grid":
-            continue
+    for spec in specs:
         stem = _unique_stem(spec.label or spec.name, used)
         result = grid_search(bundle, spec.name, spec.schedule, budget=config.budget,
                              seed=config.seed)
@@ -817,7 +828,7 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
         gamma = p.rho + p.sigma_max**2 / p.alpha
         delta = p.sigma_min**2 / p.beta
         bound1 = primal_step(p)
-        bound2 = 2.0 / (p.alpha + p.beta)
+        bound2 = sched.eta2
         eta1 = sched.eta1 if eta1_scale is None else eta1_scale * bound1
         eta2 = sched.eta2 if eta2_scale is None else eta2_scale * bound2
         pre1 = eta1 <= bound1 * (1 + 1e-12)

@@ -396,26 +396,24 @@ def smoothed_l1_primal(inst: SmoothedL1Regression) -> RowSum:
     return smoothed_l1_saddle(inst)
 
 
-def smoothed_l1_minimizer(
-    inst: SmoothedL1Regression, tol: float = 1e-13, max_iters: int = 200
-) -> np.ndarray:
+def smoothed_l1_minimizer(inst: SmoothedL1Regression) -> np.ndarray:
     """Minimizer of the regression objective by damped Newton iteration,
-    stopped once the gradient norm is at most ``tol``.
+    stopped once the gradient norm is at most 1e-13.
 
     The Hessian A^T A / n + lambda_reg R_a'' is positive definite whenever A
     has full column rank, so the full Newton step converges quadratically
     near the minimizer; the result is the high-accuracy reference the saddle
     solvers are measured against.
 
-    A line search on the objective value alone cannot certify ``tol``: near
+    A line search on the objective value alone cannot certify 1e-13: near
     the minimizer the decrease the Armijo condition asks for, about
     ||g||^2 / L, falls far below the roundoff of the value itself (about
     eps |P(x)|), so every step is rejected and the loop stalls at a
     gradient norm of a few 1e-13.  The full Newton step is therefore
     accepted whenever it lowers the gradient norm; otherwise the step is
     damped by backtracking until the Armijo condition on the value holds.
-    A ``RuntimeError`` reports a run that still misses ``tol`` after
-    ``max_iters`` iterations.
+    A ``RuntimeError`` reports a run that still misses 1e-13 after 200
+    iterations.
     """
     A, b, a, lam = inst.A, inst.b, inst.a, inst.lambda_reg
     n = inst.n
@@ -432,9 +430,9 @@ def smoothed_l1_minimizer(
 
     x = np.zeros(inst.d)
     g = grad(x)
-    for _ in range(max_iters):
+    for _ in range(200):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if gnorm <= 1e-13:
             return x
         H = ata + np.diag(lam * _reg_hess_diag(x, a))
         step = np.linalg.solve(H, g)
@@ -449,7 +447,7 @@ def smoothed_l1_minimizer(
         x = x - t * step
         g = grad(x)
     raise RuntimeError(
-        f"Newton refinement stalled at gradient norm {gnorm:.3e} (tol {tol:.1e})"
+        f"Newton refinement stalled at gradient norm {gnorm:.3e} (tol 1.0e-13)"
     )
 
 

@@ -18,7 +18,7 @@ the primal gradient grad P, and a finite-difference gradient checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -289,37 +289,28 @@ class GradientCheckReport:
 
 def check_gradients(
     problem: SaddleProblem,
-    points: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     tol: float = 1e-6,
     *,
-    f_value: Callable[[np.ndarray], float] | None = None,
-    g_value: Callable[[np.ndarray], float] | None = None,
     num_points: int = 10,
     seed: int = 0,
 ) -> GradientCheckReport:
-    """Compare the analytic gradients of f and g against central differences.
+    """Compare the analytic gradients of f and g against central differences
+    of the problem's value oracles.
 
-    Report-only: never raises.  ``points`` is a sequence of (x, y) pairs; when
-    omitted, ``num_points`` standard-normal points are drawn from ``seed``.
-    The relative error at a point is ||fd - grad|| / (1 + ||grad||).
+    Report-only: never raises.  The (x, y) points are ``num_points``
+    standard-normal pairs drawn from ``seed``.  The relative error at a point
+    is ||fd - grad|| / (1 + ||grad||).
     """
-    fv = f_value if f_value is not None else problem.f_value
-    gv = g_value if g_value is not None else problem.g_value
+    fv, gv = problem.f_value, problem.g_value
     if fv is None or gv is None:
         raise ValueError("check_gradients requires value oracles for f and g")
 
-    if points is None:
-        rng = np.random.default_rng(seed)
-        points = [
-            (rng.standard_normal(problem.d1), rng.standard_normal(problem.d2))
-            for _ in range(num_points)
-        ]
-
+    rng = np.random.default_rng(seed)
     err_f = 0.0
     err_g = 0.0
-    for x, y in points:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    for _ in range(num_points):
+        x = rng.standard_normal(problem.d1)
+        y = rng.standard_normal(problem.d2)
         gf = problem.grad_f(x)
         gg = problem.grad_g(y)
         df = _central_diff(fv, x)

@@ -383,9 +383,6 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
 def reference_solution(
     problem: SaddleProblem,
     mode: str = "direct",
-    *,
-    tol: float = 1e-12,
-    max_iters: int = 2_000_000,
 ) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
     """Certified saddle point (x*, y*) with its stationarity residuals.
 
@@ -396,7 +393,7 @@ def reference_solution(
 
     by dense factorization, where Bs, Cs are the symmetrized quadratic forms
     of f and g.  mode "iterate" runs primal gradient descent with the safe
-    step 2/(gamma+delta) until ||grad P|| <= tol, then sets
+    step 2/(gamma+delta) until ||grad P|| <= 1e-12, then sets
     y* = grad g*(A x*).
 
     Returns (x_star, y_star, (res_x, res_y)) where res_x = ||grad f(x*) +
@@ -426,15 +423,15 @@ def reference_solution(
         eta = primal_step(problem.params)
         x = np.zeros(problem.d1)
         res = np.inf
-        for _ in range(max_iters):
+        for _ in range(2_000_000):
             g = grad_primal(problem, x)
             res = float(np.linalg.norm(g))
-            if res <= tol:
+            if res <= 1e-12:
                 break
             x = x - eta * g
         else:
             raise ConvergenceError(
-                f"iterate mode stalled at primal residual {res:.3e} (tol {tol:.1e})",
+                f"iterate mode stalled at primal residual {res:.3e} (tol 1.0e-12)",
                 residual=res,
             )
         x_star = x

@@ -458,6 +458,38 @@ def test_sc_variant_error_leaves_no_output(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,instance,entries", [
+    ("solve", {"family": "mspbe", "n": 30, "d": 4, "seed": 2},
+     [{"name": "pdg"},
+      {"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.01}}]),
+    ("grid", _quad_instance_spec(),
+     [{"name": "pdg", "schedule": {"source": "grid", "eta1": [0.1], "eta2": [0.1]}},
+      {"name": "pdsvrg", "schedule": {"source": "grid", "eta1": [0.01], "eta2": [0.01]}}]),
+], ids=["solve", "grid"])
+def test_missing_finite_sum_leaves_no_output(tmp_path, capsys, command, instance, entries):
+    # the entry before the stochastic one would run and write its file if
+    # the finite sums were looked up entry by entry
+    cfg = _write(tmp_path, "cfg.json", {"instance": instance, "budget": 20,
+                                        "solvers": entries})
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config.instance: family {instance['family']!r} provides no "
+        f"finite-sum form (fsp) for a stochastic solver\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_grid_without_grid_entries_exits_before_building(tmp_path, capsys, monkeypatch):
+    def no_build(spec):
+        raise AssertionError("instance built")
+
+    monkeypatch.setattr(harness, "build_instance", no_build)
+    cfg = _write(tmp_path, "cfg.json", {"instance": _quad_instance_spec(),
+                                        "solvers": [{"name": "pdg"}]})
+    assert cli.main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "no grid-source solvers in config\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_fitted_slope_behaviour():
     units = np.arange(100, dtype=float)
     decaying = 10.0 ** (-0.05 * units)

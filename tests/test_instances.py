@@ -15,6 +15,7 @@ from pdsaddle import (
     conj_grad,
     full_grad,
     grad_L,
+    instances,
     run_pdg,
     run_primal_gd,
 )
@@ -213,6 +214,21 @@ def test_smoothed_l1_minimizer_reaches_tol_past_value_roundoff(decay, seed):
     x = smoothed_l1_minimizer(inst)
     A, b = inst.A, inst.b
     grad = A.T @ (A @ x - b) / inst.n + inst.lambda_reg * np.tanh(0.5 * inst.a * x)
+    assert np.linalg.norm(grad) <= 1e-13
+
+
+@pytest.mark.parametrize("a,lambda_reg", [(1e3, 1e-2), (1e4, 0.1)])
+def test_smoothed_l1_minimizer_damps_a_newton_step(monkeypatch, a, lambda_reg):
+    # a sharp regulariser makes some full Newton step raise the gradient
+    # norm; only the backtracking search evaluates the objective
+    calls = []
+    reg_value = instances._reg_value
+    monkeypatch.setattr(instances, "_reg_value",
+                        lambda x, a: calls.append(1) or reg_value(x, a))
+    inst = make_smoothed_l1(50, 10, a=a, lambda_reg=lambda_reg, seed=3)
+    x = smoothed_l1_minimizer(inst)
+    assert len(calls) > 0
+    grad = inst.A.T @ (inst.A @ x - inst.b) / inst.n + lambda_reg * np.tanh(0.5 * a * x)
     assert np.linalg.norm(grad) <= 1e-13
 
 
