@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, verify, grid, estimate.  Exit codes: 0 on success, 1 on
-validation/configuration errors, 2 when a verify suite refutes a certificate.
+Subcommands: solve, verify, grid, estimate.  Exit codes: 0 on success, 2 when
+a verify suite refutes a certificate, 1 on an error: "config error: <field
+path>: ..." for a fault in what is read, "error: ..." for one while running.
 """
 
 from __future__ import annotations
@@ -18,11 +19,22 @@ from .harness import (
     cmd_grid,
     cmd_solve,
     cmd_verify,
+    load_json,
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors at the flag they name, or the command."""
+
+    def error(self, message):
+        head, _, rest = message.partition(": ")
+        if head.startswith("argument "):
+            raise ConfigError(head.removeprefix("argument "), rest)
+        raise ConfigError(self.prog, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdsaddle",
         description="Solvers and convergence certificates for bilinear "
                     "convex-concave saddle point problems.",
@@ -71,8 +83,8 @@ def _print_report(report: dict, out: str | None):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command in ("solve", "grid"):
             # the flags are config fields, checked as the document is read
             config = ExperimentConfig.load(args.config, seed=args.seed,
@@ -102,30 +114,25 @@ def main(argv=None) -> int:
             return 2 if report.get("refuted") else 0
 
         if args.command == "grid":
-            if not any(spec.schedule["source"] == "grid" for spec in config.solvers):
-                print("no grid-source solvers in config", file=sys.stderr)
-                return 1
             report = cmd_grid(config, args.out)
             for entry in report["solvers"]:
                 print(f"{entry['name']}: {entry['status']} best={entry['best']}")
             return 0
 
         if args.command == "estimate":
-            with open(args.config, encoding="utf-8") as fh:
-                doc = json.load(fh)
+            doc = load_json(args.config, "--config")
             spec = doc.get("instance", doc) if isinstance(doc, dict) else doc
-            report = cmd_estimate(spec)
-            _print_report(report, args.out)
-            return 0 if report.get("status") == "ok" else 1
+            _print_report(cmd_estimate(spec), args.out)
+            return 0
 
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, RuntimeError) as exc:
-        # RuntimeError: a reference solver that missed its tolerance
+    except (OSError, RuntimeError) as exc:
+        # an --out that cannot be written; a reference solver that missed
+        # its tolerance
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

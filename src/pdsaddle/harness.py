@@ -184,6 +184,18 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def load_json(file, path: str):
+    """The JSON document in ``file``; ConfigError at ``path``, the field or
+    flag that named the file, when it cannot be read or holds no JSON."""
+    try:
+        with open(file, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read {str(file)!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(path, f"invalid JSON in {str(file)!r} ({exc})") from exc
+
+
 def _read(doc, fields: dict, path: str) -> dict:
     """``doc``'s value for each of ``fields``, defaults other than None filled
     in; ConfigError at the first non-object, missing required field, wrong
@@ -293,13 +305,9 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path, **overrides) -> "ExperimentConfig":
-        """Read the config file at ``path``; each override that is not None
-        replaces that top-level field before the document is read."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(path), f"invalid JSON ({exc})") from exc
+        """Read the config file at ``path`` (--config); each override that is
+        not None replaces that top-level field before the document is read."""
+        doc = load_json(path, "--config")
         if isinstance(doc, dict):
             doc.update((k, v) for k, v in overrides.items() if v is not None)
         return cls.from_dict(doc)
@@ -355,10 +363,11 @@ def _build_family(v: dict) -> InstanceBundle:
     path, family = "config.instance", v["family"]
     data = None
     # a pinned document's faults are reported at the field that holds it
-    for key, load in (("data", inst_mod.instance_from_json), ("path", inst_mod.load_instance)):
+    for key in ("data", "path"):
         if key in v:
+            doc = v[key] if key == "data" else load_json(v[key], f"{path}.{key}")
             try:
-                data = load(v[key])
+                data = inst_mod.instance_from_json(doc)
             except ValueError as exc:
                 raise ConfigError(f"{path}.{key}", str(exc)) from exc
     if data is not None and not isinstance(data, inst_mod._JSON_FIELDS[family][0]):
@@ -366,6 +375,8 @@ def _build_family(v: dict) -> InstanceBundle:
 
     if family in ("quadratic", "random_quadratic"):
         if family == "random_quadratic":
+            if "d2" not in v and v.get("d1", 0) > 20:  # the default draws d2 <= 20
+                raise ConfigError(f"{path}.d2", "required when d1 > 20")
             problem = inst_mod.random_quadratic(v["seed"], v.get("d1"), v.get("d2"),
                                                 strongly_convex=v["strongly_convex"])
         elif data is None:
@@ -694,9 +705,11 @@ def measure_units_to_target(
 def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
     """Grid-search each solver entry whose schedule source is 'grid' to the
     config's budget; write a sweep CSV per solver and best.json with the
-    selected points.  An error that needs the instance is found before
-    anything is written (_prepared)."""
+    selected points.  A config without a grid entry, or an error that needs
+    the instance (_prepared), is found before anything is written."""
     specs = [spec for spec in config.solvers if spec.schedule["source"] == "grid"]
+    if not specs:
+        raise ConfigError("config.solvers", "no entry has schedule source 'grid'")
     bundle, _ = _prepared(config, specs)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -729,20 +742,7 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
 
 def cmd_estimate(instance_spec: dict) -> dict:
     """Curvature constants of the instance plus the theoretical schedule."""
-    try:
-        bundle = build_instance(instance_spec)
-    except ValueError as exc:
-        if "full column rank" in str(exc):
-            return {
-                "status": "error",
-                "diagnostic": (
-                    "coupling matrix is rank deficient; linear convergence "
-                    "requires full column rank (rank(A) = d1), so no schedule "
-                    "exists for this instance"
-                ),
-                "detail": str(exc),
-            }
-        raise
+    bundle = build_instance(instance_spec)
     p = bundle.problem.params
     sched = _theory(pdg_schedule, p)
     # the curvature constants, rho to sigma_min, in SmoothnessParams order
@@ -874,23 +874,25 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
 # rescue instances that need long epochs at every step scale tried
 _HALVING_SEARCH = [(c, m) for c in (0.5, 0.25, 0.125) for m in (4, 8, 2)] + [
     (0.5, 16), (0.25, 16), (0.125, 16)]
+# the suite's finite sums: n components of a d x d quadratic
+_HALVING_N, _HALVING_D = 50, 10
 
 
-def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
-                         seeds: int = 30, epochs: int = 10) -> dict:
+def _verify_svrg_halving(trials: int, seed: int, *, seeds: int = 30,
+                         epochs: int = 10) -> dict:
     """Find, per random instance, a stochastic config whose seed-averaged
     epoch potential at least halves every epoch."""
     results = []
     refuted = False
     for k in range(trials):
-        problem = inst_mod.random_quadratic(seed + 17 * k, d, d)
-        fsp = inst_mod.split_quadratic(problem, n, seed=seed + 17 * k + 1)
+        problem = inst_mod.random_quadratic(seed + 17 * k, _HALVING_D, _HALVING_D)
+        fsp = inst_mod.split_quadratic(problem, _HALVING_N, seed=seed + 17 * k + 1)
         x_star, _, _ = reference_solution(problem, "direct")
         base = problem.params.alpha / fsp.M**2
         found = None
         tried = []
         for c_eta, n_mult in _HALVING_SEARCH:
-            point = _filled({"eta1": c_eta * base, "inner_iters": n_mult * n}, n)
+            point = _filled({"eta1": c_eta * base, "inner_iters": n_mult * fsp.n}, fsp.n)
             ratios = _halving_ratio(fsp, x_star, point, seeds, epochs)
             tried.append({"eta": point["eta1"], "inner_iters": point["inner_iters"],
                           "max_ratio": ratios})
@@ -901,7 +903,7 @@ def _verify_svrg_halving(trials: int, seed: int, *, n: int = 50, d: int = 10,
             refuted = True
         results.append({"trial": k, "config": found, "tried": tried})
     return {
-        "suite": "svrg_halving", "trials": trials, "n": n, "d": d,
+        "suite": "svrg_halving", "trials": trials, "n": _HALVING_N, "d": _HALVING_D,
         "seeds": seeds, "epochs": epochs,
         "results": results, "refuted": refuted,
     }
@@ -948,7 +950,5 @@ def cmd_verify(suite: str, trials: int, seed: int = 0, **kw) -> dict:
         if value < least:
             raise ConfigError(name, f"must be >= {least}, got {value}")
     if suite not in _SUITES:
-        *names, last = _SUITES
-        raise ConfigError("suite", f"unknown suite {suite!r}; expected "
-                                   f"{', '.join(names)} or {last}")
+        raise ConfigError("suite", f"must be one of {sorted(_SUITES)}, got {suite!r}")
     return _SUITES[suite].check(trials, seed, **kw)

@@ -43,7 +43,6 @@ __all__ = [
     "instance_to_json",
     "instance_from_json",
     "save_instance",
-    "load_instance",
 ]
 
 PSD_TOL = 1e-10
@@ -622,9 +621,9 @@ def _finite(value) -> bool:
 
 def instance_from_json(doc: dict):
     """The instance an ``instance_to_json`` document describes; ValueError,
-    naming the field, when the document is not an object, names no known
-    family, lacks one of the family's fields or holds anything but a finite
-    number where a number belongs, in a number field or an array entry."""
+    naming the field, unless the document is an object with a known family
+    and exactly that family's fields, holding only finite numbers where a
+    number belongs, in a number field or an array entry."""
     if not isinstance(doc, dict):
         raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
     family = doc.get("family")
@@ -634,6 +633,9 @@ def instance_from_json(doc: dict):
     missing = [k for k in arrays + numbers if k not in doc]
     if missing:
         raise ValueError(f"{family} instance document lacks {', '.join(missing)}")
+    unknown = [k for k in doc if k not in ("family", *arrays, *numbers)]
+    if unknown:
+        raise ValueError(f"{family} instance document has unknown field {unknown[0]}")
     for k in numbers:
         if not _finite(doc[k]):
             raise ValueError(f"{family} instance field {k} must be a finite number, "
@@ -649,8 +651,3 @@ def instance_from_json(doc: dict):
 def save_instance(inst, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(instance_to_json(inst), fh)
-
-
-def load_instance(path):
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_json(json.load(fh))

@@ -134,9 +134,9 @@ class SaddleProblem:
         sigma_min = float(svals[d1 - 1]) if d2 >= d1 else 0.0
         if sigma_min <= RANK_TOL * sigma_max:
             raise ValueError(
-                f"coupling matrix must have full column rank: "
-                f"sigma_min={sigma_min:.3e} vs sigma_max={sigma_max:.3e} "
-                f"(shape {d2}x{d1})"
+                f"coupling matrix must have full column rank (linear convergence "
+                f"needs rank(A) = d1): sigma_min={sigma_min:.3e} vs "
+                f"sigma_max={sigma_max:.3e} (shape {d2}x{d1})"
             )
 
         self.grad_f = grad_f

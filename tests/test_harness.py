@@ -353,14 +353,18 @@ def test_cmd_estimate_reports_the_component_bound_of_a_split_instance():
     assert report["M"] == build_instance(spec).fsp.M
 
 
+# a wide coupling: rank(A) < d1
+_RANK_DEFICIENT = {"family": "quadratic", "data": {
+    "family": "quadratic", "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0],
+    "A": [[1.0, 1.0]], "C": [[0.5]], "c": [0.0]}}
+
+
 def test_cmd_estimate_rank_deficient_diagnostic():
-    report = cmd_estimate({"family": "quadratic", "data": {
-        "family": "quadratic",
-        "B": [[0.0, 0.0], [0.0, 0.0]], "b": [0.0, 0.0],
-        "A": [[1.0, 1.0]],  # wide coupling: rank < d1
-        "C": [[0.5]], "c": [0.0]}})
-    assert report["status"] == "error"
-    assert "full column rank" in report["diagnostic"]
+    # the same ConfigError solve and grid raise, with the paper's reason
+    with pytest.raises(ConfigError, match=r"^config\.instance: coupling matrix must have "
+                                          r"full column rank \(linear convergence needs "
+                                          r"rank\(A\) = d1\)"):
+        cmd_estimate(_RANK_DEFICIENT)
 
 
 @pytest.mark.parametrize(
@@ -486,7 +490,8 @@ def test_grid_without_grid_entries_exits_before_building(tmp_path, capsys, monke
     cfg = _write(tmp_path, "cfg.json", {"instance": _quad_instance_spec(),
                                         "solvers": [{"name": "pdg"}]})
     assert cli.main(["grid", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == "no grid-source solvers in config\n"
+    assert capsys.readouterr().err == ("config error: config.solvers: no entry has "
+                                       "schedule source 'grid'\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -871,6 +876,51 @@ def test_estimate_rejects_a_non_object_document(tmp_path, capsys):
     cfg = _write(tmp_path, "est.json", [1, 2])
     assert cli.main(["estimate", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith("config error: config.instance: expected dict")
+
+
+# every fault in what the CLI reads, run through each command that reads it:
+# (name, commands, config document (None: no file; a str: its text), extra
+# flags, the field path of the error)
+_READERS = ("solve", "grid", "estimate")
+_INPUT_FAULTS = [
+    ("missing_file", _READERS, None, [], "--config"),
+    ("invalid_json", _READERS, "{not json", [], "--config"),
+    ("missing_path", _READERS, _doc({"family": "quadratic", "path": "absent.json"},
+                                    [_PDG_GRID]), [], "config.instance.path"),
+    ("unknown_data_field", _READERS, _doc(_pinned_l1(lamda_reg=5.0), [_PDG_GRID]), [],
+     "config.instance.data"),
+    ("unknown_path_field", _READERS, _doc({"family": "smoothed_l1", "path": "l1.json"},
+                                          [_PDG_GRID]), [], "config.instance.path"),
+    ("rank_deficient", _READERS, _doc(_RANK_DEFICIENT, [_PDG_GRID]), [], "config.instance"),
+    ("d2_above_default", _READERS, _doc({"family": "random_quadratic", "d1": 21},
+                                        [_PDG_GRID]), [], "config.instance.d2"),
+    ("no_grid_entry", ("grid",), _doc(), [], "config.solvers"),
+    ("bad_flag", ("solve", "grid", "verify"), _doc(solvers=[_PDG_GRID]), ["--seed", "abc"],
+     "--seed"),
+    ("bad_trials", ("verify",), None, ["--trials", "abc"], "--trials"),
+    ("unknown_flag", ("estimate",), _doc(), ["--budget", "5"], "pdsaddle"),
+    ("no_flags", _READERS, None, None, "pdsaddle {command}"),
+]
+
+
+@pytest.mark.parametrize("command,doc,flags,path", [
+    pytest.param(command, doc, flags, path, id=f"{name}-{command}")
+    for name, commands, doc, flags, path in _INPUT_FAULTS for command in commands])
+def test_input_faults_exit_1_with_a_config_error(command, doc, flags, path, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "l1.json", dict(_L1_DATA, lamda_reg=5.0))
+    if isinstance(doc, str):
+        (tmp_path / "cfg.json").write_text(doc)
+    elif doc is not None:
+        _write(tmp_path, "cfg.json", doc)
+    source = ["--suite", "contraction"] if command == "verify" else ["--config", "cfg.json"]
+    argv = [command] if flags is None else [command, *source, *flags, "--out", "o"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {path.format(command=command)}: "), err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def _pinned_quadratic(coupling):

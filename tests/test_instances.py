@@ -27,7 +27,6 @@ from pdsaddle.instances import (
     gaussian_data,
     instance_from_json,
     instance_to_json,
-    load_instance,
     make_smoothed_l1,
     mspbe_minimizer,
     mspbe_saddle,
@@ -41,6 +40,7 @@ from pdsaddle.instances import (
     smoothed_l1_saddle,
     split_quadratic,
 )
+from pdsaddle.harness import load_json
 from pdsaddle.solvers import reference_solution
 
 
@@ -356,7 +356,7 @@ def test_quadratic_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(back.A, inst.A)
     path = tmp_path / "inst.json"
     save_instance(inst, path)
-    loaded = load_instance(path)
+    loaded = instance_from_json(load_json(path, "path"))
     np.testing.assert_array_equal(loaded.C, inst.C)
 
 
