@@ -2,13 +2,15 @@
 
 Subcommands: solve, verify, grid, estimate.  Exit codes: 0 on success, 2 when
 a verify suite refutes a certificate, 1 on an error: "config error: <field
-path>: ..." for a fault in what is read, "error: ..." for one while running.
+path>: ..." for a fault in what is read or an --out that cannot be written,
+"error: ..." for one while running.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .harness import (
@@ -73,6 +75,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str, directory: bool):
+    """ConfigError at --out, before the command does any work, when ``out``
+    cannot be written: a report file (verify, estimate) needs an existing
+    writable directory, and an output directory (solve, grid) a writable
+    nearest existing ancestor, as the command makes the rest."""
+    path = os.path.abspath(out)
+    if directory:
+        while not os.path.exists(path):
+            path = os.path.dirname(path)
+    elif os.path.isdir(path):
+        raise ConfigError("--out", f"{out!r} is a directory, not a file")
+    else:
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError("--out", f"no directory {path!r}")
+    if not os.access(path, os.W_OK | os.X_OK):
+        raise ConfigError("--out", f"directory {path!r} is not writable")
+
+
 def _print_report(report: dict, out: str | None):
     """Print ``report`` as JSON, and write it to ``out`` when given."""
     text = json.dumps(report, indent=2, default=str, allow_nan=False)
@@ -85,6 +106,8 @@ def _print_report(report: dict, out: str | None):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.out is not None:
+            _check_out(args.out, directory=args.command in ("solve", "grid"))
         if args.command in ("solve", "grid"):
             # the flags are config fields, checked as the document is read
             config = ExperimentConfig.load(args.config, seed=args.seed,
@@ -129,8 +152,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OSError, RuntimeError) as exc:
-        # an --out that cannot be written; a reference solver that missed
-        # its tolerance
+        # a write that fails all the same (a full disk); a reference solver
+        # that missed its tolerance
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -588,7 +588,7 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
             trace.to_csv(out / entry["csv"])
             entry["rows"] = len(trace)
             entry["final_dist_x"] = trace.final_dist_x()
-            entry["slope"] = fitted_slope(trace.grad_evals, trace.column("dist_x"))
+            entry["slope"] = fitted_slope(trace.column("grad_evals"), trace.column("dist_x"))
             entry["potential_kind"] = trace.potential_kind
         if len(reps) > 1:
             rows = min(len(t) for t in reps)

@@ -88,6 +88,20 @@ class SmoothnessParams:
             )
 
 
+def _cache_aligned(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of ``a`` whose data starts on a 64-byte cache line.
+
+    numpy only promises 16-byte alignment, and a product with a 500 x 200
+    matrix takes up to 1.8x as long at the other three offsets, so without
+    this a solver's speed would follow where the heap happens to put A.
+    BLAS gives the same bits at every offset."""
+    buf = np.empty(a.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
 class SaddleProblem:
     """Oracle bundle for min_x max_y f(x) + y^T A x - g(y).
 
@@ -95,6 +109,7 @@ class SaddleProblem:
     concurrently running solvers.  Construction computes the extreme singular
     values of the coupling matrix by full SVD (exactness over speed; problem
     dimensions stay in the thousands) and rejects rank-deficient couplings.
+    The coupling is kept as a cache-line-aligned copy (``_cache_aligned``).
 
     Parameters
     ----------
@@ -141,7 +156,7 @@ class SaddleProblem:
 
         self.grad_f = grad_f
         self.grad_g = grad_g
-        self.coupling = coupling
+        self.coupling = _cache_aligned(coupling)
         self.conj_grad_g = conj_grad_g
         self.f_value = f_value
         self.g_value = g_value

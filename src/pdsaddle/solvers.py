@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,18 +107,20 @@ class Trace:
     Columns: iter, grad_evals (full-gradient units), dist_x = ||x_t - x*||,
     dist_y = ||y_t - y*||, b_t = ||y_t - grad g*(A x_t)||, potential
     (P_t, Q_t or R_t depending on the solver; see ``potential_kind``),
-    elapsed_seconds.  They are lists of floats (iter of ints); a column a
-    run does not measure holds NaN, written as an empty CSV field.
+    elapsed_seconds.  They are packed ``array.array`` columns of C doubles
+    (iter of 64-bit ints), about 59 bytes a row where lists of boxed values
+    took over 200; a column a run does not measure holds NaN, written as an
+    empty CSV field.
     """
 
     def __init__(self, potential_kind: str | None = None):
-        self.iters: list[int] = []
-        self.grad_evals: list[float] = []
-        self.dist_x: list[float] = []
-        self.dist_y: list[float] = []
-        self.b_t: list[float] = []
-        self.potential: list[float] = []
-        self.elapsed: list[float] = []
+        self.iters = array("q")
+        self.grad_evals = array("d")
+        self.dist_x = array("d")
+        self.dist_y = array("d")
+        self.b_t = array("d")
+        self.potential = array("d")
+        self.elapsed = array("d")
         self.potential_kind = potential_kind
 
     def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
@@ -138,40 +141,32 @@ class Trace:
         return len(self.iters)
 
     def column(self, name: str) -> np.ndarray:
-        """Column ``name`` (one of TRACE_COLUMNS) as a float array."""
+        """Column ``name`` (one of TRACE_COLUMNS) as a float array.  It is a
+        copy: a view would pin the buffer that a later append resizes."""
         return np.array(getattr(self, _TRACE_ATTRS[name]), dtype=float)
 
     def final_dist_x(self) -> float | None:
         """The last measured dist_x; None when no row measured it."""
-        d = self.column("dist_x")
-        d = d[~np.isnan(d)]
-        return float(d[-1]) if d.size else None
+        for d in reversed(self.dist_x):
+            if not math.isnan(d):
+                return d
+        return None
 
     def units_to_target(self, target: float) -> float | None:
         """Grad-units consumed when dist_x first drops to ``target``."""
         hit = np.flatnonzero(self.column("dist_x") <= target)
-        return float(self.grad_evals[hit[0]]) if hit.size else None
+        return self.grad_evals[hit[0]] if hit.size else None
 
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(TRACE_COLUMNS)
-            for i in range(len(self)):
-                row = [
-                    self.iters[i],
-                    repr(float(self.grad_evals[i])),
-                    *(
-                        "" if math.isnan(v) else repr(float(v))
-                        for v in (
-                            self.dist_x[i],
-                            self.dist_y[i],
-                            self.b_t[i],
-                            self.potential[i],
-                        )
-                    ),
-                    f"{self.elapsed[i]:.6f}",
-                ]
-                writer.writerow(row)
+            for it, units, *measured, elapsed in zip(
+                    self.iters, self.grad_evals, self.dist_x, self.dist_y,
+                    self.b_t, self.potential, self.elapsed):
+                writer.writerow([it, repr(units),
+                                 *("" if math.isnan(v) else repr(v) for v in measured),
+                                 f"{elapsed:.6f}"])
 
 
 _TRACE_ATTRS = dict(zip(TRACE_COLUMNS, ("iters", "grad_evals", "dist_x", "dist_y",

@@ -923,6 +923,40 @@ def test_input_faults_exit_1_with_a_config_error(command, doc, flags, path, tmp_
     assert not (tmp_path / "o").exists()
 
 
+# an --out that cannot be written: a report file in a missing directory, an
+# output directory under a file
+@pytest.mark.parametrize("command,out,where", [
+    ("verify", "/nonexistent/r.json", "no directory '/nonexistent'"),
+    ("estimate", "/nonexistent/r.json", "no directory '/nonexistent'"),
+    ("solve", "cfg.json/o", "no directory '{tmp}/cfg.json'"),
+    ("grid", "cfg.json/o", "no directory '{tmp}/cfg.json'"),
+], ids=["verify", "estimate", "solve", "grid"])
+def test_unwritable_out_exits_1_before_any_work(command, out, where, tmp_path,
+                                                monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"cmd_{command} ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, f"cmd_{command}", ran)
+    _write(tmp_path, "cfg.json", _doc(solvers=[_PDG_GRID]))
+    source = (["--suite", "contraction", "--trials", "20"] if command == "verify"
+              else ["--config", "cfg.json"])
+    assert cli.main([command, *source, "--out", out]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"config error: --out: {where.format(tmp=tmp_path)}\n"
+
+
+def test_out_directory_is_made_under_its_nearest_existing_ancestor(tmp_path):
+    cfg = str(CONFIG_DIR / "demo_quadratic.json")
+    out = tmp_path / "a" / "b"
+    assert cli.main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "summary.json").exists()
+    report = tmp_path / "r.json"
+    assert cli.main(["estimate", "--config", cfg, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["status"] == "ok"
+
+
 def _pinned_quadratic(coupling):
     return {"family": "quadratic", "data": {"family": "quadratic", "B": [[0.0]], "b": [0.0],
                                             "A": [[coupling]], "C": [[0.5]], "c": [0.0]}}

@@ -141,6 +141,26 @@ def test_check_gradients_detects_corruption():
     assert not check_gradients(corrupted, tol=1e-6, num_points=5, seed=3).passed
 
 
+def test_coupling_is_a_cache_aligned_copy_with_the_same_products():
+    rng = np.random.default_rng(4)
+    # the matrix at each 16-byte offset from a cache line that numpy may hand out
+    buf = np.empty(500 * 200 + 16)
+    aligned = (-buf.ctypes.data % 64) // 8
+    shifted = [buf[start:start + 500 * 200].reshape(500, 200)
+               for start in (aligned + 2, aligned + 4, aligned + 6)]
+    shifted[0][...] = rng.standard_normal((500, 200))
+    problem = SaddleProblem(grad_f=lambda x: x, grad_g=lambda y: y, coupling=shifted[0],
+                            rho=1.0, alpha=1.0, beta=1.0, conj_grad_g=lambda z: z)
+    coupling = problem.coupling
+    assert coupling.ctypes.data % 64 == 0 and coupling.flags.c_contiguous
+    np.testing.assert_array_equal(coupling, shifted[0])
+    x, y = rng.standard_normal(200), rng.standard_normal(500)
+    for A in shifted:
+        A[...] = coupling
+        assert (A @ x).tobytes() == (coupling @ x).tobytes()
+        assert (A.T @ y).tobytes() == (coupling.T @ y).tobytes()
+
+
 def test_params_invariants():
     with pytest.raises(ValueError):
         SmoothnessParams(rho=-1, alpha=1, beta=1, sigma_max=1, sigma_min=1)

@@ -1,4 +1,6 @@
+import csv
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ from pdsaddle import (
     DivergenceError,
     Iterate,
     StoppingRule,
+    SvrgConfig,
     Trace,
     iteration_budget,
     pdg_schedule,
@@ -15,11 +18,13 @@ from pdsaddle import (
     potential_P,
     reference_solution,
     run_pdg,
+    run_pdsvrg,
     run_primal_gd,
     sc_schedule,
 )
-from pdsaddle.instances import random_quadratic
+from pdsaddle.instances import random_quadratic, split_quadratic
 from pdsaddle.problems import SaddleProblem
+from pdsaddle.solvers import TRACE_COLUMNS
 from pdsaddle.theory import primal_step
 
 
@@ -83,7 +88,7 @@ def test_run_pdg_initial_row_when_converged():
                     schedule=pdg_schedule(problem.params),
                     stop=StoppingRule(100, 1e-8), x_star=x_star)
     assert len(trace) == 1
-    assert trace.iters == [0]
+    assert trace.iters.tolist() == [0]
 
 
 def test_run_pdg_reaches_tolerance_within_budget():
@@ -172,8 +177,8 @@ def test_run_pdg_deterministic():
 def test_run_primal_gd_single_step(unit_problem):
     trace = run_primal_gd(unit_problem, np.array([2.0]), eta=0.5,
                           stop=StoppingRule(1, 1e-300), x_star=np.zeros(1))
-    assert trace.dist_x == [pytest.approx(2.0), pytest.approx(1.0)]
-    assert trace.grad_evals == [0.0, 1.0]
+    assert trace.dist_x.tolist() == [pytest.approx(2.0), pytest.approx(1.0)]
+    assert trace.grad_evals.tolist() == [0.0, 1.0]
 
 
 def test_run_primal_gd_monotone_distance():
@@ -287,3 +292,78 @@ def test_batch_run_stops_on_dist_tol_and_on_the_gradient_norm_at_tol(solver):
     # measures no distance
     by_grad = run(StoppingRule(cap, 1e-3, dist_tol=1e-300))
     assert len(by_grad) == len(run(StoppingRule(cap, 1e-3), x_star=None)) < hit + 1
+
+
+# ---------------------------------------------------------------------------
+# packed trace columns against the list-based writer they replaced
+# ---------------------------------------------------------------------------
+
+def _list_csv(rows, path):
+    """The CSV writer over one Python list per column that the packed
+    columns replaced, fed the rows as the solver passed them."""
+    iters, grad_evals, dist_x, dist_y, b_t, potential, elapsed = map(list, zip(*rows))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for i in range(len(iters)):
+            writer.writerow([
+                iters[i],
+                repr(float(grad_evals[i])),
+                *("" if math.isnan(v) else repr(float(v))
+                  for v in (dist_x[i], dist_y[i], b_t[i], potential[i])),
+                f"{elapsed[i]:.6f}",
+            ])
+
+
+def _csv_case(name):
+    problem = random_quadratic(16)
+    x_star, _, _ = reference_solution(problem, "direct")
+    s = pdg_schedule(problem.params)
+    if name == "pdg":
+        return run_pdg(problem, schedule=s, stop=StoppingRule(300, 1e-300), x_star=x_star)
+    if name == "primal_gd":
+        return run_primal_gd(problem, eta=primal_step(problem.params),
+                             stop=StoppingRule(300, 1e-300), x_star=x_star)
+    if name == "pdsvrg":
+        cfg = SvrgConfig(eta1=0.01, eta2=0.01, inner_iters=24, epochs=20, mu=1.5)
+        return run_pdsvrg(split_quadratic(problem, 12, seed=1), cfg=cfg, x_star=x_star)
+    with pytest.raises(DivergenceError) as info:
+        run_pdg(problem, eta1=50 * s.eta1, eta2=50 * s.eta2,
+                stop=StoppingRule(10_000, 1e-300), x_star=x_star)
+    return info.value.trace
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("name", ["pdg", "primal_gd", "pdsvrg", "diverged_pdg"])
+def test_packed_csv_matches_the_list_writer(name, tmp_path, monkeypatch):
+    rows, append = [], Trace.append
+
+    def teed(self, it, grad_evals, dist_x=None, dist_y=None, b_t=None,
+             potential=None, elapsed=0.0):
+        append(self, it, grad_evals, dist_x, dist_y, b_t, potential, elapsed)
+        rows.append((it, grad_evals,
+                     *(math.nan if v is None else v for v in (dist_x, dist_y, b_t, potential)),
+                     elapsed))
+
+    monkeypatch.setattr(Trace, "append", teed)
+    trace = _csv_case(name)
+    assert len(rows) == len(trace) > 2
+    trace.to_csv(tmp_path / "packed.csv")
+    _list_csv(rows, tmp_path / "lists.csv")
+    assert (tmp_path / "packed.csv").read_bytes() == (tmp_path / "lists.csv").read_bytes()
+
+
+def test_trace_row_costs_at_most_64_bytes():
+    rows = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = Trace("P_t")
+        for k in range(rows):
+            trace.append(k, float(k), 1.0 / (k + 1), 2.0 / (k + 1), 3.0 / (k + 1),
+                         4.0 / (k + 1), elapsed=1e-4 * k)
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / rows
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == rows
+    assert per_row <= 64, f"{per_row:.1f} bytes per row"

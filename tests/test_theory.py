@@ -143,7 +143,7 @@ def test_potentials_equal_the_columns_runs_record():
         for _ in range(len(trace)):
             replayed.append(potential(it))
             it = pdg_step(problem, it, sched.eta1, sched.eta2)
-        assert replayed == trace.potential
+        assert replayed == trace.potential.tolist()
     fsp = split_quadratic(problem, 6, seed=1)
     cfg = SvrgConfig(eta1=0.01, eta2=0.01, inner_iters=12, epochs=1, mu=1.5)
     trace = run_pdsvrg(fsp, (init.x, init.y), cfg=cfg, x_star=x_star)
