@@ -29,3 +29,8 @@ def shifted_problem():
         np.zeros((1, 1)), np.zeros(1), np.array([[1.0]]),
         np.array([[0.5]]), np.array([1.0]),
     )
+
+
+def pytest_terminal_summary(terminalreporter):
+    from test_golden import mode  # pytest puts this directory on sys.path
+    terminalreporter.write_line(f"golden outputs compared by {mode()}")
