@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -124,8 +125,8 @@ SOLVERS = {
 # ---------------------------------------------------------------------------
 
 class _Field(NamedTuple):
-    """A config field: its JSON type (a Python type or tuple of them, or
-    [type] for a grid: a nonempty list of positive values), its default
+    """A config field: its JSON type (a Python type or tuple of them, [type]
+    for a grid: a nonempty list of positive values, or _ARRAY), its default
     (``...``: required) and its bound, a pair (what the value must be, test)."""
     kind: type | tuple | list
     default: object = ...
@@ -156,25 +157,112 @@ _ENTRY = {"name": _Field(str, ..., _one_of(*SOLVERS)), "schedule": _Field(dict, 
           "label": _Field(str, "", ("a plain file name (no '/', not '.' or '..')",
                                     lambda v: "/" not in v and v not in (".", "..")))}
 _PIN = {"data": _Field(dict, None), "path": _Field(str, None)}
-# family -> (fields of a generated instance, fields of one pinned by data or
-# path); None where the family cannot be built that way
+# a quadratic's finite-sum split, and the seed of the split (and generator)
+_SPLITS = {"splits": _positive(int, None), "seed": _SEED}
+_GAMMA = ("in (0, 1)", lambda v: 0 < v < 1)
+# the kind of an array field of a pinned document: a nested list of finite
+# numbers (a bool is not one)
+_ARRAY = "nested list of finite numbers"
+
+
+def _arrays(*names) -> dict:
+    return {name: _Field(_ARRAY) for name in names}
+
+
+# ---------------------------------------------------------------------------
+# instance families: one record each
+# ---------------------------------------------------------------------------
+
+def _solved(problem, **parts) -> dict:
+    """The bundle fields of the quadratic saddle ``problem``, its finite-sum
+    ``parts`` and its direct reference solution."""
+    x_star, y_star, _ = reference_solution(problem, "direct")
+    return {"problem": problem, "x_star": x_star, "y_star": y_star, **parts}
+
+
+def _build_quadratic(v: dict, data) -> dict:
+    """The quadratic pinned as ``data``, else a random one, split into
+    ``splits`` components when given."""
+    if data is None:
+        if "d2" not in v and v.get("d1", 0) > 20:  # the default draws d2 <= 20
+            raise ConfigError("config.instance.d2", "required when d1 > 20")
+        if v.get("d1", 0) > v.get("d2", math.inf):
+            raise ConfigError("config.instance.d2", "full column rank needs d2 >= d1")
+        problem = inst_mod.random_quadratic(v["seed"], v.get("d1"), v.get("d2"),
+                                            strongly_convex=v["strongly_convex"])
+    else:
+        problem = data.to_problem()
+    if "splits" not in v:
+        return _solved(problem)
+    return _solved(problem, fsp=inst_mod.split_quadratic(problem, v["splits"], seed=v["seed"]),
+                   primal_fsp=inst_mod.split_quadratic_primal(problem, v["splits"],
+                                                              seed=v["seed"]))
+
+
+def _build_smoothed_l1(v: dict, data) -> dict:
+    """The regression pinned as ``data``, else a generated one; its row sum
+    is both finite-sum forms, and its reference the Newton minimizer."""
+    if data is None:
+        if (v["covariance"] == "exp_decay") != ("decay" in v):
+            raise ConfigError("config.instance.decay", "only for exp_decay covariance"
+                              if "decay" in v else "required for exp_decay covariance")
+        data = inst_mod.make_smoothed_l1(
+            v["n"], v["d"], cov=v["covariance"], decay=v.get("decay"), a=float(v["a"]),
+            lambda_reg=v.get("lambda_reg"), noise=float(v["noise"]),
+            density=float(v["density"]), seed=v["seed"],
+        )
+    fsp = inst_mod.smoothed_l1_saddle(data)
+    x_star = inst_mod.smoothed_l1_minimizer(data)
+    y_star = conj_grad(fsp.aggregate, fsp.aggregate.coupling @ x_star)
+    # ||grad P(x_star)||, recomputed through the saddle oracles
+    residual = float(np.linalg.norm(grad_primal(fsp.aggregate, x_star)))
+    return {"problem": fsp.aggregate, "fsp": fsp, "primal_fsp": fsp, "x_star": x_star,
+            "y_star": y_star, "meta": {"reference_residual": residual}}
+
+
+def _build_mspbe(v: dict, data) -> dict:
+    """The transitions pinned as ``data``, else random ones."""
+    if data is None:
+        data = inst_mod.random_mspbe(v["n"], v["d"], gamma=float(v["gamma"]), seed=v["seed"])
+    return _solved(inst_mod.mspbe_saddle(data, normalize=v["normalize"]))
+
+
+class _Family(NamedTuple):
+    """An instance family: the fields of a generated instance and of one
+    pinned by data or path (None where it cannot be built that way), the
+    class of its pinned document and that document's fields but family, and
+    its build(values, the pinned instance or None) -> bundle fields."""
+    generated: dict | None
+    pinned: dict | None
+    document: type | None
+    document_fields: dict
+    build: Callable[[dict, object], dict]
+
+
 _FAMILIES = {
-    "quadratic": (None, {**_PIN, "splits": _positive(int, None), "seed": _SEED}),
-    "random_quadratic": ({"d1": _positive(int, None), "d2": _positive(int, None),
-                          "strongly_convex": _Field(bool, False),
-                          "splits": _positive(int, None), "seed": _SEED}, None),
-    "smoothed_l1": ({"n": _positive(int), "d": _positive(int),
-                     "covariance": _Field(str, "identity", _one_of("identity", "exp_decay")),
-                     "decay": _positive(_NUMBER, None), "a": _positive(_NUMBER, 10.0),
-                     "lambda_reg": _positive(_NUMBER, None),
-                     "noise": _Field(_NUMBER, 0.01,
-                                     ("finite and >= 0", lambda v: 0 <= v < math.inf)),
-                     "density": _Field(_NUMBER, 0.1, ("in (0, 1]", lambda v: 0 < v <= 1)),
-                     "seed": _SEED}, _PIN),
-    "mspbe": ({"n": _positive(int), "d": _positive(int),
-               "gamma": _Field(_NUMBER, 0.9, ("in (0, 1)", lambda v: 0 < v < 1)),
-               "normalize": _Field(bool, False), "seed": _SEED},
-              {**_PIN, "normalize": _Field(bool, False)}),
+    "quadratic": _Family(None, {**_PIN, **_SPLITS}, inst_mod.QuadraticSaddle,
+                         _arrays("B", "b", "A", "C", "c"), _build_quadratic),
+    "random_quadratic": _Family({"d1": _positive(int, None), "d2": _positive(int, None),
+                                 "strongly_convex": _Field(bool, False), **_SPLITS},
+                                None, None, {}, _build_quadratic),
+    "smoothed_l1": _Family(
+        {"n": _positive(int), "d": _positive(int),
+         "covariance": _Field(str, "identity", _one_of("identity", "exp_decay")),
+         "decay": _positive(_NUMBER, None), "a": _positive(_NUMBER, 10.0),
+         "lambda_reg": _positive(_NUMBER, None),
+         "noise": _Field(_NUMBER, 0.01, ("finite and >= 0", lambda v: 0 <= v < math.inf)),
+         "density": _Field(_NUMBER, 0.1, ("in (0, 1]", lambda v: 0 < v <= 1)),
+         "seed": _SEED},
+        _PIN, inst_mod.SmoothedL1Regression,
+        {**_arrays("A", "b"), "a": _positive(_NUMBER), "lambda_reg": _positive(_NUMBER)},
+        _build_smoothed_l1),
+    "mspbe": _Family({"n": _positive(int), "d": _positive(int),
+                      "gamma": _Field(_NUMBER, 0.9, _GAMMA),
+                      "normalize": _Field(bool, False), "seed": _SEED},
+                     {**_PIN, "normalize": _Field(bool, False)}, inst_mod.MspbeInstance,
+                     {**_arrays("phi", "phi_next", "rewards"),
+                      "gamma": _Field(_NUMBER, ..., _GAMMA)},
+                     _build_mspbe),
 }
 _FAMILY = _Field(str, ..., _one_of(*_FAMILIES))
 
@@ -192,7 +280,9 @@ def load_json(file, path: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(path, f"cannot read {str(file)!r}: {exc.strerror}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    # JSONDecodeError, bytes that are not UTF-8, or nesting past the
+    # recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(path, f"invalid JSON in {str(file)!r} ({exc})") from exc
 
 
@@ -208,6 +298,14 @@ def _read(doc, fields: dict, path: str) -> dict:
         if key not in doc:
             if default is ...:
                 raise ConfigError(where, "missing required field")
+        elif kind is _ARRAY:
+            stack = [value]  # walked without recursion: JSON may nest deep
+            while stack:
+                item = stack.pop()
+                if _is(item, list):
+                    stack.extend(reversed(item))
+                elif not (_is(item, _NUMBER) and abs(item) <= sys.float_info.max):
+                    raise ConfigError(where, f"must be a {_ARRAY}, got {item!r}")
         elif isinstance(kind, list):
             if not (_is(value, list) and value
                     and all(_is(v, kind[0]) and 0 < v < math.inf for v in value)):
@@ -258,11 +356,13 @@ def _schedule_fields(solver: str, source) -> dict:
 def _read_instance(spec) -> dict:
     """The field values of an instance spec, as its family declares them."""
     family = spec.get("family") if _is(spec, dict) else None
+    fields = {}
     # a tuple, not the dict: the family may be any JSON value, a list included
-    generated, pinned = _FAMILIES[family] if family in tuple(_FAMILIES) else ({}, None)
-    if generated is None or pinned is not None and ("data" in spec or "path" in spec):
-        generated = pinned
-    values = _read(spec, {"family": _FAMILY, **generated}, "config.instance")
+    if family in tuple(_FAMILIES):
+        record = _FAMILIES[family]
+        pinned = record.pinned is not None and ("data" in spec or "path" in spec)
+        fields = record.pinned if pinned or record.generated is None else record.generated
+    values = _read(spec, {"family": _FAMILY, **fields}, "config.instance")
     if "data" in values and "path" in values:
         raise ConfigError("config.instance.path", "must not be given together with data")
     return values
@@ -341,14 +441,10 @@ class InstanceBundle:
 
 
 def build_instance(spec: dict) -> InstanceBundle:
-    """Construct an InstanceBundle from a config instance spec.
-
-    Families: "quadratic" (inline data or path, optionally split into
-    ``splits`` components), "random_quadratic" (seeded generator),
-    "smoothed_l1" (generator parameters or pinned data), "mspbe" (pinned data
-    or seeded generator); _FAMILIES declares each one's fields.  A malformed
-    field, or data a builder rejects, is a ConfigError; a reference solver
-    that misses its tolerance raises RuntimeError.
+    """Construct an InstanceBundle from a config instance spec, by the
+    _FAMILIES record of its family.  A malformed field, pinned-document
+    fields included, or data a builder rejects, is a ConfigError; a
+    reference solver that misses its tolerance raises RuntimeError.
     """
     values = _read_instance(spec)
     try:
@@ -360,60 +456,21 @@ def build_instance(spec: dict) -> InstanceBundle:
 
 
 def _build_family(v: dict) -> InstanceBundle:
-    path, family = "config.instance", v["family"]
+    """The bundle of the read spec ``v``; a pinned document is read through
+    its family's document fields, at the field that holds it."""
+    family = _FAMILIES[v["family"]]
     data = None
-    # a pinned document's faults are reported at the field that holds it
-    for key in ("data", "path"):
+    for key in ("data", "path"):  # _read_instance allows one at most
         if key in v:
-            doc = v[key] if key == "data" else load_json(v[key], f"{path}.{key}")
-            try:
-                data = inst_mod.instance_from_json(doc)
-            except ValueError as exc:
-                raise ConfigError(f"{path}.{key}", str(exc)) from exc
-    if data is not None and not isinstance(data, inst_mod._JSON_FIELDS[family][0]):
-        raise ConfigError(path, f"pinned instance is not a {family} instance")
-
-    if family in ("quadratic", "random_quadratic"):
-        if family == "random_quadratic":
-            if "d2" not in v and v.get("d1", 0) > 20:  # the default draws d2 <= 20
-                raise ConfigError(f"{path}.d2", "required when d1 > 20")
-            problem = inst_mod.random_quadratic(v["seed"], v.get("d1"), v.get("d2"),
-                                                strongly_convex=v["strongly_convex"])
-        elif data is None:
-            raise ConfigError(path, "quadratic family needs 'data' or 'path'")
-        else:
-            problem = data.to_problem()
-        fsp = primal = None
-        if "splits" in v:
-            fsp = inst_mod.split_quadratic(problem, v["splits"], seed=v["seed"])
-            primal = inst_mod.split_quadratic_primal(problem, v["splits"], seed=v["seed"])
-        x_star, y_star, _ = reference_solution(problem, "direct")
-        return InstanceBundle(family=family, problem=problem, fsp=fsp,
-                              primal_fsp=primal, x_star=x_star, y_star=y_star)
-
-    if family == "smoothed_l1":
-        if data is None:
-            if v["covariance"] == "exp_decay" and "decay" not in v:
-                raise ConfigError(f"{path}.decay", "required for exp_decay covariance")
-            data = inst_mod.make_smoothed_l1(
-                v["n"], v["d"], cov=v["covariance"], decay=v.get("decay"), a=float(v["a"]),
-                lambda_reg=v.get("lambda_reg"), noise=float(v["noise"]),
-                density=float(v["density"]), seed=v["seed"],
-            )
-        fsp = inst_mod.smoothed_l1_saddle(data)  # a row sum: both forms
-        x_star = inst_mod.smoothed_l1_minimizer(data)
-        y_star = conj_grad(fsp.aggregate, fsp.aggregate.coupling @ x_star)
-        # ||grad P(x_star)||, recomputed through the saddle oracles
-        residual = float(np.linalg.norm(grad_primal(fsp.aggregate, x_star)))
-        return InstanceBundle(family=family, problem=fsp.aggregate, fsp=fsp,
-                              primal_fsp=fsp, x_star=x_star, y_star=y_star,
-                              meta={"reference_residual": residual})
-
-    if data is None:  # mspbe
-        data = inst_mod.random_mspbe(v["n"], v["d"], gamma=float(v["gamma"]), seed=v["seed"])
-    problem = inst_mod.mspbe_saddle(data, normalize=v["normalize"])
-    x_star, y_star, _ = reference_solution(problem, "direct")
-    return InstanceBundle(family=family, problem=problem, x_star=x_star, y_star=y_star)
+            where = f"config.instance.{key}"
+            doc = v[key] if key == "data" else load_json(v[key], where)
+            values = _read(doc, {"family": _Field(str, ..., _one_of(v["family"])),
+                                 **family.document_fields}, where)
+            del values["family"]
+            data = family.document(**values)
+    if data is None and family.generated is None:
+        raise ConfigError("config.instance", f"{v['family']} family needs 'data' or 'path'")
+    return InstanceBundle(family=v["family"], **family.build(v, data))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ forms, or closed-form bounds for the smoothed-L1 regularizer).
 from __future__ import annotations
 
 import json
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "exp_decay_cov",
     "gaussian_data",
     "instance_to_json",
-    "instance_from_json",
     "save_instance",
 ]
 
@@ -587,65 +585,14 @@ def gaussian_data(
 # JSON serialization (matrices row-major nested lists)
 # ---------------------------------------------------------------------------
 
-# family -> (class, array fields, number fields), in document order
-_JSON_FIELDS = {
-    "quadratic": (QuadraticSaddle, ("B", "b", "A", "C", "c"), ()),
-    "smoothed_l1": (SmoothedL1Regression, ("A", "b"), ("a", "lambda_reg")),
-    "mspbe": (MspbeInstance, ("phi", "phi_next", "rewards"), ("gamma",)),
-}
-
-
 def instance_to_json(inst) -> dict:
-    for family, (cls, arrays, numbers) in _JSON_FIELDS.items():
-        if isinstance(inst, cls):
-            return {"family": family, **{k: getattr(inst, k).tolist() for k in arrays},
-                    **{k: getattr(inst, k) for k in numbers}}
-    raise TypeError(f"cannot serialize {type(inst).__name__}")
+    """The pinned document of ``inst``: its family, the one whose record in
+    the harness's family table names its class, then its dataclass fields."""
+    from .harness import _FAMILIES  # the harness imports this module
 
-
-def _leaves(value):
-    """The entries of a nested list, depth first."""
-    if isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
-
-
-def _finite(value) -> bool:
-    """Whether a JSON value is a number a float holds finitely; a bool is
-    not a number."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def instance_from_json(doc: dict):
-    """The instance an ``instance_to_json`` document describes; ValueError,
-    naming the field, unless the document is an object with a known family
-    and exactly that family's fields, holding only finite numbers where a
-    number belongs, in a number field or an array entry."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"instance document must be an object, got {type(doc).__name__}")
-    family = doc.get("family")
-    if family not in _JSON_FIELDS:
-        raise ValueError(f"unknown instance family {family!r}")
-    cls, arrays, numbers = _JSON_FIELDS[family]
-    missing = [k for k in arrays + numbers if k not in doc]
-    if missing:
-        raise ValueError(f"{family} instance document lacks {', '.join(missing)}")
-    unknown = [k for k in doc if k not in ("family", *arrays, *numbers)]
-    if unknown:
-        raise ValueError(f"{family} instance document has unknown field {unknown[0]}")
-    for k in numbers:
-        if not _finite(doc[k]):
-            raise ValueError(f"{family} instance field {k} must be a finite number, "
-                             f"got {doc[k]!r}")
-    for k in arrays:
-        bad = [v for v in _leaves(doc[k]) if not _finite(v)]
-        if bad:
-            raise ValueError(f"{family} instance field {k} must hold finite numbers "
-                             f"only, got {bad[0]!r}")
-    return cls(**{k: doc[k] for k in arrays + numbers})
+    family = next(name for name, record in _FAMILIES.items() if record.document is type(inst))
+    return {"family": family, **{f.name: np.asarray(getattr(inst, f.name)).tolist()
+                                 for f in fields(inst)}}
 
 
 def save_instance(inst, path):

@@ -105,7 +105,7 @@ def _full_rank(instance):
 def documents():
     """Valid documents; ``splits`` always, so every solver has its finite-sum
     form."""
-    family = {"family": harness._FAMILY, **harness._FAMILIES[FAMILY][0]}
+    family = {"family": harness._FAMILY, **harness._FAMILIES[FAMILY].generated}
     instance = _object(family, {"family": st.just(FAMILY),
                                 **_always(family, "d1", "d2", "splits")})
     return _object(harness._CONFIG, {
@@ -121,7 +121,7 @@ def _tables(doc):
     yield "config", doc, harness._CONFIG
     instance = doc["instance"]
     yield "config.instance", instance, {"family": harness._FAMILY,
-                                        **harness._FAMILIES[instance["family"]][0]}
+                                        **harness._FAMILIES[instance["family"]].generated}
     yield "config.stopping", doc["stopping"], harness._STOPPING
     for i, entry in enumerate(doc["solvers"]):
         path = f"config.solvers[{i}]"

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -819,20 +820,23 @@ def _pinned_l1(**fields):
      "config.solvers[0].schedule.eta"),
     (_doc({"family": "mspbe", "data": {"family": "quadratic", "B": [[0.0]], "b": [0.0],
                                        "A": [[1.0]], "C": [[0.5]], "c": [0.0]}}),
-     "config.instance"),
+     "config.instance.data.family"),
     (_doc(solvers=[{"name": "pdg", "label": "../escaped"}]), "config.solvers[0].label"),
-    (_doc(_pinned_l1(a=True)), "config.instance.data"),
-    (_doc(_pinned_l1(lambda_reg=float("inf"))), "config.instance.data"),
+    (_doc(_pinned_l1(a=True)), "config.instance.data.a"),
+    (_doc(_pinned_l1(lambda_reg=float("inf"))), "config.instance.data.lambda_reg"),
     (_doc(_pinned_l1(A=[[1.0, 0.0], [0.0, float("nan")], [1.0, 1.0]])),
-     "config.instance.data"),
+     "config.instance.data.A"),
     (_doc({**_pinned_l1(), "path": "elsewhere.json"}), "config.instance.path"),
     (_doc(solvers=[{"name": "pdg", "repetitions": 5}]), "config.solvers[0].repetitions"),
+    (_doc({"family": "smoothed_l1", "n": 10, "d": 3, "decay": 2}), "config.instance.decay"),
+    (_doc({"family": "random_quadratic", "d1": 9, "d2": 4}), "config.instance.d2"),
 ], ids=["d1_bool", "n_zero", "budget_inf", "repetitions_bool", "seed_bool", "budget_bool",
         "variant_case", "variant_on_primal_gd", "variant_on_pdsvrg", "misspelt_stopping",
         "eta_in_theory", "epochs_in_grid", "grid_missing_eta2", "grid_inner_iters_fraction",
         "path_int", "density_above_1", "eta_inf", "pinned_family_mismatch",
         "label_escapes_out_dir", "pinned_sharpness_bool", "pinned_lambda_inf",
-        "pinned_entry_nan", "data_and_path", "repetitions_on_batch_entry"])
+        "pinned_entry_nan", "data_and_path", "repetitions_on_batch_entry",
+        "decay_without_exp_decay", "d1_above_d2"])
 def test_malformed_documents_exit_1_before_any_output(doc, path, tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", doc)
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -878,6 +882,8 @@ def test_estimate_rejects_a_non_object_document(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config.instance: expected dict")
 
 
+_DEEP = "[" * 995 + "]" * 995
+
 # every fault in what the CLI reads, run through each command that reads it:
 # (name, commands, config document (None: no file; a str: its text), extra
 # flags, the field path of the error)
@@ -888,9 +894,13 @@ _INPUT_FAULTS = [
     ("missing_path", _READERS, _doc({"family": "quadratic", "path": "absent.json"},
                                     [_PDG_GRID]), [], "config.instance.path"),
     ("unknown_data_field", _READERS, _doc(_pinned_l1(lamda_reg=5.0), [_PDG_GRID]), [],
-     "config.instance.data"),
+     "config.instance.data.lamda_reg"),
     ("unknown_path_field", _READERS, _doc({"family": "smoothed_l1", "path": "l1.json"},
-                                          [_PDG_GRID]), [], "config.instance.path"),
+                                          [_PDG_GRID]), [], "config.instance.path.lamda_reg"),
+    # JSON nested past the recursion limit, as the config and as a document
+    ("deep_json", _READERS, _DEEP, [], "--config"),
+    ("deep_path", _READERS, _doc({"family": "smoothed_l1", "path": "deep.json"},
+                                 [_PDG_GRID]), [], "config.instance.path"),
     ("rank_deficient", _READERS, _doc(_RANK_DEFICIENT, [_PDG_GRID]), [], "config.instance"),
     ("d2_above_default", _READERS, _doc({"family": "random_quadratic", "d1": 21},
                                         [_PDG_GRID]), [], "config.instance.d2"),
@@ -910,6 +920,7 @@ def test_input_faults_exit_1_with_a_config_error(command, doc, flags, path, tmp_
                                                  monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "l1.json", dict(_L1_DATA, lamda_reg=5.0))
+    (tmp_path / "deep.json").write_text(_DEEP)
     if isinstance(doc, str):
         (tmp_path / "cfg.json").write_text(doc)
     elif doc is not None:
@@ -921,6 +932,55 @@ def test_input_faults_exit_1_with_a_config_error(command, doc, flags, path, tmp_
     assert out == "" and err.startswith(f"config error: {path.format(command=command)}: "), err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+# a valid pinned document of every family that has one
+_DOCUMENTS = {
+    "quadratic": {"family": "quadratic", "B": [[0.0]], "b": [0.0], "A": [[1.0]],
+                  "C": [[0.5]], "c": [0.0]},
+    "smoothed_l1": _L1_DATA,
+    "mspbe": {"family": "mspbe", "phi": [[1.0], [0.5]], "phi_next": [[0.5], [1.0]],
+              "rewards": [1.0, 0.0], "gamma": 0.9},
+}
+
+
+def _document_faults():
+    """(id, family, broken document, field) for each field of each family's
+    pinned document, dropped or given a value of another JSON type, and for
+    an unknown field."""
+    for family, doc in _DOCUMENTS.items():
+        fields = {"family": harness._Field(str), **harness._FAMILIES[family].document_fields}
+        yield f"{family}-unknown", family, dict(doc, zz_unknown=1), "zz_unknown"
+        for key, field in fields.items():
+            yield f"{family}-{key}-missing", family, {k: doc[k] for k in doc if k != key}, key
+            wrong = 5 if field.kind is str else "x" if field.kind == harness._ARRAY else "1"
+            yield f"{family}-{key}-wrong_type", family, dict(doc, **{key: wrong}), key
+
+
+def test_every_family_with_a_document_has_a_valid_one():
+    assert sorted(_DOCUMENTS) == sorted(name for name, record in harness._FAMILIES.items()
+                                        if record.document is not None)
+    for family, doc in _DOCUMENTS.items():
+        assert build_instance({"family": family, "data": doc}).family == family
+
+
+@pytest.mark.parametrize("family,doc,field", [
+    pytest.param(*case, id=name) for name, *case in _document_faults()])
+def test_pinned_document_faults_exit_1_at_their_field(family, doc, field, tmp_path, capsys):
+    cfg = _write(tmp_path, "cfg.json", _doc({"family": family, "data": doc}))
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.instance.data.{field}: "), err
+    assert not (tmp_path / "o").exists()
+
+
+def test_array_fields_are_walked_without_recursion():
+    deep = [float("nan")]
+    for _ in range(5 * sys.getrecursionlimit()):
+        deep = [deep]
+    with pytest.raises(ConfigError, match=r"^config\.instance\.data\.A: must be a nested "
+                                          r"list of finite numbers, got nan"):
+        build_instance(_pinned_l1(A=deep))
 
 
 # an --out that cannot be written: a report file in a missing directory, an

@@ -1,4 +1,3 @@
-import json
 import os
 import subprocess
 import sys
@@ -22,10 +21,8 @@ from pdsaddle import (
 from pdsaddle.instances import (
     MspbeInstance,
     QuadraticSaddle,
-    SmoothedL1Regression,
     exp_decay_cov,
     gaussian_data,
-    instance_from_json,
     instance_to_json,
     make_smoothed_l1,
     mspbe_minimizer,
@@ -40,7 +37,7 @@ from pdsaddle.instances import (
     smoothed_l1_saddle,
     split_quadratic,
 )
-from pdsaddle.harness import load_json
+from pdsaddle.harness import build_instance, load_json
 from pdsaddle.solvers import reference_solution
 
 
@@ -343,35 +340,43 @@ def test_condition_number_ordering_across_covariances():
 # serialization
 # ---------------------------------------------------------------------------
 
+def _pinned_builds(inst, tmp_path) -> list:
+    """The bundles build_instance makes from ``inst`` pinned by data and by
+    path, its document having made a JSON round trip."""
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    family = instance_to_json(inst)["family"]
+    return [build_instance({"family": family, "data": load_json(path, "path")}),
+            build_instance({"family": family, "path": str(path)})]
+
+
 def test_quadratic_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(3)
+    rank_2 = rng.standard_normal((3, 2))
     inst = QuadraticSaddle(
-        B=rng.standard_normal((3, 3)), b=rng.standard_normal(3),
+        B=rank_2 @ rank_2.T, b=rng.standard_normal(3),
         A=rng.standard_normal((4, 3)) + 2 * np.vstack([np.eye(3), np.zeros((1, 3))]),
         C=np.eye(4), c=rng.standard_normal(4),
     )
-    doc = instance_to_json(inst)
-    back = instance_from_json(json.loads(json.dumps(doc)))
-    np.testing.assert_array_equal(back.B, inst.B)
-    np.testing.assert_array_equal(back.A, inst.A)
-    path = tmp_path / "inst.json"
-    save_instance(inst, path)
-    loaded = instance_from_json(load_json(path, "path"))
-    np.testing.assert_array_equal(loaded.C, inst.C)
+    direct = inst.to_problem()
+    for bundle in _pinned_builds(inst, tmp_path):
+        assert bundle.family == "quadratic"
+        np.testing.assert_array_equal(bundle.problem.coupling, inst.A)
+        for got, want in zip(bundle.problem.quadratic_parts, direct.quadratic_parts):
+            np.testing.assert_array_equal(got, want)
 
 
-def test_smoothed_l1_and_mspbe_serialization(small_l1):
-    back = instance_from_json(instance_to_json(small_l1))
-    assert isinstance(back, SmoothedL1Regression)
-    np.testing.assert_array_equal(back.A, small_l1.A)
-    assert back.lambda_reg == small_l1.lambda_reg
+def test_smoothed_l1_and_mspbe_serialization(small_l1, tmp_path):
+    for bundle in _pinned_builds(small_l1, tmp_path):
+        assert bundle.family == "smoothed_l1"
+        np.testing.assert_array_equal(bundle.fsp.A, small_l1.A)
+        np.testing.assert_array_equal(bundle.x_star, smoothed_l1_minimizer(small_l1))
 
     inst = random_mspbe(6, 2, seed=0)
-    back = instance_from_json(instance_to_json(inst))
-    assert isinstance(back, MspbeInstance)
-    np.testing.assert_array_equal(back.phi_next, inst.phi_next)
-    with pytest.raises(ValueError, match="family"):
-        instance_from_json({"family": "unknown"})
+    for bundle in _pinned_builds(inst, tmp_path):
+        assert bundle.family == "mspbe"
+        np.testing.assert_array_equal(bundle.problem.coupling, mspbe_saddle(inst).coupling)
+        np.testing.assert_allclose(bundle.x_star, mspbe_minimizer(inst), rtol=1e-8)
 
 
 def test_cli_import_and_smoothed_l1_build_leave_scipy_linalg_unloaded():
