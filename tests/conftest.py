@@ -32,5 +32,8 @@ def shifted_problem():
 
 
 def pytest_terminal_summary(terminalreporter):
-    from test_golden import mode  # pytest puts this directory on sys.path
+    # pytest puts this directory on sys.path
+    from test_acceptance import pinned_mode
+    from test_golden import mode
     terminalreporter.write_line(f"golden outputs compared by {mode()}")
+    terminalreporter.write_line(f"criterion 7 outputs compared with PINNED {pinned_mode()}")

@@ -3,10 +3,13 @@ prints one PASS line (run with -s to see them).  The last test reproduces the
 full-scale regression experiment (d=200, n=500, three covariance cases) and
 takes a few minutes; everything else is seconds."""
 
+import json
+import math
 import time
 
 import numpy as np
 import pytest
+from test_golden import GOLDEN, host  # pytest puts this directory on sys.path
 
 from pdsaddle import (
     StoppingRule,
@@ -41,6 +44,61 @@ from pdsaddle.instances import (
 )
 
 CONTRACTION_SEED = 1000  # criteria 1 and 2 share this instance family
+
+# criterion 7's outputs per case, on the host that tests/golden.json records
+PINNED = {
+    "identity": {
+        "units_gd": 189.0, "units_pdg": 436.0, "units_svrg": 460.0,
+        "slope_pdg": -0.01316804170919966, "slope_svrg": -0.014116383680564339,
+        "tuned": {"primal_gd": {"eta": 0.4550360649836774},
+                  "pdg": {"eta1": 0.18959836040986558, "eta2": 250.0},
+                  "pdsvrg": {"eta1": 0.0023047693017111373, "eta2": 0.5,
+                             "inner_iters": 1000.0, "mu": 1.0}},
+    },
+    "exp_decay(2)": {
+        "units_gd": 1150.0, "units_pdg": 2474.0, "units_svrg": 1630.0,
+        "slope_pdg": -0.002413505507713549, "slope_svrg": -0.003537641356862538,
+        "tuned": {"primal_gd": {"eta": 0.2630390308729293},
+                  "pdg": {"eta1": 0.12140262963365968, "eta2": 250.0},
+                  "pdsvrg": {"eta1": 0.0018009990304437933, "eta2": 0.5,
+                             "inner_iters": 1000.0, "mu": 1.0}},
+    },
+    "exp_decay(10)": {
+        "units_gd": 23520.0, "units_pdg": 50942.0, "units_svrg": 13420.0,
+        "slope_pdg": -0.00026975761915009315, "slope_svrg": -0.0006828697789014097,
+        "tuned": {"primal_gd": {"eta": 0.06288975622229197},
+                  "pdg": {"eta1": 0.02902604133336553, "eta2": 250.0},
+                  "pdsvrg": {"eta1": 0.0011039847371972001, "eta2": 0.5,
+                             "inner_iters": 1000.0, "mu": 1.0}},
+        "units_primal_svrg_deep": 18440.0, "units_gd_deep": 31906.0,
+    },
+}
+# on another numpy or BLAS, relative: a to-target run may end a step or an
+# epoch (under 2% of any count above) away and a fit moves with it, while
+# another tuned point is a grid value at least 8% away
+PINNED_REL = 0.05
+
+
+def pinned_rel() -> float:
+    """The relative tolerance of criterion 7's comparison with PINNED on this
+    host: 0 on the host tests/golden.json records."""
+    return 0.0 if json.loads(GOLDEN.read_text())["host"] == host() else PINNED_REL
+
+
+def pinned_mode() -> str:
+    if pinned_rel() == 0.0:
+        return "exactly"
+    return f"to {PINNED_REL:g} relative (not the host tests/golden.json records)"
+
+
+def _match(got, want, where: str, rel: float):
+    """Assert ``got`` equals the pinned ``want``, numbers to ``rel`` relative."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _match(got[key], want[key], f"{where}.{key}", rel)
+    else:
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0), (where, got, want)
 
 
 def test_criterion_1_contraction_certificate():
@@ -232,8 +290,10 @@ def test_criterion_7_full_scale_reproduction():
         results[(cov, decay)] = res
 
     lines = []
+    rel = pinned_rel()
     for (cov, decay), res in results.items():
         label = cov if decay is None else f"{cov}({decay})"
+        _match({k: v for k, v in res.items() if k != "seconds"}, PINNED[label], label, rel)
         # (i) linear convergence: negative fitted log-slope for both methods
         assert res["slope_pdg"] < 0, (label, res)
         assert res["slope_svrg"] < 0, (label, res)

@@ -1,4 +1,5 @@
-"""Golden outputs: every file the CLI writes on a fixed set of small inputs.
+"""Golden outputs: every file the CLI writes on a fixed set of small inputs,
+verify reports included.
 
 ``tests/golden.json`` holds, for each case, the exit code, the SHA-256 of
 each output file and the JSON outputs themselves.  A CSV is hashed without
@@ -90,8 +91,19 @@ def _small(name: str) -> dict:
     return doc
 
 
+# each verify suite on few trials, by its CLI flags; props also with a primal
+# step past its precondition bound
+_VERIFY = {
+    "contraction": ["--suite", "contraction", "--trials", "2"],
+    "sc_contraction": ["--suite", "sc_contraction", "--trials", "2"],
+    "props": ["--suite", "props", "--trials", "2"],
+    "props-eta1_scale_2": ["--suite", "props", "--trials", "2", "--eta1-scale", "2"],
+    "svrg_halving": ["--suite", "svrg_halving", "--trials", "1"],
+}
+
+
 def _cases() -> dict:
-    """case name -> (command, config document)."""
+    """case name -> (command, config document, or a verify case's flags)."""
     cases = {}
     for path in sorted((ROOT / "configs").glob("*.json")):
         for command in ("solve", "grid"):
@@ -106,6 +118,8 @@ def _cases() -> dict:
     for name, instance in instances.items():
         cases[f"solve-{name}"] = ("solve", {"instance": instance, "solvers": [{"name": "pdg"}],
                                             "stopping": {"max_iters": 50}})
+    for name, flags in _VERIFY.items():
+        cases[f"verify-{name}"] = ("verify", flags)
     return cases
 
 
@@ -128,18 +142,22 @@ def run_case(name: str, tmp: Path) -> dict:
     """Exit code, output digests and JSON outputs of case ``name``, run in
     ``tmp``."""
     command, doc = CASES[name]
-    doc = json.loads(json.dumps(doc))
-    instance = doc.get("instance", {})
-    pinned = _pinned()
-    if "data" in instance:
-        instance["data"] = pinned[instance["data"]]
-    if "path" in instance:
-        (tmp / "pinned.json").write_text(json.dumps(pinned[instance["path"]]))
-        instance["path"] = str(tmp / "pinned.json")
-    (tmp / "cfg.json").write_text(json.dumps(doc))
-    out = tmp / ("out.json" if command == "estimate" else "out")
+    out = tmp / ("out" if command in ("solve", "grid") else "out.json")
+    if command == "verify":
+        argv = [command, *doc]
+    else:
+        doc = json.loads(json.dumps(doc))
+        instance = doc.get("instance", {})
+        pinned = _pinned()
+        if "data" in instance:
+            instance["data"] = pinned[instance["data"]]
+        if "path" in instance:
+            (tmp / "pinned.json").write_text(json.dumps(pinned[instance["path"]]))
+            instance["path"] = str(tmp / "pinned.json")
+        (tmp / "cfg.json").write_text(json.dumps(doc))
+        argv = [command, "--config", str(tmp / "cfg.json")]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main([command, "--config", str(tmp / "cfg.json"), "--out", str(out)])
+        code = cli.main([*argv, "--out", str(out)])
     files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
     return {"exit": code,
             "files": {f.name: _digest(f) for f in files},
