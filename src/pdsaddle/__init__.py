@@ -44,7 +44,6 @@ from .svrg import (
     RowSum,
     SvrgConfig,
     component_grad,
-    default_svrg_config,
     full_grad,
     run_pdsvrg,
     run_primal_svrg,

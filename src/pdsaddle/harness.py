@@ -39,14 +39,7 @@ from .solvers import (
     run_pdg,
     run_primal_gd,
 )
-from .svrg import (
-    DenseSum,
-    RowSum,
-    SvrgConfig,
-    default_svrg_config,
-    run_pdsvrg,
-    run_primal_svrg,
-)
+from .svrg import DenseSum, RowSum, SvrgConfig, run_pdsvrg, run_primal_svrg
 from .theory import PdgSchedule, _b_t, ghost_step, pdg_schedule, primal_step, sc_schedule
 
 __all__ = [
@@ -102,9 +95,10 @@ def _sc_schedule(problem: SaddleProblem):
 
 
 def _svrg_theory(bundle: InstanceBundle) -> dict:
-    """The saddle sum's default step alpha/(10 M^2), for both stochastic
-    solvers; the other keys take their defaults."""
-    return {"eta1": default_svrg_config(bundle.finite_sum("fsp")).eta1}
+    """The saddle sum's conservative step alpha/(10 M^2), for both stochastic
+    solvers; _filled defaults the other keys."""
+    fsp = bundle.finite_sum("fsp")
+    return {"eta1": fsp.aggregate.params.alpha / (10.0 * fsp.M**2)}
 
 
 SOLVERS = {
@@ -151,7 +145,7 @@ def _positive(kind, default=...) -> _Field:
 
 _CONFIG = {"instance": _Field(dict), "solvers": _Field(list, ..., ("nonempty", bool)),
            "stopping": _Field(dict, {}), "budget": _positive(_NUMBER, 2000), "seed": _SEED}
-_STOPPING = {"max_iters": _positive(int, 2000), "tol": _positive(_NUMBER, 1e-10)}
+_STOPPING = {"tol": _positive(_NUMBER, 1e-10)}
 _ENTRY = {"name": _Field(str, ..., _one_of(*SOLVERS)), "schedule": _Field(dict, {}),
           # the stem of the entry's output files, inside the output directory
           "label": _Field(str, "", ("a plain file name (no '/', not '.' or '..')",
@@ -186,8 +180,9 @@ def _build_quadratic(v: dict, data) -> dict:
     if data is None:
         if "d2" not in v and v.get("d1", 0) > 20:  # the default draws d2 <= 20
             raise ConfigError("config.instance.d2", "required when d1 > 20")
-        if v.get("d1", 0) > v.get("d2", math.inf):
-            raise ConfigError("config.instance.d2", "full column rank needs d2 >= d1")
+        if v.get("d1", 12) > v.get("d2", math.inf):  # the default draws d1 <= 12
+            raise ConfigError("config.instance.d2", "full column rank needs d2 >= d1"
+                              + ("" if "d1" in v else ", and d1 is drawn up to 12"))
         problem = inst_mod.random_quadratic(v["seed"], v.get("d1"), v.get("d2"),
                                             strongly_convex=v["strongly_convex"])
     else:
@@ -380,8 +375,9 @@ class SolverSpec:
 class ExperimentConfig:
     instance: dict
     solvers: list[SolverSpec]
-    stopping: StoppingRule
+    # the grad-units that cap every run, and the tolerance that ends one
     budget: float
+    tol: float
     seed: int
 
     @classmethod
@@ -399,9 +395,8 @@ class ExperimentConfig:
             entry["schedule"] = _read(entry["schedule"], fields, f"{path}.schedule")
             solvers.append(SolverSpec(**entry))
         stop = _read(top["stopping"], _STOPPING, "config.stopping")
-        return cls(instance=top["instance"], solvers=solvers,
-                   stopping=StoppingRule(stop["max_iters"], float(stop["tol"])),
-                   budget=float(top["budget"]), seed=top["seed"])
+        return cls(instance=top["instance"], solvers=solvers, budget=float(top["budget"]),
+                   tol=float(stop["tol"]), seed=top["seed"])
 
     @classmethod
     def load(cls, path, **overrides) -> "ExperimentConfig":
@@ -497,10 +492,6 @@ def fitted_slope(grad_evals, dist_x) -> float | None:
 # from a step point to a run
 # ---------------------------------------------------------------------------
 
-def _svrg_epochs(budget: float, n: int, inner: int) -> int:
-    return max(1, int(budget / (1.0 + 2.0 * inner / n)))
-
-
 def _filled(point: dict, n: int) -> dict:
     """SvrgConfig's step keys, in its order, from a stochastic step point on
     an n-component sum, with defaults for the keys it leaves out:
@@ -514,11 +505,12 @@ def _filled(point: dict, n: int) -> dict:
 def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
                cap: float, tol: float, dist_tol: float | None = None, seed: int = 0):
     """One run of ``solver`` from the step ``point``, capped at ``cap``
-    grad-units and stopped once a batch run's gradient norm drops to tol or
-    dist_x to dist_tol (default: tol); returns the trace and the runner's
-    step arguments.  A batch point holds those already; a stochastic one is
-    completed here, the one place that does so: _filled's defaults and,
-    unless the point fixes them, the epochs ``cap`` affords."""
+    grad-units (a batch step costs 1, an epoch 1 + 2N/n) and stopped once a
+    batch run's gradient norm drops to tol or dist_x to dist_tol (default:
+    tol); returns the trace and the runner's step arguments.  A batch point
+    holds those already; a stochastic one is completed here, the one place
+    that does so: _filled's defaults and, unless the point fixes them, the
+    epochs ``cap`` affords."""
     entry = SOLVERS[solver]
     run = globals()[entry.runner]
     stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol, dist_tol=dist_tol)
@@ -527,7 +519,7 @@ def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
     fsp = bundle.finite_sum(entry.form)
     full = _filled(point, fsp.n)
     full["epochs"] = (int(point["epochs"]) if "epochs" in point
-                      else _svrg_epochs(cap, fsp.n, full["inner_iters"]))
+                      else max(1, int(cap / (1.0 + 2.0 * full["inner_iters"] / fsp.n))))
     return run(fsp, cfg=SvrgConfig(seed=seed, **full), x_star=bundle.x_star, stop=stop), full
 
 
@@ -564,26 +556,26 @@ def _theory_point(bundle: InstanceBundle, spec: SolverSpec) -> dict | None:
 
 
 def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
-             stop: StoppingRule, budget: float, seed: int):
+             config: ExperimentConfig):
     """Run one solver entry; returns (trace, info dict, list of rep traces).
 
     The step point is ``point``, the entry's theory point, or else its
-    explicit steps or the best point of its grid.  The stopping rule's
-    max_iters caps a batch run and ``budget`` a stochastic one, which runs
-    ``spec.repetitions`` times, over seeds seed + r."""
+    explicit steps or the best point of its grid.  Each run is capped at the
+    config's budget; a stochastic entry runs ``spec.repetitions`` times,
+    over seeds seed + r."""
     entry = SOLVERS[spec.name]
     schedule = spec.schedule
     info: dict = {"name": spec.name, "source": schedule["source"]}
     if point is None:
         if schedule["source"] == "grid":
-            result = grid_search(bundle, spec.name, schedule, budget=budget, seed=seed)
+            result = grid_search(bundle, spec.name, schedule, budget=config.budget,
+                                 seed=config.seed)
             if result["status"] != "ok":
                 raise DivergenceError("no convergent schedule in the grid", 0, None)
             info["grid_best"] = schedule = result["best"]
         point = {k: float(schedule[k]) for k in (*entry.keys, "epochs") if k in schedule}
-    cap = stop.max_iters if entry.form is None else budget
-    runs = [_run_point(bundle, spec.name, point, cap=cap, tol=stop.tol, seed=seed + r)
-            for r in range(spec.repetitions)]
+    runs = [_run_point(bundle, spec.name, point, cap=config.budget, tol=config.tol,
+                       seed=config.seed + r) for r in range(spec.repetitions)]
     info["schedule"] = _shown(runs[0][1])
     traces = [trace for trace, _ in runs]
     return traces[0], info, traces
@@ -632,8 +624,7 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         stem = _unique_stem(spec.label or spec.name, used)
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
-            trace, info, reps = _run_one(bundle, spec, point, config.stopping,
-                                         config.budget, config.seed)
+            trace, info, reps = _run_one(bundle, spec, point, config)
             entry.update(info)
             entry["status"] = "ok"
         except DivergenceError as exc:
@@ -684,8 +675,9 @@ def _grid_points(solver: str, grid: dict, n: int | None):
 
 def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
                 budget: float, seed: int = 0) -> dict:
-    """Run every grid point to the grad-unit budget; rank by final dist_x
-    (ties broken by smaller eta1 then smaller eta2).
+    """Run every grid point to the grad-unit budget; rank by final dist_x.
+    The sort is stable over points _grid_points sorted by their key tuple,
+    so ties keep that order.
 
     Returns {"status", "best", "ranked", "keys"}; status is
     "no_convergent_schedule" when every point diverges.
@@ -706,9 +698,7 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
             row["error"] = str(exc)
         rows.append(row)
 
-    ranked = sorted(rows, key=lambda row: (row["final_dist_x"],
-                                           row.get("eta1", row.get("eta", 0.0)),
-                                           row.get("eta2", 0.0)))
+    ranked = sorted(rows, key=lambda row: row["final_dist_x"])
     ok = [r for r in ranked if r["status"] == "ok"]
     if not ok:
         return {"status": "no_convergent_schedule", "best": None,
@@ -815,11 +805,12 @@ def cmd_estimate(instance_spec: dict) -> dict:
 # verification suites
 # ---------------------------------------------------------------------------
 
-def _verify_contraction(trials: int, seed: int, iters: int = 500, *,
-                        strongly_convex: bool = False) -> dict:
+def _verify_contraction(trials: int, seed: int, *, strongly_convex: bool = False) -> dict:
     """Check the per-step contraction of the certified potential on random
-    quadratics: P_t under pdg_schedule, or with ``strongly_convex`` R_t under
-    sc_schedule on instances whose f is strongly convex."""
+    quadratics over 500 steps: P_t under pdg_schedule, or with
+    ``strongly_convex`` R_t under sc_schedule, over 300 steps, on instances
+    whose f is strongly convex."""
+    iters = 300 if strongly_convex else 500
     passes = 0
     failures = []
     worst = 0.0
@@ -848,10 +839,10 @@ def _verify_contraction(trials: int, seed: int, iters: int = 500, *,
     }
 
 
-def _verify_props(trials: int, seed: int, iters: int = 200,
-                  eta1_scale: float | None = None,
+def _verify_props(trials: int, seed: int, eta1_scale: float | None = None,
                   eta2_scale: float | None = None) -> dict:
-    """Check the four step-to-step inequalities behind the contraction proof.
+    """Check the four step-to-step inequalities behind the contraction proof
+    at each of 200 steps.
 
     By default the theoretical schedule is used, which satisfies every
     precondition.  ``eta1_scale``/``eta2_scale`` instead set the step size to
@@ -863,6 +854,7 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
     for name, scale in (("eta1_scale", eta1_scale), ("eta2_scale", eta2_scale)):
         if scale is not None and not 0 < scale < math.inf:
             raise ConfigError(name, f"must be > 0 and finite, got {scale}")
+    iters = 200
     counts = {p: {"checked": 0, "violations": 0, "out_of_precondition": 0}
               for p in ("ghost_contraction", "primal_decrease",
                         "step_length", "dual_decrease")}
@@ -931,12 +923,13 @@ def _verify_props(trials: int, seed: int, iters: int = 200,
 # rescue instances that need long epochs at every step scale tried
 _HALVING_SEARCH = [(c, m) for c in (0.5, 0.25, 0.125) for m in (4, 8, 2)] + [
     (0.5, 16), (0.25, 16), (0.125, 16)]
-# the suite's finite sums: n components of a d x d quadratic
+# the suite's finite sums: n components of a d x d quadratic; each point runs
+# this many epochs over this many seeds
 _HALVING_N, _HALVING_D = 50, 10
+_HALVING_SEEDS, _HALVING_EPOCHS = 30, 10
 
 
-def _verify_svrg_halving(trials: int, seed: int, *, seeds: int = 30,
-                         epochs: int = 10) -> dict:
+def _verify_svrg_halving(trials: int, seed: int) -> dict:
     """Find, per random instance, a stochastic config whose seed-averaged
     epoch potential at least halves every epoch."""
     results = []
@@ -950,7 +943,7 @@ def _verify_svrg_halving(trials: int, seed: int, *, seeds: int = 30,
         tried = []
         for c_eta, n_mult in _HALVING_SEARCH:
             point = _filled({"eta1": c_eta * base, "inner_iters": n_mult * fsp.n}, fsp.n)
-            ratios = _halving_ratio(fsp, x_star, point, seeds, epochs)
+            ratios = _halving_ratio(fsp, x_star, point)
             tried.append({"eta": point["eta1"], "inner_iters": point["inner_iters"],
                           "max_ratio": ratios})
             if ratios is not None and ratios <= 0.5:
@@ -961,15 +954,15 @@ def _verify_svrg_halving(trials: int, seed: int, *, seeds: int = 30,
         results.append({"trial": k, "config": found, "tried": tried})
     return {
         "suite": "svrg_halving", "trials": trials, "n": _HALVING_N, "d": _HALVING_D,
-        "seeds": seeds, "epochs": epochs,
+        "seeds": _HALVING_SEEDS, "epochs": _HALVING_EPOCHS,
         "results": results, "refuted": refuted,
     }
 
 
-def _halving_ratio(fsp, x_star, point, seeds, epochs) -> float | None:
+def _halving_ratio(fsp, x_star, point) -> float | None:
     pots = []
-    for s in range(seeds):
-        cfg = SvrgConfig(**point, epochs=epochs, seed=s)
+    for s in range(_HALVING_SEEDS):
+        cfg = SvrgConfig(**point, epochs=_HALVING_EPOCHS, seed=s)
         try:
             trace = run_pdsvrg(fsp, cfg=cfg, x_star=x_star)
         except DivergenceError:
@@ -993,8 +986,7 @@ class _Suite(NamedTuple):
 
 _SUITES = {
     "contraction": _Suite(_verify_contraction),
-    "sc_contraction": _Suite(functools.partial(_verify_contraction, iters=300,
-                                               strongly_convex=True)),
+    "sc_contraction": _Suite(functools.partial(_verify_contraction, strongly_convex=True)),
     "props": _Suite(_verify_props, ("eta1_scale", "eta2_scale")),
     "svrg_halving": _Suite(_verify_svrg_halving),
 }

@@ -59,7 +59,6 @@ __all__ = [
     "RowSum",
     "DenseSum",
     "SvrgConfig",
-    "default_svrg_config",
     "component_grad",
     "full_grad",
     "vr_grad",
@@ -217,10 +216,10 @@ class SvrgConfig:
     """Knobs of the stochastic solvers.
 
     The theory only asserts existence of good values as polynomials of the
-    problem constants, so they are exposed as inputs; see
-    ``default_svrg_config`` for a conservative starting point and the harness
-    grid search for tuning.  ``mu`` weighs the dual term of the per-epoch
-    potential Q.
+    problem constants, so they are exposed as inputs; the harness's theory
+    point (eta1 = eta2 = alpha/(10 M^2), N = 2n, mu = 1) is a conservative
+    start and its grid search tunes them.  ``mu`` weighs the dual term of the
+    per-epoch potential Q.
     """
 
     eta1: float
@@ -237,14 +236,6 @@ class SvrgConfig:
             raise ValueError("inner_iters and epochs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-
-def default_svrg_config(fsp: RowSum | DenseSum) -> SvrgConfig:
-    """Conservative defaults: eta1 = eta2 = alpha/(10 M^2), N = 2n, 10
-    epochs, seed 0, mu = 1."""
-    alpha = fsp.aggregate.params.alpha
-    eta = alpha / (10.0 * fsp.M**2)
-    return SvrgConfig(eta1=eta, eta2=eta, inner_iters=2 * fsp.n, epochs=10)
 
 
 def component_grad(fsp: RowSum | DenseSum, i: int, x: np.ndarray, y: np.ndarray

@@ -13,7 +13,6 @@ from test_golden import GOLDEN, host  # pytest puts this directory on sys.path
 
 from pdsaddle import (
     StoppingRule,
-    SvrgConfig,
     check_gradients,
     full_grad,
     iteration_budget,
@@ -21,12 +20,10 @@ from pdsaddle import (
     potential_P,
     reference_solution,
     run_pdg,
-    run_pdsvrg,
-    run_primal_gd,
     vr_grad,
 )
 from pdsaddle.harness import (
-    _svrg_epochs,
+    _run_point,
     build_instance,
     cmd_verify,
     fitted_slope,
@@ -103,8 +100,9 @@ def _match(got, want, where: str, rel: float):
 
 def test_criterion_1_contraction_certificate():
     t0 = time.perf_counter()
-    report = cmd_verify("contraction", trials=100, seed=CONTRACTION_SEED, iters=500)
+    report = cmd_verify("contraction", trials=100, seed=CONTRACTION_SEED)
     elapsed = time.perf_counter() - t0
+    assert report["iters"] == 500
     assert report["passes"] == 100, report["failures"]
     assert not report["refuted"]
     assert elapsed < 60.0, f"certificate suite took {elapsed:.1f}s"
@@ -136,14 +134,16 @@ def test_criterion_2_iteration_budget():
 
 
 def test_criterion_3_both_strongly_convex_certificate():
-    report = cmd_verify("sc_contraction", trials=100, seed=5000, iters=300)
+    report = cmd_verify("sc_contraction", trials=100, seed=5000)
+    assert report["iters"] == 300
     assert report["passes"] == 100, report["failures"]
     print(f"PASS criterion 3: 100/100 instances, worst ratio/rate "
           f"{report['worst_ratio_vs_rate']:.4f}")
 
 
 def test_criterion_4_step_inequalities():
-    report = cmd_verify("props", trials=50, seed=7000, iters=200)
+    report = cmd_verify("props", trials=50, seed=7000)
+    assert report["iters"] == 200
     assert not report["refuted"]
     for name, counts in report["inequalities"].items():
         assert counts["violations"] == 0, (name, counts)
@@ -182,7 +182,8 @@ def test_criterion_5_vr_unbiasedness():
 
 
 def test_criterion_6_epoch_halving_config_exists():
-    report = cmd_verify("svrg_halving", trials=3, seed=4242, seeds=30, epochs=10)
+    report = cmd_verify("svrg_halving", trials=3, seed=4242)
+    assert (report["seeds"], report["epochs"]) == (30, 10)
     assert not report["refuted"]
     lines = []
     for res in report["results"]:
@@ -202,10 +203,9 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
     if decay is not None:
         spec["decay"] = decay
     bundle = build_instance(spec)
-    fsp = bundle.fsp
     p = bundle.problem.params
     gamma = p.rho + p.sigma_max**2 / p.alpha
-    n, big_m = fsp.n, fsp.M
+    n, big_m = bundle.fsp.n, bundle.fsp.M
     target = 1e-6
 
     gd_grid = grid_search(
@@ -239,16 +239,9 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
         f"case {cov}/{decay}: some tuned solver never reached {target}")
 
     # fixed-budget traces with the tuned schedules for the rate fits
-    trace_pdg = run_pdg(bundle.problem, eta1=pt_pdg["eta1"], eta2=pt_pdg["eta2"],
-                        stop=StoppingRule(2000, 1e-12), x_star=bundle.x_star)
+    trace_pdg, _ = _run_point(bundle, "pdg", pt_pdg, cap=2000, tol=1e-12)
     slope_pdg = fitted_slope(trace_pdg.grad_evals, trace_pdg.column("dist_x"))
-
-    inner = int(pt_svrg["inner_iters"])
-    cfg = SvrgConfig(eta1=pt_svrg["eta1"], eta2=pt_svrg["eta2"],
-                     inner_iters=inner, epochs=_svrg_epochs(2000, n, inner),
-                     seed=seed, mu=1.0)
-    trace_svrg = run_pdsvrg(fsp, cfg=cfg, x_star=bundle.x_star,
-                            stop=StoppingRule(1, 1e-12))
+    trace_svrg, _ = _run_point(bundle, "pdsvrg", pt_svrg, cap=2000, tol=1e-12, seed=seed)
     slope_svrg = fitted_slope(trace_svrg.grad_evals, trace_svrg.column("dist_x"))
 
     out = {
@@ -268,9 +261,8 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
         ]
         u_psvrg, _ = measure_units_to_target(
             bundle, "primal_svrg", candidates, deep, max_units=120_000, seed=seed)
-        gd_trace = run_primal_gd(bundle.problem, eta=pt_gd["eta"],
-                                 stop=StoppingRule(500_000, deep * 1e-3, dist_tol=deep),
-                                 x_star=bundle.x_star)
+        gd_trace, _ = _run_point(bundle, "primal_gd", pt_gd, cap=500_000, tol=deep * 1e-3,
+                                 dist_tol=deep)
         u_gd_deep = gd_trace.units_to_target(deep)
         assert u_psvrg is not None and u_gd_deep is not None
         out["units_primal_svrg_deep"] = u_psvrg

@@ -30,8 +30,8 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 FAMILY = "random_quadratic"
 # caps that keep every valid document tiny: dimensions, splits, and the
-# grad-unit budget and iteration cap of each run
-CAPS = {"d1": 4, "d2": 4, "splits": 6, "budget": 50, "max_iters": 50, "seed": 1000}
+# grad-unit budget of each run
+CAPS = {"d1": 4, "d2": 4, "splits": 6, "budget": 50, "seed": 1000}
 INT_CAP = 6  # any other count: inner_iters, epochs, repetitions
 UNKNOWN = "zz_unknown"
 
@@ -111,7 +111,7 @@ def documents():
     return _object(harness._CONFIG, {
         "instance": instance.map(_full_rank),
         "solvers": st.lists(_entry(), min_size=1, max_size=3),
-        "stopping": _object(harness._STOPPING, _always(harness._STOPPING, "max_iters")),
+        "stopping": _object(harness._STOPPING),
         **_always(harness._CONFIG, "budget"),
     })
 

@@ -84,10 +84,9 @@ _GENERATED = {
 
 
 def _small(name: str) -> dict:
-    """A shipped config with a budget and an iteration cap of 50."""
+    """A shipped config with a budget of 50 grad-units."""
     doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
     doc["budget"] = 50
-    doc["stopping"]["max_iters"] = 50
     return doc
 
 
@@ -117,7 +116,7 @@ def _cases() -> dict:
         instances[f"path-{family}"] = {"family": family, "path": family}
     for name, instance in instances.items():
         cases[f"solve-{name}"] = ("solve", {"instance": instance, "solvers": [{"name": "pdg"}],
-                                            "stopping": {"max_iters": 50}})
+                                            "budget": 50})
     for name, flags in _VERIFY.items():
         cases[f"verify-{name}"] = ("verify", flags)
     return cases

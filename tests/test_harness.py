@@ -52,10 +52,18 @@ def test_config_reports_field_paths():
         ExperimentConfig.from_dict({
             "instance": _quad_instance_spec(),
             "solvers": [{"name": "pdg"}],
-            "stopping": {"max_iters": 0},
+            "stopping": {"tol": 0},
         })
     with pytest.raises(ConfigError, match=r"config\.instance\.family"):
         build_instance({"family": "sudoku"})
+
+
+def test_readme_config_example_reads():
+    readme = (CONFIG_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiment configs\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = ExperimentConfig.from_dict(json.loads(example))
+    assert [spec.name for spec in config.solvers] == ["primal_gd", "pdg", "pdsvrg"]
 
 
 def test_config_invalid_json_file(tmp_path):
@@ -72,7 +80,7 @@ def test_config_invalid_json_file(tmp_path):
 def test_cmd_solve_writes_traces_and_summary(tmp_path):
     config = ExperimentConfig.from_dict({
         "seed": 1,
-        "stopping": {"max_iters": 200, "tol": 1e-12},
+        "budget": 200, "stopping": {"tol": 1e-12},
         "instance": _quad_instance_spec(),
         "solvers": [
             {"name": "pdg", "schedule": {"source": "theory"}},
@@ -98,7 +106,7 @@ def test_cmd_solve_writes_traces_and_summary(tmp_path):
 
 def test_cmd_solve_sc_variant_records_weighted_potential(tmp_path):
     config = ExperimentConfig.from_dict({
-        "stopping": {"max_iters": 150, "tol": 1e-13},
+        "budget": 150, "stopping": {"tol": 1e-13},
         "instance": {"family": "random_quadratic", "d1": 4, "d2": 6,
                      "seed": 8, "strongly_convex": True},
         "solvers": [{"name": "pdg", "schedule": {"source": "theory", "variant": "sc"}}],
@@ -112,7 +120,7 @@ def test_cmd_solve_sc_variant_records_weighted_potential(tmp_path):
 def test_cmd_solve_stochastic_repetitions(tmp_path):
     config = ExperimentConfig.from_dict({
         "seed": 5,
-        "stopping": {"max_iters": 100, "tol": 1e-13},
+        "budget": 100, "stopping": {"tol": 1e-13},
         "instance": dict(_quad_instance_spec(seed=21, d1=6, d2=6), splits=10),
         "solvers": [{
             "name": "pdsvrg",
@@ -152,7 +160,7 @@ def test_summary_json_is_strict_without_a_potential(tmp_path):
 def test_cmd_solve_deterministic_trace_bytes(tmp_path):
     doc = {
         "seed": 9,
-        "stopping": {"max_iters": 80, "tol": 1e-13},
+        "budget": 80, "stopping": {"tol": 1e-13},
         "instance": dict(_quad_instance_spec(seed=2), splits=8),
         "solvers": [
             {"name": "pdg", "schedule": {"source": "theory"}},
@@ -229,7 +237,7 @@ def test_measure_units_to_target_skips_nonconverging_winner():
 def test_cmd_solve_grid_source_tunes_then_runs(tmp_path):
     config = ExperimentConfig.from_dict({
         "budget": 150,
-        "stopping": {"max_iters": 150, "tol": 1e-12},
+        "stopping": {"tol": 1e-12},
         "instance": _quad_instance_spec(seed=4),
         "solvers": [
             {"name": "primal_gd",
@@ -254,7 +262,7 @@ def test_cmd_solve_pinned_instance_path(tmp_path):
     path = tmp_path / "pinned.json"
     save_instance(inst, path)
     config = ExperimentConfig.from_dict({
-        "stopping": {"max_iters": 300, "tol": 1e-11},
+        "budget": 300, "stopping": {"tol": 1e-11},
         "instance": {"family": "quadratic", "path": str(path)},
         "solvers": [{"name": "pdg", "schedule": {"source": "theory"}}],
     })
@@ -293,7 +301,7 @@ def test_cmd_verify_contraction_small():
 def test_cmd_verify_sc_contraction_small():
     report = cmd_verify("sc_contraction", trials=5, seed=200)
     assert report["passes"] == 5 and not report["refuted"]
-    assert report["iters"] == 300  # the suite's own default
+    assert report["iters"] == 300  # the suite's own step count
 
 
 def test_cmd_verify_props_small_and_gating():
@@ -312,7 +320,7 @@ def test_cmd_verify_props_small_and_gating():
 
 
 def test_cmd_verify_svrg_halving_small():
-    report = cmd_verify("svrg_halving", trials=1, seed=42, seeds=8)
+    report = cmd_verify("svrg_halving", trials=1, seed=42)
     assert not report["refuted"]
     config = report["results"][0]["config"]
     assert config is not None and config["max_mean_ratio"] <= 0.5
@@ -381,7 +389,7 @@ def test_shipped_experiment_instances_build(path):
 
 def test_cli_end_to_end(tmp_path):
     cfg = _write(tmp_path, "cfg.json", {
-        "stopping": {"max_iters": 120, "tol": 1e-12},
+        "budget": 120, "stopping": {"tol": 1e-12},
         "instance": _quad_instance_spec(seed=31),
         "solvers": [{"name": "pdg", "schedule": {"source": "theory"}}],
     })
@@ -414,7 +422,7 @@ def test_cmd_solve_mspbe_generated_and_pinned(tmp_path):
     for k, instance in enumerate([{"family": "mspbe", "n": 30, "d": 4, "seed": 2},
                                   pinned]):
         config = ExperimentConfig.from_dict({
-            "stopping": {"max_iters": 300, "tol": 1e-9}, "instance": instance,
+            "budget": 300, "stopping": {"tol": 1e-9}, "instance": instance,
             "solvers": [{"name": "pdg"}, {"name": "primal_gd"}]})
         summary = cmd_solve(config, tmp_path / f"out{k}")
         assert summary["instance"]["family"] == "mspbe"
@@ -536,7 +544,7 @@ def test_solver_table_runs_every_solver(solver, tmp_path):
     assert set(point) <= set(harness.SOLVERS[solver].keys)
 
     config = ExperimentConfig.from_dict({
-        "seed": 4, "budget": 80, "stopping": {"max_iters": 80, "tol": 1e-12},
+        "seed": 4, "budget": 80, "stopping": {"tol": 1e-12},
         "instance": _split_spec(),
         "solvers": [{"name": solver, "schedule": {"source": "grid", **grid}}],
     })
@@ -575,7 +583,7 @@ def test_solver_table_reaches_runners_through_module_globals(monkeypatch, tmp_pa
 
     before = dict(calls)
     config = ExperimentConfig.from_dict({
-        "budget": 40, "stopping": {"max_iters": 40, "tol": 1e-12},
+        "budget": 40, "stopping": {"tol": 1e-12},
         "instance": _split_spec(),
         "solvers": [
             {"name": "pdg", "schedule": {"source": "theory"}},
@@ -775,7 +783,7 @@ _PDG_GRID = {"name": "pdg", "schedule": {"source": "grid", "eta1": [0.1], "eta2"
 
 def _doc(instance=_QUAD, solvers=({"name": "pdg"},), **top):
     return {"instance": instance, "solvers": list(solvers),
-            "stopping": {"max_iters": 20}, **top}
+            "budget": 20, **top}
 
 
 def _grid_svrg(**grid):
@@ -805,7 +813,7 @@ def _pinned_l1(**fields):
      "config.solvers[0].schedule.variant"),
     (_doc(_SPLIT, [{"name": "pdsvrg", "schedule": {"variant": "sc"}}]),
      "config.solvers[0].schedule.variant"),
-    (dict(_doc(), stoping={"max_iters": 5}), "config.stoping"),
+    (dict(_doc(), stoping={"tol": 1e-9}), "config.stoping"),
     (_doc(solvers=[{"name": "pdg", "schedule": {"source": "theory", "eta": 1}}]),
      "config.solvers[0].schedule.eta"),
     (_doc(_SPLIT, [_grid_svrg(epochs=[-3])]), "config.solvers[0].schedule.epochs"),
@@ -903,6 +911,9 @@ _INPUT_FAULTS = [
                                  [_PDG_GRID]), [], "config.instance.path"),
     ("rank_deficient", _READERS, _doc(_RANK_DEFICIENT, [_PDG_GRID]), [], "config.instance"),
     ("d2_above_default", _READERS, _doc({"family": "random_quadratic", "d1": 21},
+                                        [_PDG_GRID]), [], "config.instance.d2"),
+    # a missing d1 is drawn from [2, 12]: d2 5 is refused at every seed
+    ("d2_below_default", _READERS, _doc({"family": "random_quadratic", "d2": 5, "seed": 0},
                                         [_PDG_GRID]), [], "config.instance.d2"),
     ("no_grid_entry", ("grid",), _doc(), [], "config.solvers"),
     ("bad_flag", ("solve", "grid", "verify"), _doc(solvers=[_PDG_GRID]), ["--seed", "abc"],

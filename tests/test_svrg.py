@@ -9,7 +9,6 @@ from pdsaddle import (
     StoppingRule,
     SvrgConfig,
     component_grad,
-    default_svrg_config,
     full_grad,
     grad_L,
     reference_solution,
@@ -349,9 +348,12 @@ def test_svrg_config_validation(quad_fsp):
         SvrgConfig(eta1=0.0, eta2=1.0, inner_iters=1, epochs=1)
     with pytest.raises(ValueError):
         SvrgConfig(eta1=1.0, eta2=1.0, inner_iters=0, epochs=1)
-    cfg = replace(default_svrg_config(fsp), epochs=5, seed=3)
-    assert cfg.inner_iters == 2 * fsp.n
-    assert cfg.eta1 == pytest.approx(fsp.aggregate.params.alpha / (10 * fsp.M**2))
+    eta = fsp.aggregate.params.alpha / (10 * fsp.M**2)
+    cfg = replace(SvrgConfig(eta1=eta, eta2=eta, inner_iters=2 * fsp.n, epochs=10),
+                  epochs=5, seed=3)
+    assert (cfg.inner_iters, cfg.epochs, cfg.seed, cfg.mu) == (2 * fsp.n, 5, 3, 1.0)
+    with pytest.raises(ValueError):
+        replace(cfg, seed=-1)
 
 
 def test_fsp_rejects_inconsistent_aggregate():
