@@ -83,6 +83,7 @@ def pinned_rel() -> float:
 
 
 def pinned_mode() -> str:
+    """Which comparison criterion 7 runs on this host."""
     if pinned_rel() == 0.0:
         return "exactly"
     return f"to {PINNED_REL:g} relative (not the host tests/golden.json records)"
