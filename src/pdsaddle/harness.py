@@ -331,16 +331,16 @@ def _entry_fields(name) -> dict:
 def _schedule_fields(solver: str, source) -> dict:
     """The fields of a ``source`` schedule for ``solver``, from its SOLVERS
     entry: a theory schedule has none but its variant, if the solver has
-    several; an explicit one needs every key (a stochastic one only eta1,
-    and it may fix epochs); a grid needs a list per key but inner_iters and
-    mu, which _filled defaults."""
+    several; an explicit one needs every key (a stochastic one only eta1);
+    a grid needs a list per key but inner_iters and mu, which _filled
+    defaults."""
     entry = SOLVERS[solver]
     stochastic = entry.form is not None
     fields = {"source": _Field(str, "theory", _one_of("theory", "explicit", "grid"))}
     if source == "theory" and None not in entry.theory:
         fields["variant"] = _Field(str, next(iter(entry.theory)), _one_of(*entry.theory))
-    for key in entry.keys + ("epochs",) * (stochastic and source == "explicit"):
-        kind = int if key in ("inner_iters", "epochs") else _NUMBER
+    for key in entry.keys:
+        kind = int if key == "inner_iters" else _NUMBER
         if source == "explicit":
             fields[key] = _positive(kind, None if stochastic and key != "eta1" else ...)
         elif source == "grid":
@@ -509,8 +509,7 @@ def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
     batch run's gradient norm drops to tol or dist_x to dist_tol (default:
     tol); returns the trace and the runner's step arguments.  A batch point
     holds those already; a stochastic one is completed here, the one place
-    that does so: _filled's defaults and, unless the point fixes them, the
-    epochs ``cap`` affords."""
+    that does so: _filled's defaults and the epochs ``cap`` affords."""
     entry = SOLVERS[solver]
     run = globals()[entry.runner]
     stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol, dist_tol=dist_tol)
@@ -518,8 +517,7 @@ def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
         return run(bundle.problem, **point, stop=stop, x_star=bundle.x_star), point
     fsp = bundle.finite_sum(entry.form)
     full = _filled(point, fsp.n)
-    full["epochs"] = (int(point["epochs"]) if "epochs" in point
-                      else max(1, int(cap / (1.0 + 2.0 * full["inner_iters"] / fsp.n))))
+    full["epochs"] = max(1, int(cap / (1.0 + 2.0 * full["inner_iters"] / fsp.n)))
     return run(fsp, cfg=SvrgConfig(seed=seed, **full), x_star=bundle.x_star, stop=stop), full
 
 
@@ -573,7 +571,7 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
             if result["status"] != "ok":
                 raise DivergenceError("no convergent schedule in the grid", 0, None)
             info["grid_best"] = schedule = result["best"]
-        point = {k: float(schedule[k]) for k in (*entry.keys, "epochs") if k in schedule}
+        point = {k: float(schedule[k]) for k in entry.keys if k in schedule}
     runs = [_run_point(bundle, spec.name, point, cap=config.budget, tol=config.tol,
                        seed=config.seed + r) for r in range(spec.repetitions)]
     info["schedule"] = _shown(runs[0][1])

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from test_golden import GOLDEN, host  # pytest puts this directory on sys.path
+from test_golden import GOLDEN, ROOT, host  # pytest puts this directory on sys.path
 
 from pdsaddle import (
     StoppingRule,
@@ -23,6 +23,7 @@ from pdsaddle import (
     vr_grad,
 )
 from pdsaddle.harness import (
+    ExperimentConfig,
     _run_point,
     build_instance,
     cmd_verify,
@@ -41,6 +42,11 @@ from pdsaddle.instances import (
 )
 
 CONTRACTION_SEED = 1000  # criteria 1 and 2 share this instance family
+
+# criterion 7's cases: the experiment config that defines each one
+CONFIG_DIR = ROOT / "configs"
+CASES = {"identity": "experiment_identity", "exp_decay(2)": "experiment_decay2",
+         "exp_decay(10)": "experiment_decay10"}
 
 # criterion 7's outputs per case, on the host that tests/golden.json records
 PINNED = {
@@ -198,51 +204,37 @@ def test_criterion_6_epoch_halving_config_exists():
         print(f"    {line}")
 
 
-def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
-    spec = {"family": "smoothed_l1", "n": 500, "d": 200,
-            "covariance": cov, "seed": seed}
-    if decay is not None:
-        spec["decay"] = decay
-    bundle = build_instance(spec)
-    p = bundle.problem.params
-    gamma = p.rho + p.sigma_max**2 / p.alpha
-    n, big_m = bundle.fsp.n, bundle.fsp.M
+def _reproduce_case(path, compare_primal_stochastic=False):
+    """Criterion 7 on the experiment config at ``path``: its instance, seed,
+    grids, primal_gd tuning budget and the budget and tol of the slope runs
+    come from the config; the rest of the protocol is fixed here."""
+    config = ExperimentConfig.load(path)
+    bundle = build_instance(config.instance)
+    grids = {spec.name: spec.schedule for spec in config.solvers}
     target = 1e-6
 
-    gd_grid = grid_search(
-        bundle, "primal_gd",
-        {"eta": [s / gamma for s in (0.5, 0.8, 1.2, 1.5, 1.8, 1.95)]},
-        budget=2000,
-    )
+    gd_grid = grid_search(bundle, "primal_gd", grids["primal_gd"], budget=config.budget)
     u_gd, pt_gd = measure_units_to_target(
         bundle, "primal_gd", gd_grid["ranked"], target, max_units=200_000,
         try_top=3)
 
-    pdg_grid = grid_search(
-        bundle, "pdg",
-        {"eta1": [s / gamma for s in (0.2, 0.35, 0.5, 0.7, 0.9, 1.1)],
-         "eta2": [n / 2, n]},
-        budget=6000,
-    )
+    pdg_grid = grid_search(bundle, "pdg", grids["pdg"], budget=6000)
     u_pdg, pt_pdg = measure_units_to_target(
         bundle, "pdg", pdg_grid["ranked"], target, max_units=400_000, try_top=3)
 
-    svrg_grid = grid_search(
-        bundle, "pdsvrg",
-        {"eta1": [c / big_m**2 for c in (0.15, 0.3, 0.6)],
-         "eta2": [0.5, 1.0], "inner_iters": [2 * n]},
-        budget=1000,
-    )
+    # tuned at grid_search's and measure_units_to_target's default seed 0
+    svrg_grid = grid_search(bundle, "pdsvrg", grids["pdsvrg"], budget=1000)
     u_svrg, pt_svrg = measure_units_to_target(
         bundle, "pdsvrg", svrg_grid["ranked"], target, max_units=60_000)
 
     assert None not in (u_gd, u_pdg, u_svrg), (
-        f"case {cov}/{decay}: some tuned solver never reached {target}")
+        f"{path}: some tuned solver never reached {target}")
 
     # fixed-budget traces with the tuned schedules for the rate fits
-    trace_pdg, _ = _run_point(bundle, "pdg", pt_pdg, cap=2000, tol=1e-12)
+    trace_pdg, _ = _run_point(bundle, "pdg", pt_pdg, cap=config.budget, tol=config.tol)
     slope_pdg = fitted_slope(trace_pdg.grad_evals, trace_pdg.column("dist_x"))
-    trace_svrg, _ = _run_point(bundle, "pdsvrg", pt_svrg, cap=2000, tol=1e-12, seed=seed)
+    trace_svrg, _ = _run_point(bundle, "pdsvrg", pt_svrg, cap=config.budget, tol=config.tol,
+                               seed=config.seed)
     slope_svrg = fitted_slope(trace_svrg.grad_evals, trace_svrg.column("dist_x"))
 
     out = {
@@ -256,12 +248,13 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
         # the step scale tuned for the saddle solver carries over (the
         # component smoothness is M^2 in both decompositions)
         deep = 1e-8
+        inner = pt_svrg["inner_iters"]
         candidates = [
-            {"status": "ok", "eta1": pt_svrg["eta1"], "inner_iters": 2 * n},
-            {"status": "ok", "eta1": 0.5 * pt_svrg["eta1"], "inner_iters": 2 * n},
+            {"status": "ok", "eta1": pt_svrg["eta1"], "inner_iters": inner},
+            {"status": "ok", "eta1": 0.5 * pt_svrg["eta1"], "inner_iters": inner},
         ]
         u_psvrg, _ = measure_units_to_target(
-            bundle, "primal_svrg", candidates, deep, max_units=120_000, seed=seed)
+            bundle, "primal_svrg", candidates, deep, max_units=120_000, seed=config.seed)
         gd_trace, _ = _run_point(bundle, "primal_gd", pt_gd, cap=500_000, tol=deep * 1e-3,
                                  dist_tol=deep)
         u_gd_deep = gd_trace.units_to_target(deep)
@@ -273,19 +266,17 @@ def _reproduce_case(cov, decay, seed=11, compare_primal_stochastic=False):
 
 @pytest.mark.slow
 def test_criterion_7_full_scale_reproduction():
-    cases = [("identity", None), ("exp_decay", 2), ("exp_decay", 10)]
     results = {}
-    for cov, decay in cases:
+    for label, stem in CASES.items():
         t0 = time.perf_counter()
-        res = _reproduce_case(cov, decay,
-                              compare_primal_stochastic=(decay == 10))
+        res = _reproduce_case(CONFIG_DIR / f"{stem}.json",
+                              compare_primal_stochastic=(label == "exp_decay(10)"))
         res["seconds"] = time.perf_counter() - t0
-        results[(cov, decay)] = res
+        results[label] = res
 
     lines = []
     rel = pinned_rel()
-    for (cov, decay), res in results.items():
-        label = cov if decay is None else f"{cov}({decay})"
+    for label, res in results.items():
         _match({k: v for k, v in res.items() if k != "seconds"}, PINNED[label], label, rel)
         # (i) linear convergence: negative fitted log-slope for both methods
         assert res["slope_pdg"] < 0, (label, res)
@@ -303,7 +294,7 @@ def test_criterion_7_full_scale_reproduction():
         )
     # (iii) in the hardest-conditioned case the stochastic method wins,
     # on the saddle side (target 1e-6) and on the primal side (target 1e-8)
-    hard = results[("exp_decay", 10)]
+    hard = results["exp_decay(10)"]
     assert hard["units_svrg"] < hard["units_pdg"], hard
     assert hard["units_primal_svrg_deep"] < hard["units_gd_deep"], hard
 

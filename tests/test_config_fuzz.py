@@ -32,7 +32,7 @@ FAMILY = "random_quadratic"
 # caps that keep every valid document tiny: dimensions, splits, and the
 # grad-unit budget of each run
 CAPS = {"d1": 4, "d2": 4, "splits": 6, "budget": 50, "seed": 1000}
-INT_CAP = 6  # any other count: inner_iters, epochs, repetitions
+INT_CAP = 6  # any other count: inner_iters, repetitions
 UNKNOWN = "zz_unknown"
 
 

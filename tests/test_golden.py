@@ -4,10 +4,10 @@ verify reports included.
 ``tests/golden.json`` holds, for each case, the exit code, the SHA-256 of
 each output file and the JSON outputs themselves.  A CSV is hashed without
 its ``elapsed_seconds`` column, the one wall-clock value it holds.  On a
-host with the numpy version and BLAS recorded there the digests must match
-exactly.  On any other host the JSON outputs are compared instead: integers
-and strings exactly, floats to 1e-9 relative.  The pytest header says which
-mode ran.
+host with the numpy version, BLAS and BLAS thread settings recorded there
+the digests must match exactly.  On any other host the JSON outputs are
+compared instead: integers and strings exactly, floats to 1e-9 relative.
+The pytest header says which mode ran.
 
 A change that alters an output on purpose regenerates the file with
 
@@ -22,6 +22,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -43,14 +44,21 @@ REGENERATE = "PYTHONPATH=src python tests/test_golden.py"
 REL_TOL = 1e-9
 
 
+# the thread-count settings of the BLAS builds numpy may use: a BLAS may sum
+# in another order under another thread count
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def host() -> dict:
-    """The numpy version and BLAS that produced the outputs."""
+    """The numpy version, the BLAS and its thread settings (None when unset)
+    that produced the outputs."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas.get('version', '')}".strip()
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         name = "unknown"
-    return {"numpy": np.__version__, "blas": name}
+    return {"numpy": np.__version__, "blas": name,
+            **{var: os.environ.get(var) for var in THREAD_VARS}}
 
 
 def mode() -> str:

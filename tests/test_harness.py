@@ -120,12 +120,13 @@ def test_cmd_solve_sc_variant_records_weighted_potential(tmp_path):
 def test_cmd_solve_stochastic_repetitions(tmp_path):
     config = ExperimentConfig.from_dict({
         "seed": 5,
-        "budget": 100, "stopping": {"tol": 1e-13},
+        # 12 epochs of 1 + 2 * 20 / 10 = 5 grad-units each
+        "budget": 60, "stopping": {"tol": 1e-13},
         "instance": dict(_quad_instance_spec(seed=21, d1=6, d2=6), splits=10),
         "solvers": [{
             "name": "pdsvrg",
             "schedule": {"source": "explicit", "eta1": 0.02, "eta2": 0.02,
-                         "inner_iters": 20, "epochs": 12},
+                         "inner_iters": 20},
             "repetitions": 5,
         }],
     })
@@ -141,9 +142,11 @@ def test_summary_json_is_strict_without_a_potential(tmp_path):
     # primal SVRG records no potential, so its repetitions have no mean
     # potential to write; the summary holds no bare NaN
     config = ExperimentConfig.from_dict({
+        # 3 epochs of 1 + 2 * 20 / 10 = 5 grad-units each
+        "budget": 15,
         "instance": dict(_quad_instance_spec(seed=21, d1=6, d2=6), splits=10),
         "solvers": [{"name": "primal_svrg", "repetitions": 2,
-                     "schedule": {"source": "explicit", "eta1": 0.02, "epochs": 3}}],
+                     "schedule": {"source": "explicit", "eta1": 0.02}}],
     })
     cmd_solve(config, tmp_path / "out")
 
@@ -160,13 +163,13 @@ def test_summary_json_is_strict_without_a_potential(tmp_path):
 def test_cmd_solve_deterministic_trace_bytes(tmp_path):
     doc = {
         "seed": 9,
-        "budget": 80, "stopping": {"tol": 1e-13},
+        # 10 pdsvrg epochs of 1 + 2 * 16 / 8 = 5 grad-units each
+        "budget": 50, "stopping": {"tol": 1e-13},
         "instance": dict(_quad_instance_spec(seed=2), splits=8),
         "solvers": [
             {"name": "pdg", "schedule": {"source": "theory"}},
             {"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.02,
-                                            "eta2": 0.02, "inner_iters": 16,
-                                            "epochs": 10}},
+                                            "eta2": 0.02, "inner_iters": 16}},
         ],
     }
     outs = []
@@ -385,6 +388,23 @@ def test_shipped_experiment_instances_build(path):
     bundle = build_instance(config.instance)
     assert np.all(np.isfinite(bundle.x_star))
     assert bundle.meta["reference_residual"] <= 1e-13
+    # the grids are criterion 7's search space: multiples of 1/gamma for the
+    # batch solvers and of 1/M^2 for pdsvrg, on the config's own instance
+    p = bundle.problem.params
+    gamma = p.rho + p.sigma_max**2 / p.alpha
+    n, big_m = bundle.fsp.n, bundle.fsp.M
+    want = {
+        "primal_gd": {"eta": [s / gamma for s in (0.5, 0.8, 1.2, 1.5, 1.8, 1.95)]},
+        "pdg": {"eta1": [s / gamma for s in (0.2, 0.35, 0.5, 0.7, 0.9, 1.1)],
+                "eta2": [n / 2, n]},
+        "pdsvrg": {"eta1": [c / big_m**2 for c in (0.15, 0.3, 0.6)],
+                   "eta2": [0.5, 1.0], "inner_iters": [2 * n]},
+    }
+    grids = {spec.name: spec.schedule for spec in config.solvers}
+    assert sorted(grids) == sorted(want)
+    for name, grid in want.items():
+        assert grids[name] == {"source": "grid", **{k: pytest.approx(v, rel=1e-12, abs=0)
+                                                     for k, v in grid.items()}}, name
 
 
 def test_cli_end_to_end(tmp_path):
@@ -713,8 +733,11 @@ _SPLIT = {"family": "random_quadratic", "d1": 5, "d2": 7, "seed": 3, "splits": 1
     ({"name": "pdg", "label": ["a"]}, "label"),
     ({"name": "pdg", "schedule": {"source": "grid", "eta1": [0.1, -0.1], "eta2": [0.1]}},
      "schedule.eta1"),
+    # the budget alone sets a stochastic run's epochs
+    ({"name": "pdsvrg", "schedule": {"source": "explicit", "eta1": 0.01, "epochs": 50}},
+     "schedule.epochs"),
 ], ids=["inner_iters_zero", "inner_iters_string", "mu_negative", "gd_eta_negative",
-        "pdg_eta1_negative", "label_list", "grid_value_negative"])
+        "pdg_eta1_negative", "label_list", "grid_value_negative", "explicit_epochs"])
 def test_malformed_solver_entries_exit_1(solver, field, tmp_path, capsys):
     # the entry follows a valid one, which must not run either
     cfg = _write(tmp_path, "cfg.json", {"instance": _SPLIT,
