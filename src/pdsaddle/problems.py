@@ -102,6 +102,13 @@ def _cache_aligned(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_dots(m: np.ndarray) -> np.ndarray:
+    """``m[i] @ m[i]`` for every row of the matrix ``m``, in one call.  A
+    stacked matmul of 1 x d by d x 1 runs one BLAS dot per row, so each entry
+    has the bits of the 1-d product, at any row stride or offset."""
+    return np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0]
+
+
 class SaddleProblem:
     """Oracle bundle for min_x max_y f(x) + y^T A x - g(y).
 

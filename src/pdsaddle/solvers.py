@@ -29,8 +29,10 @@ from .problems import (
     ConvergenceError,
     Iterate,
     SaddleProblem,
+    _cache_aligned,
     _grad_L,
     _oracles,
+    _row_dots,
     conj_grad,
     grad_L,
     grad_primal,
@@ -137,6 +139,24 @@ class Trace:
             col.append(math.nan if v is None else v)
         self.elapsed.append(elapsed)
 
+    def extend(self, iters: range, elapsed: float, **columns):
+        """Add the rows of a batch run's iterations ``iters`` (grad_evals =
+        iteration), each measured column an array of their values and the
+        others NaN; every row gets the time ``elapsed``."""
+        if self.iters and iters and iters[0] <= self.iters[-1]:
+            raise ValueError("iteration indices must be strictly increasing")
+        n = len(iters)
+        self.iters.extend(iters)
+        self.grad_evals.extend(map(float, iters))
+        for name in ("dist_x", "dist_y", "b_t", "potential"):
+            values = columns.get(name)
+            col = getattr(self, name)
+            if values is None:
+                col.extend([math.nan] * n)
+            else:
+                col.frombytes(np.asarray(values, dtype=float).tobytes())
+        self.elapsed.extend([elapsed] * n)
+
     def __len__(self):
         return len(self.iters)
 
@@ -177,9 +197,9 @@ class _Recorder:
     """The row and divergence policy of every solver loop.
 
     A loop calls ``finite`` on the iterates of a row before it measures
-    them, so no oracle sees a non-finite value (the batch loop skips the
-    call when finite distances already prove them finite), then
-    ``append`` with the measured columns.  ``append`` adds the row first
+    them, so no oracle sees a non-finite value, then ``append`` with the
+    measured columns; the batch loop checks a block's iterates itself and
+    records the block through ``append_rows``.  ``append`` adds the row first
     and then applies the blow-up guard to the watched columns ("distance"
     for dist_x, "potential"): a column fails once it exceeds BLOWUP_FACTOR
     times its base, 1 + its first value for a distance and max(first
@@ -200,6 +220,13 @@ class _Recorder:
             if v is not None and not np.isfinite(v).all():
                 raise self.error("non-finite iterate", k)
 
+    def _limit(self, name: str, first: float) -> float:
+        """The blow-up limit of ``name``, set from its first value."""
+        if self.limits[name] is None:
+            self.limits[name] = BLOWUP_FACTOR * (
+                1.0 + first if name == "distance" else max(first, 1e-300))
+        return self.limits[name]
+
     def append(self, k: int, it: int, units: float, dist_x=None, dist_y=None,
                b_t=None, potential=None):
         self.trace.append(it, units, dist_x, dist_y, b_t, potential,
@@ -207,24 +234,32 @@ class _Recorder:
         for name, value in (("distance", dist_x), ("potential", potential)):
             if value is None or name not in self.limits:
                 continue
-            limit = self.limits[name]
-            if limit is None:
-                self.limits[name] = BLOWUP_FACTOR * (
-                    1.0 + value if name == "distance" else max(value, 1e-300))
-            elif value > limit:
+            if self.limits[name] is None:
+                self._limit(name, value)
+            elif value > self.limits[name]:
                 raise self.error(f"{name} blew up", k, f": {value:.3e}")
 
-
-def _pd_step(oracles, x, y, eta1, eta2):
-    """The simultaneous update from (x, y), with ``oracles`` from
-    ``problems._oracles``.
-
-    Returns A x, the step directions gx = grad f(x) + A^T y and
-    gy = A x - grad g(y), and the next pair (x - eta1 gx, y + eta2 gy).
-    Callers run it under np.errstate and check finiteness themselves.
-    """
-    ax, gx, gy = _grad_L(oracles, x, y)
-    return ax, gx, gy, x - eta1 * gx, y + eta2 * gy
+    def append_rows(self, t0: int, rows: int, **columns):
+        """``append`` for the rows of iterations t0 .. t0 + rows - 1 of a
+        batch run, from arrays of their measured columns (``Trace.extend``):
+        the rows up to the first that trips the guard are added, and that
+        row raises, the distance before the potential."""
+        cut, tripped = rows, None
+        for name, col in (("distance", "dist_x"), ("potential", "potential")):
+            values = columns.get(col)
+            if values is None or name not in self.limits or not rows:
+                continue
+            over = values[:cut] > self._limit(name, float(values[0]))
+            if over.any():
+                cut = int(over.argmax())
+                tripped = name, float(values[cut])
+        if tripped is not None:
+            columns = {c: v[:cut + 1] for c, v in columns.items()}
+            rows = cut + 1
+        self.trace.extend(range(t0, t0 + rows), time.perf_counter() - self.t0, **columns)
+        if tripped is not None:
+            name, value = tripped
+            raise self.error(f"{name} blew up", t0 + cut, f": {value:.3e}")
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -245,7 +280,8 @@ def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> I
             f"({problem.d1},), ({problem.d2},)"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        *_, xn, yn = _pd_step(_oracles(problem), x, y, eta1, eta2)
+        _, gx, gy = _grad_L(_oracles(problem), x, y)
+        xn, yn = x - eta1 * gx, y + eta2 * gy
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
         raise DivergenceError(
             f"non-finite iterate after step {it.iter + 1}", it.iter + 1
@@ -308,71 +344,148 @@ def run_primal_gd(
     return _batch_loop(problem, x, None, eta, None, stop, x_star)
 
 
+# Rows of a block of the batch loop: the steps it takes before it measures
+# them.  On the exp_decay(10) regression case 16 ran about 5% slower per step
+# than 32, and 64 no faster, with twice the buffers and the discarded steps.
+_BLOCK_ROWS = 32
+
+
 def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace:
     """The loop of both batch solvers.  With ``y`` None it runs the primal
     form: gs = grad g*(A x) once per step, then x - eta1 (grad f(x) + A^T gs).
     Otherwise it is the PDG step, and with ``x_star`` the potential that
     ``schedule`` certifies is recorded and watched.
 
-    An iteration proves the iterate finite, takes the step and checks its
-    gradient norm, all before the conjugate map of a PDG row (a factorized
-    map fails on an overflowed A x), then records the row at the iterate.
-    With ``x_star`` the distances come first: a finite distance to a finite
-    reference proves the iterate finite, so entries are checked one by one
-    only without ``x_star`` or when a distance is not finite (an iterate
-    that is finite but whose distance overflowed runs on).  One np.errstate
-    block covers the whole loop.
+    The loop takes up to _BLOCK_ROWS steps into run-owned blocks of rows
+    (iterates, A x and the gradient pair; 64-byte aligned, each row padded to
+    whole cache lines), then measures the block's columns with a few array
+    calls: every row dot is one BLAS dot (``_row_dots``), so each value has
+    the bits of the row-by-row loop.  It then decides the rows in order, as
+    that loop did row by row: the iterate is proved finite (by finite
+    distances to a finite reference, else entry by entry), the step's
+    gradient norm is checked and the stopping rule applied, and only then
+    does a PDG row run the conjugate map for b_t (a factorized map fails on
+    an overflowed A x) and get recorded.  The first row that fails a check
+    raises, and an oracle that raised in a step is raised at its row; a stop
+    returns.  So a run may take up to _BLOCK_ROWS - 1 steps past its
+    stopping row, which it discards: they add no row and no grad-unit.  A
+    block never reaches past max_iters.  One np.errstate block covers the
+    whole loop.
     """
     dual = y is not None
     if not (eta1 > 0 and (not dual or eta2 > 0)):
         raise ValueError("step sizes must be positive")
-    oracles = A, At, grad_f, _ = _oracles(problem)
-    if x_star is not None:
+    A, At, grad_f, grad_g = _oracles(problem)
+    conj = problem.conj_grad_g
+    measured = x_star is not None
+    if measured:
         x_star = np.asarray(x_star, dtype=float)
         if dual:
             y_star = conj_grad(problem, A @ x_star)
-
-    kind, potential = _certified_potential(schedule) if x_star is not None else (None, None)
+    kind, potential = _certified_potential(schedule) if measured else (None, None)
     trace = Trace(potential_kind=kind)
     rec = _Recorder(trace, "at iteration", ("distance", "potential"))
 
-    conj = problem.conj_grad_g
-    t, y_next, dist, dist_y = 0, None, None, None
+    def block(rows, width):
+        return _cache_aligned(np.zeros((rows, -(-width // 8) * 8)))[:, :width]
+
+    def first(mask):
+        """Index of the first True in ``mask``, its length if none."""
+        return int(mask.argmax()) if mask.any() else len(mask)
+
+    add, subtract, multiply, matmul = np.add, np.subtract, np.multiply, np.matmul
+    step1, step2 = np.array(eta1), np.array(eta2)  # 0-d: cheaper ufunc operands
+    # the gradient blocks are scratch once the gradient norms are measured
+    C, d1, d2 = _BLOCK_ROWS, problem.d1, problem.d2
+    X, GX = block(C + 1, d1), block(C, d1)
+    X[0] = x
+    xs, gxs = list(X), list(GX)
+    if dual:
+        Y, AX, GY = block(C + 1, d2), block(C, d2), block(C, d2)
+        Y[0] = y
+        ys, axs, gys = list(Y), list(AX), list(GY)
+    t0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            if x_star is not None:
-                d = x - x_star
-                dist = math.sqrt(d @ d)
+            # step: rows [0, rows) take a step, X[rows] starts the next
+            # block.  Sums and products commute in IEEE arithmetic, so these
+            # are pdg_step's bits (GD: the ghost step's)
+            rows, failed = min(C, stop.max_iters - t0 + 1), None
+            try:
                 if dual:
-                    d = y - y_star
-                    dist_y = math.sqrt(d @ d)
-            if not (x_star is not None and math.isfinite(dist)
-                    and (not dual or math.isfinite(dist_y))):
-                rec.finite(t, x, y)
-            if dual:
-                ax, gx, gy, x_next, y_next = _pd_step(oracles, x, y, eta1, eta2)
-                gnorm = math.sqrt(gx @ gx + gy @ gy)
-            else:
-                gs = conj(A @ x)
-                gx = grad_f(x) + At @ gs
-                x_next = x - eta1 * gx
-                gnorm = math.sqrt(gx @ gx)
-            if not math.isfinite(gnorm):
-                raise rec.error("non-finite gradient", t)
+                    for i in range(rows):
+                        x, y, ax, gx, gy = xs[i], ys[i], axs[i], gxs[i], gys[i]
+                        matmul(A, x, ax)
+                        add(matmul(At, y, gx), grad_f(x), gx)
+                        subtract(ax, grad_g(y), gy)
+                        add(y, multiply(gy, step2, ys[i + 1]), ys[i + 1])
+                        subtract(x, multiply(gx, step1, xs[i + 1]), xs[i + 1])
+                else:
+                    for i in range(rows):
+                        x, gx = xs[i], gxs[i]
+                        add(matmul(At, conj(A @ x), gx), grad_f(x), gx)
+                        subtract(x, multiply(gx, step1, xs[i + 1]), xs[i + 1])
+            except Exception as exc:  # raised at its row, if the run gets there
+                rows, failed = i, exc
 
-            stopping = (t >= stop.max_iters or gnorm <= stop.tol
-                        or (dist is not None and dist <= stop.dist_tol))
-            b_t = pot = None
+            # measure: the iterate of the failed step's row is checked too
+            g2 = _row_dots(GX[:rows])
             if dual:
-                d = y - conj(ax)
-                b_t = math.sqrt(d @ d)
-                if potential is not None:
-                    pot = potential(dist, dist_y, b_t)
-            rec.append(t, t, float(t), dist, dist_y, b_t, pot)
-            if stopping:
+                g2 += _row_dots(GY[:rows])
+            gnorm = np.sqrt(g2)
+            nm = rows + (failed is not None)
+            finite = np.zeros(nm, dtype=bool)
+            if measured:
+                dist = np.sqrt(_row_dots(subtract(X[:nm], x_star, GX[:nm])))
+                finite = np.isfinite(dist)
+                if dual:
+                    dist_y = np.sqrt(_row_dots(subtract(Y[:nm], y_star, GY[:nm])))
+                    finite &= np.isfinite(dist_y)
+            if not finite.all():
+                entries = np.isfinite(X[:nm]).all(axis=1)
+                if dual:
+                    entries &= np.isfinite(Y[:nm]).all(axis=1)
+                finite |= entries
+
+            # decide in row order: the row of the first failed check (k) or
+            # the row after the stop (r) ends the block
+            k = first(~finite)
+            k = min(k, first(~np.isfinite(gnorm[:k])))
+            stops = gnorm[:k] <= stop.tol
+            if measured:
+                stops |= dist[:k] <= stop.dist_tol
+            if stop.max_iters - t0 < len(stops):
+                stops[stop.max_iters - t0] = True
+            s = first(stops)
+            r, pending, cols = min(s + 1, k), None, {}
+            if dual:
+                try:
+                    for i in range(r):
+                        subtract(ys[i], conj(axs[i]), gys[i])
+                except Exception as exc:
+                    r, pending = i, exc
+                cols["b_t"] = np.sqrt(_row_dots(GY[:r]))
+            if measured:
+                cols["dist_x"] = dist[:r]
+                if dual:
+                    cols["dist_y"] = dist_y[:r]
+                    if potential is not None:
+                        cols["potential"] = potential(dist[:r], dist_y[:r], cols["b_t"])
+            rec.append_rows(t0, r, **cols)
+            if pending is not None:
+                raise pending
+            if r == s + 1:
                 return trace
-            x, y = x_next, y_next
-            t += 1
+            if k < nm:
+                if not finite[k]:
+                    raise rec.error("non-finite iterate", t0 + k)
+                if k == rows:
+                    raise failed
+                raise rec.error("non-finite gradient", t0 + k)
+            X[0] = X[rows]
+            if dual:
+                Y[0] = Y[rows]
+            t0 += rows
 
 
 def reference_solution(

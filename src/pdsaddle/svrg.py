@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import SaddleProblem, conj_grad, grad_L
+from .problems import SaddleProblem, _row_dots, conj_grad, grad_L
 from .solvers import StoppingRule, Trace, _Recorder
 from .theory import _b_t, _q
 
@@ -108,7 +108,7 @@ class RowSum(_FiniteSum):
         self._rows, self._targets = list(self.A), self.b.tolist()
         self.n, self.d1 = self.A.shape
         self.d2 = self.n
-        self._finish(aggregate, [float(np.linalg.norm(a)) for a in self.A])
+        self._finish(aggregate, np.sqrt(_row_dots(self.A)).tolist())
 
     def _full_pass(self, x, y=None):
         """All component gradients at (x, y) and their averages; the primal

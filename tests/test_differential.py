@@ -5,7 +5,8 @@
   component, one index draw per inner step).
 * The one batch loop behind ``run_pdg`` and ``run_primal_gd`` against the two
   separate loops it replaced, under the sc schedule against the R_t that was
-  computed over a finished trace.
+  computed over a finished trace, with stops and failures at and inside the
+  edges of the loop's blocks of steps.
 
 The fast paths must reproduce their oracles bit for bit, so every comparison
 is exact.
@@ -19,6 +20,7 @@ import pytest
 from pdsaddle import (
     DivergenceError,
     Iterate,
+    SaddleProblem,
     StoppingRule,
     SvrgConfig,
     conj_grad,
@@ -41,7 +43,7 @@ from pdsaddle.instances import (
     split_quadratic,
     split_quadratic_primal,
 )
-from pdsaddle.solvers import BLOWUP_FACTOR
+from pdsaddle.solvers import _BLOCK_ROWS, BLOWUP_FACTOR
 from pdsaddle.theory import primal_step
 
 pytestmark = pytest.mark.differential
@@ -294,13 +296,15 @@ class _OracleDivergence(Exception):
         self.iteration = iteration
 
 
-def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
+def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None, gnorms=None):
     """The run_pdg loop as it was: returns (rows, error), rows of (iter,
     grad_evals, dist_x, dist_y, b_t, potential) with NaN for an unmeasured
     column and error an _OracleDivergence or None.  The potential
     is P_t with ``lam``, and with the ScSchedule ``sc`` the R_t that the sc
     path used to write over the finished trace's dist columns, watched like
-    P_t."""
+    P_t.  The gradient norm of every step is appended to ``gnorms``; the
+    distance stop reads ``stop.dist_tol``, which postdates this loop and
+    defaults to ``stop.tol``."""
     rows = []
     A = problem.coupling
     if x_star is not None:
@@ -314,6 +318,8 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
                 gy = ax - problem.grad_g(y)
                 x_next, y_next = x - eta1 * gx, y + eta2 * gy
                 gnorm = float(np.sqrt(gx @ gx + gy @ gy))
+            if gnorms is not None:
+                gnorms.append(gnorm)
             if not np.isfinite(gnorm):
                 raise _OracleDivergence(f"non-finite gradient at iteration {t}", t)
             dist = dist_y = pot = None
@@ -326,7 +332,7 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
                     raise _OracleDivergence(
                         f"distance blew up at iteration {t}: {dist:.3e}", t)
             stopping = (t >= stop.max_iters or gnorm <= stop.tol
-                        or (dist is not None and dist <= stop.tol))
+                        or (dist is not None and dist <= stop.dist_tol))
             gs = problem.conj_grad_g(ax)
             b_t = float(np.linalg.norm(y - gs))
             if lam is not None and dist is not None:
@@ -354,8 +360,9 @@ def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None):
     return np.array(rows, dtype=float).reshape(-1, 6), error
 
 
-def _gd_oracle(problem, x, eta, stop, x_star):
-    """The run_primal_gd loop as it was; returns like _pdg_oracle."""
+def _gd_oracle(problem, x, eta, stop, x_star, gnorms=None):
+    """The run_primal_gd loop as it was; returns and records like
+    _pdg_oracle."""
     rows = []
     A = problem.coupling
     t, d_first = 0, None
@@ -365,6 +372,8 @@ def _gd_oracle(problem, x, eta, stop, x_star):
                 ystar = problem.conj_grad_g(A @ x)
                 g = problem.grad_f(x) + A.T @ ystar
                 gnorm = float(np.linalg.norm(g))
+            if gnorms is not None:
+                gnorms.append(gnorm)
             if not np.isfinite(gnorm):
                 raise _OracleDivergence(f"non-finite gradient at iteration {t}", t)
             dist = None
@@ -373,7 +382,7 @@ def _gd_oracle(problem, x, eta, stop, x_star):
                 if d_first is None:
                     d_first = dist
             stopping = (t >= stop.max_iters or gnorm <= stop.tol
-                        or (dist is not None and dist <= stop.tol))
+                        or (dist is not None and dist <= stop.dist_tol))
             rows.append([t, float(t), dist, None, None, None])
             if dist is not None and dist > BLOWUP_FACTOR * (1.0 + d_first):
                 raise _OracleDivergence(f"distance blew up at iteration {t}: {dist:.3e}", t)
@@ -413,6 +422,17 @@ def _run(fn):
         return fn(), None
     except DivergenceError as exc:
         return exc.trace, exc
+    except ValueError as exc:
+        return None, exc
+
+
+def _old(fn):
+    """An old loop's (rows, error); an error an oracle raised comes as
+    (None, that error)."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return None, exc
 
 
 def _columns(trace):
@@ -421,6 +441,9 @@ def _columns(trace):
 
 
 def _assert_matches(trace, error, want, want_error, *, tripping_row_allowed):
+    if want is None:  # an oracle raised: the same error, with no trace
+        assert type(error) is type(want_error) and str(error) == str(want_error)
+        return
     got = _columns(trace)
     if want_error is None:
         assert error is None
@@ -505,11 +528,14 @@ def _past_overflow(size):
 
 
 # finite starts whose squared distance to the reference overflows, in x, in
-# y (PDG only), or in x at 1e155; the distance cannot prove them finite
+# y (PDG only), or in x at 1e155; the distance cannot prove them finite.  At
+# "ax_max" A x overflows too: the quadratic's Cholesky conjugate map refuses
+# it, in primal GD's step, and PDG must not reach it
 OVERFLOW_STARTS = {
     "x": lambda p: (_past_overflow(p.d1), np.linspace(0.5, -0.5, p.d2)),
     "y": lambda p: (np.linspace(-1.0, 1.0, p.d1), _past_overflow(p.d2)),
     "x_1e155": lambda p: (np.full(p.d1, 1e155), np.linspace(0.5, -0.5, p.d2)),
+    "ax_max": lambda p: (np.full(p.d1, np.finfo(float).max), np.linspace(0.5, -0.5, p.d2)),
 }
 
 
@@ -529,5 +555,167 @@ def test_batch_runs_from_overflowed_distance_match_old_loops(name, start):
         eta = primal_step(problem.params)
         trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta, stop=stop,
                                                   x_star=x_star))
-        want, want_error = _gd_oracle(problem, x0.copy(), eta, stop, x_star)
+        want, want_error = _old(lambda: _gd_oracle(problem, x0.copy(), eta, stop, x_star))
         _assert_matches(trace, error, want, want_error, tripping_row_allowed=False)
+        if start == "ax_max" and name == "quadratic":
+            assert isinstance(error, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the batch loop's blocks: stops and failures at and inside their edges
+# ---------------------------------------------------------------------------
+
+C = _BLOCK_ROWS
+
+
+def _rule(max_iters, tol=1e-300, dist_tol=None):
+    """A StoppingRule; a max_iters of 0, which the rule refuses, is set past
+    its check, and both loops then stop at row 0."""
+    rule = StoppingRule(max(max_iters, 1), tol, dist_tol)
+    object.__setattr__(rule, "max_iters", max_iters)
+    return rule
+
+
+def _check_batch(solver, problem, x_star, stop, eta1, eta2=None, schedule=None,
+                 lam=None, gnorms=None):
+    """Run ``solver`` (with ``schedule`` if given, else the steps eta1 and
+    eta2) and its old loop from the shared starts, assert that they agree,
+    and return the old loop's (rows, error)."""
+    x0 = np.linspace(-1.0, 1.0, problem.d1)
+    if solver == "primal_gd":
+        trace, error = _run(lambda: run_primal_gd(problem, x0, eta=eta1, stop=stop,
+                                                  x_star=x_star))
+        want, want_error = _old(lambda: _gd_oracle(problem, x0.copy(), eta1, stop,
+                                                   x_star, gnorms))
+    else:
+        y0 = np.linspace(0.5, -0.5, problem.d2)
+        kw = {"schedule": schedule} if schedule is not None else {"eta1": eta1, "eta2": eta2}
+        trace, error = _run(lambda: run_pdg(problem, Iterate(x0, y0), stop=stop,
+                                            x_star=x_star, **kw))
+        sc = schedule if schedule is not None and lam is None else None
+        want, want_error = _old(lambda: _pdg_oracle(
+            problem, x0.copy(), y0.copy(), eta1, eta2, stop, x_star, lam, sc, gnorms))
+    _assert_matches(trace, error, want, want_error,
+                    tripping_row_allowed=solver == "pdg")
+    return want, want_error
+
+
+def _steps(solver, problem, scale=1.0):
+    """(eta1, eta2) at ``scale`` times the theory steps."""
+    if solver == "primal_gd":
+        return scale * primal_step(problem.params), None
+    sched = pdg_schedule(problem.params)
+    return scale * sched.eta1, scale * sched.eta2
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, C - 1, C, C + 1, 2 * C])
+@pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
+@pytest.mark.parametrize("with_x_star", [True, False], ids=["x_star", "no_x_star"])
+@pytest.mark.parametrize("solver", ["pdg", "primal_gd"])
+def test_batch_run_to_max_iters_matches_old_loop(solver, name, with_x_star, max_iters):
+    problem, x_star = BATCH_PROBLEMS[name]
+    want, error = _check_batch(solver, problem, x_star if with_x_star else None,
+                               _rule(max_iters), *_steps(solver, problem))
+    assert error is None and len(want) == max_iters + 1
+
+
+@pytest.mark.parametrize("by", ["dist_tol", "tol"])
+@pytest.mark.parametrize("solver", ["pdg", "primal_gd"])
+def test_batch_stop_inside_a_block_matches_old_loop(solver, by):
+    """A tolerance at a new running minimum of dist_x (or of the gradient
+    norm) on a row inside a block past the first stops the run at that row."""
+    problem, x_star = BATCH_PROBLEMS["smoothed_l1"]
+    steps, gnorms = _steps(solver, problem), []
+    rows, _ = _check_batch(solver, problem, x_star, _rule(80 * C), *steps, gnorms=gnorms)
+    values = rows[:, 2] if by == "dist_tol" else np.array(gnorms)
+    k = min(k for k in range(C + 1, len(values))
+            if k % C not in (0, C - 1) and values[k] < values[:k].min())
+    stop = _rule(10**6, 1e-300, values[k]) if by == "dist_tol" else _rule(10**6, values[k],
+                                                                           1e-300)
+    rows, error = _check_batch(solver, problem, x_star, stop, *steps)
+    assert error is None and len(rows) == k + 1
+
+
+def _drift_problem(limit):
+    """f(x) = -sum(x), g(y) = |y|^2/2 and A = 1e-160 I: the gradient in x
+    stays near -1, so a step of 1e307 drifts x to overflow at row 18.  Its
+    conjugate map, like a factorized one, refuses an input outside
+    [-limit, limit]."""
+    def conj(z):
+        if not np.all(np.abs(z) <= limit):
+            raise ValueError(f"conjugate map input out of range at {np.abs(z).max():.3e}")
+        return z + 0.0
+
+    return SaddleProblem(lambda x: np.full(x.shape, -1.0), lambda y: y,
+                         1e-160 * np.eye(2), rho=0.0, alpha=1.0, beta=1.0,
+                         conj_grad_g=conj)
+
+
+# name: (solver, problem, with x_star, scale of the theory steps (the step
+# itself on a drift problem) or None, boost of a schedule's eta2 or None, the
+# start of the expected error and its row); the problems are BATCH_PROBLEMS,
+# the strongly convex quadratic and _drift_problem at a limit
+FAILURES = {
+    # the distance guard inside the first and third blocks, and on the
+    # first block's last row
+    "gd_distance": ("primal_gd", "quadratic", True, 2.05, None, "distance blew up", 25),
+    "gd_distance_last_row": ("primal_gd", "quadratic", True, 1.9, None,
+                             "distance blew up", 31),
+    "pdg_distance": ("pdg", "quadratic", True, 2.0, None, "distance blew up", 79),
+    "gd_gradient": ("primal_gd", "quadratic", False, 10.0, None,
+                    "non-finite gradient", 139),
+    "pdg_gradient": ("pdg", "quadratic", False, 10.0, None, "non-finite gradient", 152),
+    # the P_t guard under a PdgSchedule with eta2 doubled, the R_t guard under
+    # an ScSchedule with eta2 50 times larger
+    "pdg_P_t": ("pdg", "quadratic", True, None, 2.0, "potential blew up", 67),
+    "pdg_R_t": ("pdg", "sc_quadratic", True, None, 50.0, "potential blew up", 55),
+    # x overflows at row 18; the step that primal GD takes there calls the
+    # conjugate map on an infinite A x, which refuses it
+    "gd_iterate": ("primal_gd", "drift", False, 1e307, None, "non-finite iterate", 18),
+    "pdg_iterate": ("pdg", "drift", False, 1e307, None, "non-finite iterate", 18),
+    # the conjugate map refuses A x at row 11: in primal GD's step, in PDG's b_t
+    "gd_oracle": ("primal_gd", "drift_1.05e148", False, 1e307, None,
+                  "conjugate map input out of range", 11),
+    "pdg_oracle": ("pdg", "drift_1.05e148", False, 1e307, None,
+                   "conjugate map input out of range", 11),
+}
+
+
+def _failure_problem(name):
+    if name == "sc_quadratic":
+        problem = random_quadratic(11, 5, 7, strongly_convex=True)
+        return problem, reference_solution(problem, "direct")[0]
+    if name.startswith("drift"):
+        limit = float(name.split("_")[1]) if "_" in name else np.finfo(float).max
+        return _drift_problem(limit), None
+    return BATCH_PROBLEMS[name]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_batch_failure_inside_a_block_matches_old_loop(case):
+    solver, name, with_x_star, scale, boost, what, row = FAILURES[case]
+    problem, x_star = _failure_problem(name)
+    x_star = x_star if with_x_star else None
+    stop = _rule(10**4)
+    if boost is None:
+        eta1, eta2 = (scale, 1.0) if name.startswith("drift") else _steps(solver, problem,
+                                                                           scale)
+        want, error = _check_batch(solver, problem, x_star, stop, eta1, eta2)
+    elif name == "sc_quadratic":
+        eig, p = np.linalg.eigvalsh(problem.quadratic_parts[0]), problem.params
+        sc = sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
+        sc = replace(sc, eta2=boost * sc.eta2)
+        want, error = _check_batch(solver, problem, x_star, stop, sc.eta1, sc.eta2,
+                                   schedule=sc)
+    else:
+        sched = pdg_schedule(problem.params)
+        sched = replace(sched, eta2=boost * sched.eta2)
+        want, error = _check_batch(solver, problem, x_star, stop, sched.eta1, sched.eta2,
+                                   schedule=sched, lam=sched.lambda_)
+    assert str(error).startswith(what)
+    if isinstance(error, _OracleDivergence):
+        assert error.iteration == row
+    else:
+        # the refused input is row's A x, about row * 1e147
+        assert want is None and str(error).endswith(f"at {row * 1e147:.3e}")

@@ -20,6 +20,7 @@ from pdsaddle.instances import (
     smoothed_l1_saddle,
     split_quadratic,
 )
+from pdsaddle.problems import _cache_aligned, _row_dots
 from pdsaddle.solvers import reference_solution
 
 
@@ -159,6 +160,55 @@ def test_coupling_is_a_cache_aligned_copy_with_the_same_products():
         A[...] = coupling
         assert (A @ x).tobytes() == (coupling @ x).tobytes()
         assert (A.T @ y).tobytes() == (coupling.T @ y).tobytes()
+
+
+def test_row_dots_have_the_bits_of_vector_dots():
+    """The batch loop's block measurements rest on this: each batched row dot
+    equals ``v @ v`` bit for bit, at every length, at an 8-byte offset and
+    at padded row strides."""
+    rng = np.random.default_rng(7)
+    for d in range(1, 1002):
+        pad = -(-d // 8) * 8 + 8
+        buf = np.empty(3 * pad + 1)
+        buf[...] = rng.standard_normal(buf.size) * 10.0 ** rng.integers(-3, 4, buf.size)
+        for m in (buf[1:1 + 3 * d].reshape(3, d),        # 8 bytes off
+                  buf[:3 * pad].reshape(3, pad)[:, :d],  # padded strides
+                  buf[1:1 + 3 * pad].reshape(3, pad)[:, :d]):
+            want = np.array([v @ v for v in m])
+            assert _row_dots(m).tobytes() == want.tobytes(), d
+
+
+def _block_rows(rows, width):
+    """Rows laid out as the batch loop's blocks: a 64-byte aligned buffer,
+    each row padded to a multiple of 8 doubles."""
+    return _cache_aligned(np.zeros((rows, -(-width // 8) * 8)))[:, :width]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_quadratic(3, 5, 7),
+    lambda: random_quadratic(3, 9, 9, strongly_convex=True),
+    lambda: smoothed_l1_saddle(make_smoothed_l1(40, 13, seed=1)).aggregate,
+    lambda: mspbe_saddle(random_mspbe(30, 6, seed=2), normalize=True),
+], ids=["quadratic", "quadratic_sc", "smoothed_l1", "mspbe"])
+def test_oracles_on_block_rows_match_fresh_copies(build):
+    """Every oracle the batch loop calls on a block row gives the bits it
+    gives on a fresh copy of that row."""
+    problem = build()
+    rng = np.random.default_rng(8)
+    X, GX = _block_rows(5, problem.d1), _block_rows(5, problem.d1)
+    Y, AX = _block_rows(5, problem.d2), _block_rows(5, problem.d2)
+    X[...] = rng.standard_normal(X.shape)
+    Y[...] = rng.standard_normal(Y.shape)
+    A = problem.coupling
+    for x, y, ax, gx in zip(X, Y, AX, GX):
+        fx, fy = x.copy(), y.copy()
+        z = A @ fx
+        for got, want in [(np.matmul(A, x, out=ax), z),
+                          (np.matmul(A.T, y, out=gx), A.T @ fy),
+                          (problem.grad_f(x), problem.grad_f(fx)),
+                          (problem.grad_g(y), problem.grad_g(fy)),
+                          (problem.conj_grad_g(ax), problem.conj_grad_g(z.copy()))]:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_params_invariants():

@@ -336,7 +336,7 @@ def _csv_case(name):
 @pytest.mark.differential
 @pytest.mark.parametrize("name", ["pdg", "primal_gd", "pdsvrg", "diverged_pdg"])
 def test_packed_csv_matches_the_list_writer(name, tmp_path, monkeypatch):
-    rows, append = [], Trace.append
+    rows, append, extend = [], Trace.append, Trace.extend
 
     def teed(self, it, grad_evals, dist_x=None, dist_y=None, b_t=None,
              potential=None, elapsed=0.0):
@@ -345,7 +345,16 @@ def test_packed_csv_matches_the_list_writer(name, tmp_path, monkeypatch):
                      *(math.nan if v is None else v for v in (dist_x, dist_y, b_t, potential)),
                      elapsed))
 
+    def teed_block(self, iters, elapsed, **columns):
+        # a batch run adds its rows a block at a time
+        extend(self, iters, elapsed, **columns)
+        for j, it in enumerate(iters):
+            rows.append((it, float(it), *(columns[c][j] if c in columns else math.nan
+                                          for c in ("dist_x", "dist_y", "b_t", "potential")),
+                         elapsed))
+
     monkeypatch.setattr(Trace, "append", teed)
+    monkeypatch.setattr(Trace, "extend", teed_block)
     trace = _csv_case(name)
     assert len(rows) == len(trace) > 2
     trace.to_csv(tmp_path / "packed.csv")
