@@ -31,8 +31,13 @@ A full pass evaluates all components as one array expression whose
 arithmetic is that of one component at a time, bit for bit: stacked matvecs
 are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
 ``A @ x`` sums in another order).  Each kind has one formula for a single
-component, which ``component_grad`` and the epoch loop share; a row-sum
-component is written into buffers its caller owns (``_buffers``).
+component, which ``component_grad`` and the epoch loop share, and one for a
+full pass, which ``full_grad`` and the epoch loop share.  A row sum writes
+into buffers its caller owns: a component into ``_buffers``, a full pass
+into a snapshot table (``_table``), by in-place ufunc calls in the order of
+the expression.  Each run owns one table, allocated once and refilled every
+epoch; the sum holds none, so runs can share it.  A ``DenseSum`` returns
+fresh arrays for both.
 
 Random stream: per epoch the N component indices are drawn as one
 ``rng.integers(n, size=N)``, then the snapshot as ``rng.integers(N)``, both
@@ -51,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import SaddleProblem, _row_dots, conj_grad, grad_L
+from .problems import SaddleProblem, _cache_aligned, _row_dots, conj_grad, grad_L
 from .solvers import StoppingRule, Trace, _Recorder
 from .theory import _b_t, _q
 
@@ -110,17 +115,26 @@ class RowSum(_FiniteSum):
         self.d2 = self.n
         self._finish(aggregate, np.sqrt(_row_dots(self.A)).tolist())
 
-    def _full_pass(self, x, y=None):
+    def _full_pass(self, x, y=None, out=None):
         """All component gradients at (x, y) and their averages; the primal
-        form when y is None.  The dual parts come as the (n,) vector of each
+        form when y is None.  The primal parts are written into ``out`` from
+        ``_table`` (a fresh one when None) as grad_f(x) + r[:, None] * A,
+        one in-place ufunc call per operation in that order, never into
+        grad_f's result.  The dual parts come as the (n,) vector of each
         component's own coordinate."""
         dots = np.matmul(self.A[:, None, :], x)[:, 0]  # A[i] @ x, row by row
+        gxs = self._table() if out is None else out
+        r = dots - self.b if y is None else y
+        np.add(self.grad_f(x), np.multiply(r[:, None], self.A, gxs), gxs)
         if y is None:
-            gxs = self.grad_f(x) + (dots - self.b)[:, None] * self.A
             return gxs, np.sum(gxs, axis=0) / self.n
-        gxs = self.grad_f(x) + y[:, None] * self.A
         gys = dots - (y + self.b)
         return gxs, gys, np.sum(gxs, axis=0) / self.n, gys / self.n
+
+    def _table(self):
+        """A fresh snapshot table for ``_full_pass``: the n x d primal parts,
+        on a 64-byte cache line."""
+        return _cache_aligned(np.zeros((self.n, self.d1)))
 
     def _buffers(self):
         """Fresh buffers for ``_component``: the primal part and a scalar."""
@@ -170,15 +184,20 @@ class DenseSum(_FiniteSum):
                                  f"expected {shape}")
         self._finish(aggregate, norms)
 
-    def _full_pass(self, x, y=None):
+    def _full_pass(self, x, y=None, out=None):
         """All component gradients at (x, y) and their averages; the primal
-        form when y is None."""
+        form when y is None.  They come as fresh arrays; ``out`` is
+        ignored."""
         gxs = self.B @ x + self.b
         if y is None:
             return gxs, np.sum(gxs, axis=0) / self.n
         gxs = gxs + self._At @ y
         gys = self.A @ x - (self.C @ y - self.c)
         return gxs, gys, np.sum(gxs, axis=0) / self.n, np.sum(gys, axis=0) / self.n
+
+    def _table(self):
+        """None: a dense full pass comes as fresh arrays."""
+        return None
 
     def _buffers(self):
         """None: a dense component comes as fresh arrays."""
@@ -330,10 +349,12 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     its primal form and the dual block is skipped (plain SVRG).  Inner
     iterates alternate between two rows per variable; the snapshot index is
     drawn before the inner loop and its iterate copied when the loop reaches
-    it, and the end-of-epoch row checks x_N, y_N for finiteness.  The
-    component comes in the run's own buffers (fresh arrays for a dense sum),
-    the update x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in
-    that order, and the snapshot gradients are read through row views.  Rows
+    it.  A non-finite snapshot raises there, with the error and partial trace
+    of the end-of-epoch row, which checks x_N, y_N for finiteness.  The
+    full pass fills the run's one snapshot table and the component comes in
+    the run's own buffers (fresh arrays for a dense sum), the update
+    x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in that order,
+    and the snapshot gradients are read through row views.  Rows
     go through the solvers' one recorder, which watches Q_t (primal-dual) or
     dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
     after a step with dist_x <= stop.dist_tol."""
@@ -385,7 +406,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     y = y_next = None
     if dual:
         y, y_next = np.empty(y_snap.size), np.empty(y_snap.size)
-    component, out = fsp._component, fsp._buffers()
+    component, out, table = fsp._component, fsp._buffers(), fsp._table()
     add, subtract, multiply = np.add, np.subtract, np.multiply
 
     for epoch in range(cfg.epochs):
@@ -396,7 +417,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         x[:] = x_snap
         if dual:
             y[:] = y_snap
-            gxs, gys, full_gx, full_gy = fsp._full_pass(x_snap, y_snap)
+            gxs, gys, full_gx, full_gy = fsp._full_pass(x_snap, y_snap, table)
             drift = eta2 * full_gy
             if row_sum:
                 # per-coordinate dual scalars, read as Python floats
@@ -404,7 +425,7 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
             else:
                 gys = list(gys)
         else:
-            gxs, full_gx = fsp._full_pass(x_snap)
+            gxs, full_gx = fsp._full_pass(x_snap, None, table)
         gxs = list(gxs)
         comp_evals += n
         # gxs/gys hold every component gradient at the snapshot, so the inner
@@ -413,6 +434,8 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(indices):
                 if j == j_t:
+                    # the end-of-epoch row would refuse a non-finite snapshot
+                    rec.finite(epoch, x, y)
                     x_snap = x.copy()
                     if dual:
                         y_snap = y.copy()

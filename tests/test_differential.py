@@ -44,6 +44,7 @@ from pdsaddle.instances import (
     split_quadratic_primal,
 )
 from pdsaddle.solvers import _BLOCK_ROWS, BLOWUP_FACTOR
+from pdsaddle.svrg import RowSum
 from pdsaddle.theory import primal_step
 
 pytestmark = pytest.mark.differential
@@ -101,16 +102,27 @@ def _mean(grads):
     return stacked, np.sum(stacked, axis=0) / len(grads)
 
 
+class _OracleDivergence(Exception):
+    def __init__(self, message, iteration, rows=None):
+        super().__init__(message)
+        self.iteration, self.rows = iteration, rows
+
+
 def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
     """The SVRG epoch loop one component closure at a time: trace rows of
-    (iter, grad_evals, dist_x[, dist_y, b_t, Q_t]), ending at the first row
-    after a step with dist_x <= stop.tol when ``stop`` is given."""
+    (iter, grad_evals[, dist_x[, dist_y, b_t, Q_t]]), with the distances only
+    when ``x_star`` is given, ending at the first row after a step with
+    dist_x <= stop.tol when ``stop`` is given.  Per epoch, the first epoch
+    whose snapshot or last iterate is not finite raises _OracleDivergence
+    with the rows before it."""
     n, N, dual = len(comps), cfg.inner_iters, y0 is not None
     rng = np.random.default_rng(cfg.seed)
-    if dual:
+    if dual and x_star is not None:
         y_star = conj_grad(agg, agg.coupling @ x_star)
 
     def measure(x, y):
+        if x_star is None:
+            return []
         dist = float(np.linalg.norm(x - x_star))
         if not dual:
             return [dist]
@@ -131,13 +143,14 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
         for _ in range(N):
             kept.append((x, y))
             i = int(rng.integers(n))
-            if dual:
-                gx, gy = comps[i](x, y)
-                vx = (gx - gxs[i]) + full_gx
-                y = y + cfg.eta2 * ((gy - gys[i]) + full_gy)
-            else:
-                vx = (comps[i](x) - gxs[i]) + full_gx
-            x = x - cfg.eta1 * vx
+            with np.errstate(over="ignore", invalid="ignore"):
+                if dual:
+                    gx, gy = comps[i](x, y)
+                    vx = (gx - gxs[i]) + full_gx
+                    y = y + cfg.eta2 * ((gy - gys[i]) + full_gy)
+                else:
+                    vx = (comps[i](x) - gxs[i]) + full_gx
+                x = x - cfg.eta1 * vx
             evals += 2
             if record_inner:
                 rows.append([len(rows), evals / n] + measure(x, y))
@@ -145,6 +158,10 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
                     return np.array(rows)
         x_snap, y_snap = kept[int(rng.integers(N))]
         if not record_inner:
+            if not all(np.isfinite(v).all() for v in (x_snap, y_snap, x, y)
+                       if v is not None):
+                raise _OracleDivergence(f"non-finite iterate in epoch {epoch}", epoch,
+                                        np.array(rows))
             rows.append([epoch + 1, evals / n] + measure(x_snap, y_snap))
             if stop is not None and rows[-1][2] <= stop.tol:
                 break
@@ -198,10 +215,22 @@ def test_full_grad_matches_oracle(case):
     x, y = rng.standard_normal(fsp.d1), rng.standard_normal(fsp.d2)
     gx, gy = full_grad(fsp, x, y)
     at = [c(x, y) for c in case["saddle"]]
-    np.testing.assert_array_equal(gx, _mean([g[0] for g in at])[1])
+    want_x, want_gx = _mean([g[0] for g in at])
+    np.testing.assert_array_equal(gx, want_gx)
     np.testing.assert_array_equal(gy, _mean([g[1] for g in at])[1])
-    np.testing.assert_array_equal(prim._full_pass(x)[1],
-                                  _mean([c(x) for c in case["primal"]])[1])
+    want_p, want_gp = _mean([c(x) for c in case["primal"]])
+    np.testing.assert_array_equal(prim._full_pass(x)[1], want_gp)
+    # into a snapshot table that already holds the pass at another point, as
+    # a run refills its one table every epoch
+    table = fsp._table()
+    fsp._full_pass(2.0 * x + 1.0, 0.5 * y - 1.0, table)
+    got = fsp._full_pass(x, y, table)
+    for have, want in zip(got[:1] + got[2:], (want_x, gx, gy)):
+        np.testing.assert_array_equal(have, want)
+    table = prim._table()
+    prim._full_pass(2.0 * x + 1.0, None, table)
+    for have, want in zip(prim._full_pass(x, None, table), (want_p, want_gp)):
+        np.testing.assert_array_equal(have, want)
 
 
 def test_vr_grad_matches_oracle_for_every_component(case):
@@ -286,15 +315,66 @@ def test_short_epochs_match_oracle(case, solver, inner_iters):
     assert len(check(True, StoppingRule(10**6, dist[k]))) == k + 1
 
 
+def _counted_rows(fsp):
+    """The row sum ``fsp`` with a grad_f that counts its calls in ``calls``:
+    one per full pass and one per component, as the epoch loop makes them."""
+    calls = [0]
+
+    def grad_f(x):
+        calls[0] += 1
+        return fsp.grad_f(x)
+
+    rows = RowSum(fsp.A, fsp.b, grad_f, fsp.aggregate)
+    calls[0] = 0
+    return rows, calls
+
+
+# seeds by where the failing epoch's first non-finite inner iterate falls
+# against its drawn snapshot index j_t, at eta1 = 20 / M^2 (eta2 = 30 for
+# pdsvrg) and N = 50 steps an epoch:
+#   primal_svrg  before: epoch 28, step 18, j_t 43   after: epoch 28, step 46, j_t 10
+#   pdsvrg       before: epoch 38, step 5, j_t 27    after: epoch 39, step 35, j_t 10
+OVERFLOW_SEEDS = {"primal_svrg": {"before": 9, "after": 6},
+                  "pdsvrg": {"before": 4, "after": 2}}
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+@pytest.mark.parametrize("solver", ["primal_svrg", "pdsvrg"])
+def test_svrg_overflow_matches_oracle(solver, where):
+    """A per-epoch run whose iterates overflow before the epoch's drawn
+    snapshot index raises when the loop reaches that index, N - j_t steps
+    sooner than the end-of-epoch row, and one whose iterates overflow after
+    it raises at that row; both with the oracle's message, epoch and partial
+    trace."""
+    case, dual = CASES["l1_n25_d10"](), solver == "pdsvrg"
+    fsp, calls = _counted_rows(case["fsp"])
+    seed, N = OVERFLOW_SEEDS[solver][where], case["inner"]
+    cfg = SvrgConfig(eta1=20 / fsp.M**2, eta2=30.0 if dual else 1.0, inner_iters=N,
+                     epochs=200, seed=seed)
+    y0 = np.zeros(fsp.d2) if dual else None
+    with pytest.raises(DivergenceError) as got:
+        if dual:
+            run_pdsvrg(fsp, cfg=cfg)
+        else:
+            run_primal_svrg(fsp, cfg=cfg)
+    with pytest.raises(_OracleDivergence) as want:
+        _oracle_run(case["saddle" if dual else "primal"], np.zeros(fsp.d1), y0, cfg,
+                    None, None, False)
+    got, want = got.value, want.value
+    assert str(got) == str(want) and got.iteration == want.iteration
+    np.testing.assert_array_equal(
+        np.column_stack([got.trace.column(c) for c in ("iter", "grad_evals")]), want.rows)
+    epoch, rng = got.iteration, np.random.default_rng(seed)
+    for _ in range(epoch + 1):  # the draws of the run up to its last epoch
+        rng.integers(fsp.n, size=N)
+        j_t = int(rng.integers(N))
+    steps = epoch * N + (j_t if where == "before" else N)
+    assert calls[0] == epoch + 1 + steps
+
+
 # ---------------------------------------------------------------------------
 # the batch loop against the two loops it replaced
 # ---------------------------------------------------------------------------
-
-class _OracleDivergence(Exception):
-    def __init__(self, message, iteration):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 def _pdg_oracle(problem, x, y, eta1, eta2, stop, x_star, lam, sc=None, gnorms=None):
     """The run_pdg loop as it was: returns (rows, error), rows of (iter,

@@ -265,16 +265,49 @@ def test_component_and_vr_grads_are_not_overwritten_by_later_calls(quad_fsp, kin
     assert not np.shares_memory(got[0][0], got[1][0])
 
 
+def _replay_epochs(fsp, cfg, x_star, dual):
+    """dist_x at the start and at each epoch's snapshot of a run from zero,
+    composed from fresh evaluations: a full pass at each snapshot, then per
+    draw vr_grad (saddle form) or (g_i(x) - g_i(snap)) + full (primal
+    form)."""
+    rng = np.random.default_rng(cfg.seed)
+    x_snap, y_snap = np.zeros(fsp.d1), np.zeros(fsp.d2)
+    dists = [float(np.linalg.norm(x_snap - x_star))]
+    for _ in range(cfg.epochs):
+        full = full_grad(fsp, x_snap, y_snap) if dual else fsp._full_pass(x_snap)[1]
+        x, y, kept = x_snap, y_snap, []
+        for i in rng.integers(fsp.n, size=cfg.inner_iters).tolist():
+            kept.append((x, y))
+            if dual:
+                gx, gy = vr_grad(fsp, i, x, y, x_snap, y_snap, full)
+                y = y + cfg.eta2 * gy
+            else:
+                gx = (fsp._component(i, x) - fsp._component(i, x_snap)) + full
+            x = x - cfg.eta1 * gx
+        x_snap, y_snap = kept[int(rng.integers(cfg.inner_iters))]
+        dists.append(float(np.linalg.norm(x_snap - x_star)))
+    return dists
+
+
 def test_row_sum_never_writes_into_grad_fs_result():
     # a grad_f that returns its argument gives the traces of one that
-    # returns a copy, in both forms
-    cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=15, epochs=3, seed=4)
+    # returns a copy, in both forms, per inner step and per epoch.  Per
+    # epoch, both replay fresh evaluations over several refills of the run's
+    # snapshot table, so a snapshot row read stale from an earlier epoch
+    # fails as well
     x_star = np.random.default_rng(6).standard_normal(4)
-    traces = [[run(fsp, cfg=cfg, x_star=x_star, record_inner=True).column("dist_x")
-               for run in (run_pdsvrg, run_primal_svrg)]
-              for fsp in (_identity_rows(lambda x: x), _identity_rows(np.copy))]
-    for own, copied in zip(*traces):
-        np.testing.assert_array_equal(own, copied)
+    for record_inner, epochs in ((True, 3), (False, 6)):
+        cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=15, epochs=epochs, seed=4)
+        traces = [[run(fsp, cfg=cfg, x_star=x_star,
+                       record_inner=record_inner).column("dist_x")
+                   for run in (run_pdsvrg, run_primal_svrg)]
+                  for fsp in (_identity_rows(lambda x: x), _identity_rows(np.copy))]
+        for own, copied in zip(*traces):
+            np.testing.assert_array_equal(own, copied)
+        if not record_inner:
+            for own, dual in zip(traces[0], (True, False)):
+                np.testing.assert_array_equal(
+                    own, _replay_epochs(_identity_rows(np.copy), cfg, x_star, dual))
 
 
 def test_pdsvrg_deterministic(quad_fsp):
