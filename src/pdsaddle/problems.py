@@ -207,13 +207,6 @@ class Iterate:
             raise ValueError("iter and grad_evals must be nonnegative")
 
 
-def _check_dims(problem: SaddleProblem, x: np.ndarray, y: np.ndarray):
-    if x.shape != (problem.d1,):
-        raise ValueError(f"x has shape {x.shape}, expected ({problem.d1},)")
-    if y.shape != (problem.d2,):
-        raise ValueError(f"y has shape {y.shape}, expected ({problem.d2},)")
-
-
 def grad_L(
     problem: SaddleProblem, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -225,22 +218,12 @@ def grad_L(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    _check_dims(problem, x, y)
-    return _grad_L(_oracles(problem), x, y)[1:]
-
-
-def _oracles(problem: SaddleProblem):
-    """(A, A^T, grad_f, grad_g): what ``_grad_L`` needs, looked up once so a
-    loop can pass it to every step."""
-    return problem.coupling, problem.coupling.T, problem.grad_f, problem.grad_g
-
-
-def _grad_L(oracles, x: np.ndarray, y: np.ndarray):
-    """(A x, gx, gy) from ``_oracles(problem)`` without input checks; the
-    batch solvers' hot path."""
-    A, At, grad_f, grad_g = oracles
-    ax = A @ x
-    return ax, grad_f(x) + At @ y, ax - grad_g(y)
+    if x.shape != (problem.d1,):
+        raise ValueError(f"x has shape {x.shape}, expected ({problem.d1},)")
+    if y.shape != (problem.d2,):
+        raise ValueError(f"y has shape {y.shape}, expected ({problem.d2},)")
+    A = problem.coupling
+    return problem.grad_f(x) + A.T @ y, A @ x - problem.grad_g(y)
 
 
 def conj_grad(problem: SaddleProblem, z: np.ndarray) -> np.ndarray:

@@ -30,8 +30,6 @@ from .problems import (
     Iterate,
     SaddleProblem,
     _cache_aligned,
-    _grad_L,
-    _oracles,
     _row_dots,
     conj_grad,
     grad_L,
@@ -112,7 +110,9 @@ class Trace:
     elapsed_seconds.  They are packed ``array.array`` columns of C doubles
     (iter of 64-bit ints), about 59 bytes a row where lists of boxed values
     took over 200; a column a run does not measure holds NaN, written as an
-    empty CSV field.
+    empty CSV field.  Every row is added by ``extend``, with the iteration
+    and grad-units the loop counts: the batch loop's grad-units are its
+    iterations, an SVRG row's are its component evaluations / n.
     """
 
     def __init__(self, potential_kind: str | None = None):
@@ -125,29 +125,19 @@ class Trace:
         self.elapsed = array("d")
         self.potential_kind = potential_kind
 
-    def append(self, it: int, grad_evals: float, dist_x=None, dist_y=None,
-               b_t=None, potential=None, elapsed=0.0):
-        """Add a row; a column passed as None is stored as NaN."""
-        if self.iters and it <= self.iters[-1]:
+    def extend(self, iters, grad_evals, elapsed: float, **columns):
+        """Add rows: their iteration indices ``iters`` and grad-units
+        ``grad_evals``, as the loop counts them, and each measured column an
+        array of their values (a column not passed is NaN); every row gets
+        the time ``elapsed``.  Iterations must increase strictly and
+        grad-units must not decrease from the rows already held."""
+        if self.iters and len(iters) and iters[0] <= self.iters[-1]:
             raise ValueError("iteration indices must be strictly increasing")
-        if self.grad_evals and grad_evals < self.grad_evals[-1]:
+        if self.grad_evals and len(grad_evals) and grad_evals[0] < self.grad_evals[-1]:
             raise ValueError("grad_evals must be nondecreasing")
-        self.iters.append(it)
-        self.grad_evals.append(grad_evals)
-        for col, v in ((self.dist_x, dist_x), (self.dist_y, dist_y),
-                       (self.b_t, b_t), (self.potential, potential)):
-            col.append(math.nan if v is None else v)
-        self.elapsed.append(elapsed)
-
-    def extend(self, iters: range, elapsed: float, **columns):
-        """Add the rows of a batch run's iterations ``iters`` (grad_evals =
-        iteration), each measured column an array of their values and the
-        others NaN; every row gets the time ``elapsed``."""
-        if self.iters and iters and iters[0] <= self.iters[-1]:
-            raise ValueError("iteration indices must be strictly increasing")
         n = len(iters)
         self.iters.extend(iters)
-        self.grad_evals.extend(map(float, iters))
+        self.grad_evals.extend(map(float, grad_evals))
         for name in ("dist_x", "dist_y", "b_t", "potential"):
             values = columns.get(name)
             col = getattr(self, name)
@@ -162,7 +152,7 @@ class Trace:
 
     def column(self, name: str) -> np.ndarray:
         """Column ``name`` (one of TRACE_COLUMNS) as a float array.  It is a
-        copy: a view would pin the buffer that a later append resizes."""
+        copy: a view would pin the buffer that a later extend resizes."""
         return np.array(getattr(self, _TRACE_ATTRS[name]), dtype=float)
 
     def final_dist_x(self) -> float | None:
@@ -196,15 +186,15 @@ _TRACE_ATTRS = dict(zip(TRACE_COLUMNS, ("iters", "grad_evals", "dist_x", "dist_y
 class _Recorder:
     """The row and divergence policy of every solver loop.
 
-    A loop calls ``finite`` on the iterates of a row before it measures
-    them, so no oracle sees a non-finite value, then ``append`` with the
-    measured columns; the batch loop checks a block's iterates itself and
-    records the block through ``append_rows``.  ``append`` adds the row first
-    and then applies the blow-up guard to the watched columns ("distance"
-    for dist_x, "potential"): a column fails once it exceeds BLOWUP_FACTOR
-    times its base, 1 + its first value for a distance and max(first
-    value, 1e-300) for a potential.  Messages place the failure as ``at`` followed by the
-    loop counter, e.g. "at iteration 3" or "in epoch 0".
+    A loop proves the iterates of its rows finite before it measures them,
+    so no oracle sees a non-finite value: the SVRG loop by ``finite``, the
+    batch loop by checking a block's iterates itself.  It then records the
+    rows through ``append_rows``, which applies the blow-up guard to the
+    watched columns ("distance" for dist_x, "potential"): a column fails
+    once it exceeds BLOWUP_FACTOR times its base, 1 + its first value for a
+    distance and max(first value, 1e-300) for a potential.  Messages place
+    the failure as the loop's phrase ``at`` followed by its counter, e.g.
+    "at iteration 3" or "in epoch 0".
     """
 
     def __init__(self, trace: Trace, at: str, watch: tuple[str, ...]):
@@ -220,46 +210,34 @@ class _Recorder:
             if v is not None and not np.isfinite(v).all():
                 raise self.error("non-finite iterate", k)
 
-    def _limit(self, name: str, first: float) -> float:
-        """The blow-up limit of ``name``, set from its first value."""
-        if self.limits[name] is None:
-            self.limits[name] = BLOWUP_FACTOR * (
-                1.0 + first if name == "distance" else max(first, 1e-300))
-        return self.limits[name]
-
-    def append(self, k: int, it: int, units: float, dist_x=None, dist_y=None,
-               b_t=None, potential=None):
-        self.trace.append(it, units, dist_x, dist_y, b_t, potential,
-                          elapsed=time.perf_counter() - self.t0)
-        for name, value in (("distance", dist_x), ("potential", potential)):
-            if value is None or name not in self.limits:
-                continue
-            if self.limits[name] is None:
-                self._limit(name, value)
-            elif value > self.limits[name]:
-                raise self.error(f"{name} blew up", k, f": {value:.3e}")
-
-    def append_rows(self, t0: int, rows: int, **columns):
-        """``append`` for the rows of iterations t0 .. t0 + rows - 1 of a
-        batch run, from arrays of their measured columns (``Trace.extend``):
-        the rows up to the first that trips the guard are added, and that
-        row raises, the distance before the potential."""
-        cut, tripped = rows, None
+    def append_rows(self, iters, units, at: int | None = None, **columns):
+        """Add the rows of iterations ``iters`` with grad-units ``units`` and
+        arrays of their measured columns (``Trace.extend``), up to the first
+        row that trips the blow-up guard; that row raises, the distance
+        before the potential, placed at the loop counter ``at`` (its
+        iteration when None)."""
+        cut = rows = len(iters)
+        tripped = None
         for name, col in (("distance", "dist_x"), ("potential", "potential")):
             values = columns.get(col)
             if values is None or name not in self.limits or not rows:
                 continue
-            over = values[:cut] > self._limit(name, float(values[0]))
+            if self.limits[name] is None:
+                first = float(values[0])
+                self.limits[name] = BLOWUP_FACTOR * (
+                    1.0 + first if name == "distance" else max(first, 1e-300))
+            over = values[:cut] > self.limits[name]
             if over.any():
                 cut = int(over.argmax())
                 tripped = name, float(values[cut])
         if tripped is not None:
             columns = {c: v[:cut + 1] for c, v in columns.items()}
-            rows = cut + 1
-        self.trace.extend(range(t0, t0 + rows), time.perf_counter() - self.t0, **columns)
+            iters, units = iters[:cut + 1], units[:cut + 1]
+        self.trace.extend(iters, units, time.perf_counter() - self.t0, **columns)
         if tripped is not None:
             name, value = tripped
-            raise self.error(f"{name} blew up", t0 + cut, f": {value:.3e}")
+            raise self.error(f"{name} blew up", iters[cut] if at is None else at,
+                             f": {value:.3e}")
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -269,19 +247,14 @@ def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> I
         y+ = y + eta2 (A x - grad g(y))
 
     Both updates read the same pre-step iterate.  Costs one full-gradient
-    unit.  Raises DivergenceError if the step produces non-finite values.
+    unit.  Raises DivergenceError if the step produces non-finite values,
+    and ``grad_L``'s ValueError on an iterate of the wrong shape.
     """
     if not (eta1 > 0 and eta2 > 0):
         raise ValueError("step sizes must be positive")
-    x, y = it.x, it.y
-    if x.shape != (problem.d1,) or y.shape != (problem.d2,):
-        raise ValueError(
-            f"iterate dims {x.shape}, {y.shape} do not match problem "
-            f"({problem.d1},), ({problem.d2},)"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
-        _, gx, gy = _grad_L(_oracles(problem), x, y)
-        xn, yn = x - eta1 * gx, y + eta2 * gy
+        gx, gy = grad_L(problem, it.x, it.y)
+        xn, yn = it.x - eta1 * gx, it.y + eta2 * gy
     if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(yn))):
         raise DivergenceError(
             f"non-finite iterate after step {it.iter + 1}", it.iter + 1
@@ -375,8 +348,8 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
     dual = y is not None
     if not (eta1 > 0 and (not dual or eta2 > 0)):
         raise ValueError("step sizes must be positive")
-    A, At, grad_f, grad_g = _oracles(problem)
-    conj = problem.conj_grad_g
+    A, grad_f, grad_g = problem.coupling, problem.grad_f, problem.grad_g
+    At, conj = A.T, problem.conj_grad_g
     measured = x_star is not None
     if measured:
         x_star = np.asarray(x_star, dtype=float)
@@ -471,7 +444,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
                     cols["dist_y"] = dist_y[:r]
                     if potential is not None:
                         cols["potential"] = potential(dist[:r], dist_y[:r], cols["b_t"])
-            rec.append_rows(t0, r, **cols)
+            rec.append_rows(range(t0, t0 + r), range(t0, t0 + r), **cols)
             if pending is not None:
                 raise pending
             if r == s + 1:

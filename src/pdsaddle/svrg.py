@@ -375,25 +375,28 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
             y_star = conj_grad(agg, agg.coupling @ x_star)
 
     def measure(x, y):
-        """Trace columns at (x, y), in Trace.append order."""
+        """Trace columns at (x, y), measured as floats (Q_t's squares are
+        libm's), each as a one-row array."""
         if x_star is None:
-            return ()
+            return {}
         dist = float(np.linalg.norm(x - x_star))
         if not dual:
-            return (dist,)
+            return {"dist_x": np.array([dist])}
         b = _b_t(agg, x, y)
-        return dist, float(np.linalg.norm(y - y_star)), b, _q(cfg.mu, dist, b)
+        cols = dist, float(np.linalg.norm(y - y_star)), b, _q(cfg.mu, dist, b)
+        return dict(zip(("dist_x", "dist_y", "b_t", "potential"),
+                        np.array(cols)[:, None]))
 
     def record(row, units, epoch, x, y, *unrecorded):
-        """Append the trace row at (x, y) once it and the unrecorded iterates
+        """Add the trace row at (x, y) once it and the unrecorded iterates
         are finite; returns the columns."""
         rec.finite(epoch, x, y, *unrecorded)
         cols = measure(x, y)
-        rec.append(epoch, row, units, *cols)
+        rec.append_rows((row,), (units,), epoch, **cols)
         return cols
 
     def stopped(cols):
-        return stop is not None and cols and cols[0] <= stop.dist_tol
+        return stop is not None and cols and cols["dist_x"][0] <= stop.dist_tol
 
     rng = np.random.default_rng(cfg.seed)
     trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)

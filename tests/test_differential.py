@@ -114,11 +114,26 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
     when ``x_star`` is given, ending at the first row after a step with
     dist_x <= stop.tol when ``stop`` is given.  Per epoch, the first epoch
     whose snapshot or last iterate is not finite raises _OracleDivergence
-    with the rows before it."""
+    with the rows before it.  The blow-up guard as README states it: each row
+    is added, and then the run fails in that row's epoch once Q_t (dist_x
+    for primal SVRG) exceeds 1e6 times its base, max(Q_0, 1e-300)
+    (1 + dist_x at row 0)."""
     n, N, dual = len(comps), cfg.inner_iters, y0 is not None
     rng = np.random.default_rng(cfg.seed)
     if dual and x_star is not None:
         y_star = conj_grad(agg, agg.coupling @ x_star)
+    watched, limit = (5, "potential") if dual else (2, "distance"), []
+
+    def add(row, epoch):
+        rows.append(row)
+        if x_star is None:
+            return
+        value = row[watched[0]]
+        if not limit:
+            limit.append(1e6 * (max(value, 1e-300) if dual else 1.0 + value))
+        elif value > limit[0]:
+            raise _OracleDivergence(f"{watched[1]} blew up in epoch {epoch}: {value:.3e}",
+                                    epoch, np.array(rows))
 
     def measure(x, y):
         if x_star is None:
@@ -129,7 +144,8 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
         b = float(np.linalg.norm(y - conj_grad(agg, agg.coupling @ x)))
         return [dist, float(np.linalg.norm(y - y_star)), b, dist**2 + cfg.mu * b**2]
 
-    rows = [[0, 0.0] + measure(x0, y0)]
+    rows = []
+    add([0, 0.0] + measure(x0, y0), 0)
     x_snap, y_snap, evals = x0, y0, 0
     for epoch in range(cfg.epochs):
         if dual:
@@ -153,7 +169,7 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
                 x = x - cfg.eta1 * vx
             evals += 2
             if record_inner:
-                rows.append([len(rows), evals / n] + measure(x, y))
+                add([len(rows), evals / n] + measure(x, y), epoch)
                 if stop is not None and rows[-1][2] <= stop.tol:
                     return np.array(rows)
         x_snap, y_snap = kept[int(rng.integers(N))]
@@ -162,7 +178,7 @@ def _oracle_run(comps, x0, y0, cfg, x_star, agg, record_inner, stop=None):
                        if v is not None):
                 raise _OracleDivergence(f"non-finite iterate in epoch {epoch}", epoch,
                                         np.array(rows))
-            rows.append([epoch + 1, evals / n] + measure(x_snap, y_snap))
+            add([epoch + 1, evals / n] + measure(x_snap, y_snap), epoch)
             if stop is not None and rows[-1][2] <= stop.tol:
                 break
     return np.array(rows)
@@ -370,6 +386,37 @@ def test_svrg_overflow_matches_oracle(solver, where):
         j_t = int(rng.integers(N))
     steps = epoch * N + (j_t if where == "before" else N)
     assert calls[0] == epoch + 1 + steps
+
+
+# eta1 (times 1 / M^2) and eta2 at which each solver trips the blow-up guard
+# on l1_n25_d10 at seed 3, with N = 50: in epoch 4, except pdsvrg recorded
+# per inner step, which trips in epoch 3
+BLOWUP_STEPS = {"primal_svrg": (5.0, 1.0), "pdsvrg": (2.0, 2.0)}
+
+
+@pytest.mark.parametrize("record_inner", [False, True], ids=["per_epoch", "inner"])
+@pytest.mark.parametrize("solver", ["primal_svrg", "pdsvrg"])
+def test_svrg_blowup_matches_oracle(solver, record_inner):
+    """A run whose watched column, Q_t or dist_x, passes 1e6 times its base
+    raises at that row with the oracle's message, epoch and partial trace."""
+    case, dual = CASES["l1_n25_d10"](), solver == "pdsvrg"
+    fsp, comps = (case["fsp"], case["saddle"]) if dual else (case["prim"], case["primal"])
+    eta1, eta2 = BLOWUP_STEPS[solver]
+    cfg = SvrgConfig(eta1=eta1 / case["M"]**2, eta2=eta2, inner_iters=case["inner"],
+                     epochs=12, seed=3)
+    y0 = np.zeros(fsp.d2) if dual else None
+    with pytest.raises(DivergenceError) as got:
+        (run_pdsvrg if dual else run_primal_svrg)(
+            fsp, cfg=cfg, x_star=case["x_star"], record_inner=record_inner)
+    with pytest.raises(_OracleDivergence) as want:
+        _oracle_run(comps, np.zeros(fsp.d1), y0, cfg, case["x_star"], fsp.aggregate,
+                    record_inner)
+    got, want = got.value, want.value
+    assert "blew up" in str(want)
+    assert str(got) == str(want) and got.iteration == want.iteration
+    cols = ("iter", "grad_evals", "dist_x", "dist_y", "b_t", "potential")[:6 if dual else 3]
+    np.testing.assert_array_equal(
+        np.column_stack([got.trace.column(c) for c in cols]), want.rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1082,7 +1082,7 @@ def test_verify_report_stays_strict_json_when_a_potential_underflows(monkeypatch
     def underflowing(fsp, cfg, x_star):
         trace = Trace("Q_t")
         for k, pot in enumerate([1e-320, 1.0]):
-            trace.append(k, float(k), potential=pot)
+            trace.extend([k], [float(k)], 0.0, potential=[pot])
         return trace
 
     def reject(constant):

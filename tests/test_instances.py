@@ -14,6 +14,7 @@ from pdsaddle import (
     conj_grad,
     full_grad,
     grad_L,
+    grad_primal,
     instances,
     run_pdg,
     run_primal_gd,
@@ -36,6 +37,7 @@ from pdsaddle.instances import (
     smoothed_l1_primal,
     smoothed_l1_saddle,
     split_quadratic,
+    split_quadratic_primal,
 )
 from pdsaddle.harness import build_instance, load_json
 from pdsaddle.solvers import reference_solution
@@ -74,17 +76,27 @@ def test_quadratic_constructed_instances_pass_oracle_checks():
 
 
 def test_split_quadratic_preserves_aggregate():
+    """For every number of components and noise scale, the saddle split's
+    full gradient and the primal split's mean component gradient reproduce
+    the aggregate's grad_L and grad_primal (the primal split has no check at
+    construction)."""
     problem = random_quadratic(10, 6, 9)
-    fsp = split_quadratic(problem, 7, seed=4)
-    assert fsp.n == 7 and fsp.M >= problem.params.sigma_max - 1e-9
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x, y = rng.standard_normal(6), rng.standard_normal(9)
-        fx, fy = full_grad(fsp, x, y)
-        ax, ay = grad_L(problem, x, y)
-        scale = 1 + np.linalg.norm(ax) + np.linalg.norm(ay)
-        assert np.linalg.norm(fx - ax) <= 1e-12 * scale
-        assert np.linalg.norm(fy - ay) <= 1e-12 * scale
+    for n in (1, 2, 7, 50):
+        for noise in (0.0, 0.5, 2.0, 10.0):
+            fsp = split_quadratic(problem, n, seed=4, scale=noise)
+            prim = split_quadratic_primal(problem, n, seed=5, scale=noise)
+            assert fsp.n == prim.n == n and fsp.M >= problem.params.sigma_max - 1e-9
+            rng = np.random.default_rng(0)
+            for _ in range(20):
+                x, y = rng.standard_normal(6), rng.standard_normal(9)
+                fx, fy = full_grad(fsp, x, y)
+                ax, ay = grad_L(problem, x, y)
+                scale = 1 + np.linalg.norm(ax) + np.linalg.norm(ay)
+                assert np.linalg.norm(fx - ax) <= 1e-12 * scale
+                assert np.linalg.norm(fy - ay) <= 1e-12 * scale
+                gp = grad_primal(problem, x)
+                assert (np.linalg.norm(prim._full_pass(x)[1] - gp)
+                        <= 1e-12 * (1 + np.linalg.norm(gp)))
 
 
 def test_split_quadratic_components_need_not_be_convex():

@@ -29,6 +29,32 @@ def _rotated(problem, Q, U):
                                   U @ c_sym @ U.T, U @ c_lin)
 
 
+@pytest.mark.parametrize("c", [1e-3, 10.0, 1e3])
+@pytest.mark.parametrize("seed", range(5))
+def test_positive_rescaling_keeps_the_schedule_and_the_traces(seed, c):
+    """Scaling f, g and A by c > 0 scales L by c: the saddle point stays,
+    every curvature constant scales by c, so lambda_ and the rate stay and
+    both steps scale by 1/c.  The PDG step, and with it every distance, b_t
+    and P_t, is then the same.  The tolerances were set before the test was
+    first run: the schedule is formulas of singular values, the traces go
+    through the scaled data's roundoff as in the orthogonal case."""
+    problem = random_quadratic(seed)
+    b_sym, b_lin, c_sym, c_lin = problem.quadratic_parts
+    scaled = QuadraticSaddleProblem(c * b_sym, c * b_lin, c * problem.coupling,
+                                    c * c_sym, c * c_lin)
+    want_sched, got_sched = pdg_schedule(problem.params), pdg_schedule(scaled.params)
+    for name in ("rate", "lambda_"):
+        np.testing.assert_allclose(getattr(got_sched, name), getattr(want_sched, name),
+                                   rtol=1e-12)
+    stop = StoppingRule(STEPS, 1e-300)
+    want, got = (run_pdg(p, schedule=s, stop=stop, x_star=reference_solution(p, "direct")[0])
+                 for p, s in ((problem, want_sched), (scaled, got_sched)))
+    assert len(got.iters) == len(want.iters) == STEPS + 1
+    assert want.potential_kind == got.potential_kind == "P_t"
+    for name in COLUMNS:
+        np.testing.assert_allclose(got.column(name), want.column(name), rtol=RTOL)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_orthogonal_change_of_variables_keeps_the_traces(seed):
     """Distances, b_t and the potential are invariant under orthogonal maps

@@ -66,8 +66,13 @@ def test_pdg_step_fixed_point():
 
 
 def test_pdg_step_rejects_bad_steps(scalar_problem):
-    with pytest.raises(ValueError):
-        pdg_step(scalar_problem, Iterate(np.zeros(1), np.zeros(1)), 0.0, 0.1)
+    for x, y, eta1, match in [
+        (np.zeros(1), np.zeros(1), 0.0, "step sizes must be positive"),
+        (np.zeros(2), np.zeros(1), 0.1, r"x has shape \(2,\), expected \(1,\)"),
+        (np.zeros(1), np.zeros(3), 0.1, r"y has shape \(3,\), expected \(1,\)"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            pdg_step(scalar_problem, Iterate(x, y), eta1, 0.1)
 
 
 @pytest.mark.parametrize("run", [
@@ -233,12 +238,12 @@ def test_reference_solution_requires_quadratic_for_direct():
 
 def test_trace_invariants_and_csv(tmp_path):
     trace = Trace(potential_kind="P_t")
-    trace.append(0, 0.0, 1.0, None, 0.5, 2.0, elapsed=0.0)
-    trace.append(1, 1.0, 0.5, None, 0.25, 1.0, elapsed=0.1)
-    with pytest.raises(ValueError):
-        trace.append(1, 2.0)
-    with pytest.raises(ValueError):
-        trace.append(2, 0.5)
+    trace.extend([0], [0.0], 0.0, dist_x=[1.0], b_t=[0.5], potential=[2.0])
+    trace.extend([1], [1.0], 0.1, dist_x=[0.5], b_t=[0.25], potential=[1.0])
+    with pytest.raises(ValueError, match="iteration indices must be strictly increasing"):
+        trace.extend([1], [2.0], 0.2)
+    with pytest.raises(ValueError, match="grad_evals must be nondecreasing"):
+        trace.extend([2], [0.5], 0.2)
     assert trace.units_to_target(0.6) == 1.0
     assert trace.units_to_target(0.1) is None
     path = tmp_path / "t.csv"
@@ -336,25 +341,18 @@ def _csv_case(name):
 @pytest.mark.differential
 @pytest.mark.parametrize("name", ["pdg", "primal_gd", "pdsvrg", "diverged_pdg"])
 def test_packed_csv_matches_the_list_writer(name, tmp_path, monkeypatch):
-    rows, append, extend = [], Trace.append, Trace.extend
+    rows, extend = [], Trace.extend
 
-    def teed(self, it, grad_evals, dist_x=None, dist_y=None, b_t=None,
-             potential=None, elapsed=0.0):
-        append(self, it, grad_evals, dist_x, dist_y, b_t, potential, elapsed)
-        rows.append((it, grad_evals,
-                     *(math.nan if v is None else v for v in (dist_x, dist_y, b_t, potential)),
-                     elapsed))
-
-    def teed_block(self, iters, elapsed, **columns):
-        # a batch run adds its rows a block at a time
-        extend(self, iters, elapsed, **columns)
+    def teed(self, iters, grad_evals, elapsed, **columns):
+        # a batch run adds its rows a block at a time, an SVRG run one at a time
+        extend(self, iters, grad_evals, elapsed, **columns)
         for j, it in enumerate(iters):
-            rows.append((it, float(it), *(columns[c][j] if c in columns else math.nan
-                                          for c in ("dist_x", "dist_y", "b_t", "potential")),
+            rows.append((it, grad_evals[j],
+                         *(columns[c][j] if c in columns else math.nan
+                           for c in ("dist_x", "dist_y", "b_t", "potential")),
                          elapsed))
 
-    monkeypatch.setattr(Trace, "append", teed)
-    monkeypatch.setattr(Trace, "extend", teed_block)
+    monkeypatch.setattr(Trace, "extend", teed)
     trace = _csv_case(name)
     assert len(rows) == len(trace) > 2
     trace.to_csv(tmp_path / "packed.csv")
@@ -369,8 +367,9 @@ def test_trace_row_costs_at_most_64_bytes():
         before = tracemalloc.get_traced_memory()[0]
         trace = Trace("P_t")
         for k in range(rows):
-            trace.append(k, float(k), 1.0 / (k + 1), 2.0 / (k + 1), 3.0 / (k + 1),
-                         4.0 / (k + 1), elapsed=1e-4 * k)
+            trace.extend([k], [float(k)], 1e-4 * k, dist_x=[1.0 / (k + 1)],
+                         dist_y=[2.0 / (k + 1)], b_t=[3.0 / (k + 1)],
+                         potential=[4.0 / (k + 1)])
         per_row = (tracemalloc.get_traced_memory()[0] - before) / rows
     finally:
         tracemalloc.stop()
