@@ -595,12 +595,19 @@ def _prepared(config: ExperimentConfig, specs: list[SolverSpec]):
     looked up, before the command makes its output directory: an instance
     that refuses one (an sc variant on an f that is not strongly convex, a
     stochastic solver on a family without a finite sum) exits with nothing
-    written."""
+    written.  So is a ``budget`` below one batch step (1 grad-unit) or below
+    one epoch, 1 + 2N/n, at the largest inner_iters N an entry may run."""
     bundle = build_instance(config.instance)
     points = [_theory_point(bundle, spec) for spec in specs]
-    for spec in specs:
+    for spec, point in zip(specs, points):
+        least, what = 1.0, "step"
         if SOLVERS[spec.name].form is not None:
-            bundle.finite_sum(SOLVERS[spec.name].form)
+            n = bundle.finite_sum(SOLVERS[spec.name].form).n
+            inner = (point or spec.schedule).get("inner_iters", 2 * n)
+            least, what = 1.0 + 2.0 * int(np.max(inner)) / n, "epoch"
+        if config.budget < least:
+            raise ConfigError("config.budget", f"must cover one {what} of {spec.name} "
+                                               f"({least!r} grad-units), got {config.budget!r}")
     return bundle, points
 
 

@@ -7,8 +7,8 @@ P(x) = g*(Ax) + f(x); its step is PDG's ghost update, the PDG step with y tied
 to grad g*(A x), so both run in one loop.  Both emit a Trace with
 per-iteration distances, potential values and gradient-evaluation counts,
 suitable for rate fitting.  Every solver loop, the stochastic ones in
-``svrg`` included, records its rows and declares divergence through one
-``_Recorder``.
+``svrg`` included, measures its rows' columns, records them and declares
+divergence through one ``_Recorder``.
 
 ``reference_solution`` produces a certified saddle point, either by a dense
 solve of the stationarity system (quadratic problems) or by driving the
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import time
 from array import array
 from dataclasses import dataclass
@@ -108,9 +109,8 @@ class Trace:
     dist_y = ||y_t - y*||, b_t = ||y_t - grad g*(A x_t)||, potential
     (P_t, Q_t or R_t depending on the solver; see ``potential_kind``),
     elapsed_seconds.  They are packed ``array.array`` columns of C doubles
-    (iter of 64-bit ints), about 59 bytes a row where lists of boxed values
-    took over 200; a column a run does not measure holds NaN, written as an
-    empty CSV field.  Every row is added by ``extend``, with the iteration
+    (iter of 64-bit ints); a column a run does not measure holds NaN,
+    written as an empty CSV field.  Every row is added by ``extend``, with the iteration
     and grad-units the loop counts: the batch loop's grad-units are its
     iterations, an SVRG row's are its component evaluations / n.
     """
@@ -130,10 +130,11 @@ class Trace:
         ``grad_evals``, as the loop counts them, and each measured column an
         array of their values (a column not passed is NaN); every row gets
         the time ``elapsed``.  Iterations must increase strictly and
-        grad-units must not decrease from the rows already held."""
-        if self.iters and len(iters) and iters[0] <= self.iters[-1]:
+        grad-units must not decrease, from the last row held on."""
+        its, units = [*self.iters[-1:], *iters], [*self.grad_evals[-1:], *grad_evals]
+        if not all(map(operator.lt, its, its[1:])):
             raise ValueError("iteration indices must be strictly increasing")
-        if self.grad_evals and len(grad_evals) and grad_evals[0] < self.grad_evals[-1]:
+        if not all(map(operator.le, units, units[1:])):
             raise ValueError("grad_evals must be nondecreasing")
         n = len(iters)
         self.iters.extend(iters)
@@ -184,21 +185,34 @@ _TRACE_ATTRS = dict(zip(TRACE_COLUMNS, ("iters", "grad_evals", "dist_x", "dist_y
 
 
 class _Recorder:
-    """The row and divergence policy of every solver loop.
+    """The trace of every solver loop: it measures the rows' columns and
+    applies the row and divergence policy.
 
-    A loop proves the iterates of its rows finite before it measures them,
-    so no oracle sees a non-finite value: the SVRG loop by ``finite``, the
-    batch loop by checking a block's iterates itself.  It then records the
-    rows through ``append_rows``, which applies the blow-up guard to the
-    watched columns ("distance" for dist_x, "potential"): a column fails
-    once it exceeds BLOWUP_FACTOR times its base, 1 + its first value for a
-    distance and max(first value, 1e-300) for a potential.  Messages place
-    the failure as the loop's phrase ``at`` followed by its counter, e.g.
-    "at iteration 3" or "in epoch 0".
+    It is built from the run's ``problem`` (None for a primal run: no dual
+    columns), the reference ``x_star`` (None: no distances, no potential)
+    and the ``steps`` whose potential ``_certified_potential`` picks, and
+    derives y* = grad g*(A x*) once.  Loops hand it blocks of rows, the SVRG
+    loop one at a time (``row``).  Each distance and b_t (every primal-dual
+    row has one) is the root of a BLAS dot: np.linalg.norm's bits.
+
+    A loop proves its rows' iterates finite before they are measured: the
+    SVRG loop by ``finite``, the batch loop itself.  ``append_rows`` applies
+    the blow-up guard to the watched columns ("distance" for dist_x,
+    "potential"): one fails once it exceeds BLOWUP_FACTOR times its base,
+    1 + its first value for a distance, max(first value, 1e-300) for a
+    potential, placed as the loop's phrase ``at`` and its counter.
     """
 
-    def __init__(self, trace: Trace, at: str, watch: tuple[str, ...]):
-        self.trace, self.at = trace, at
+    def __init__(self, problem: SaddleProblem | None, x_star, steps, at: str,
+                 watch: tuple[str, ...]):
+        self.problem, self.at = problem, at
+        self.x_star = self.y_star = self.potential = kind = None
+        if x_star is not None:
+            self.x_star = np.asarray(x_star, dtype=float)
+            if problem is not None:
+                self.y_star = conj_grad(problem, problem.coupling @ self.x_star)
+                kind, self.potential = _certified_potential(steps)
+        self.trace = Trace(potential_kind=kind)
         self.limits = dict.fromkeys(watch)
         self.t0 = time.perf_counter()
 
@@ -210,17 +224,48 @@ class _Recorder:
             if v is not None and not np.isfinite(v).all():
                 raise self.error("non-finite iterate", k)
 
-    def append_rows(self, iters, units, at: int | None = None, **columns):
-        """Add the rows of iterations ``iters`` with grad-units ``units`` and
-        arrays of their measured columns (``Trace.extend``), up to the first
-        row that trips the blow-up guard; that row raises, the distance
-        before the potential, placed at the loop counter ``at`` (its
-        iteration when None)."""
-        cut = rows = len(iters)
-        tripped = None
+    def distances(self, X, Y=None, out=(None, None)):
+        """dist_x, dist_y of the blocks' rows (None unmeasured), via ``out``."""
+        pairs = zip((X, Y), (self.x_star, self.y_star), out)
+        return tuple(None if B is None or ref is None
+                     else np.sqrt(_row_dots(np.subtract(B, ref, o))) for B, ref, o in pairs)
+
+    def row(self, k: int, units: float, at: int, x, y=None, *unrecorded):
+        """Record iteration ``k`` at (x, y), once it and ``unrecorded`` are
+        proved finite, as a one-row block failing at ``at``; returns the
+        dist_x recorded (NaN unmeasured, inf on overflow)."""
+        self.finite(at, x, y, *unrecorded)
+        Y, AX = (None, None) if y is None else (y[None], (self.problem.coupling @ x)[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.append_rows((k,), (units,), self.distances(x[None], Y), Y, AX, at=at)
+        return self.trace.dist_x[-1]
+
+    def append_rows(self, iters, units, dist=(None, None), Y=None, AX=None, out=None,
+                    at: int | None = None):
+        """Add the rows of iterations ``iters`` with grad-units ``units``,
+        their distances ``dist`` and, given blocks of their y and A x, b_t
+        (differences written into ``out``) and the potential, up to the
+        first that fails: a row whose conjugate map raises is not added and
+        the map's error raised; a row that trips the guard (distance first)
+        is added and fails at the counter ``at`` (None: its iteration)."""
+        cut, pending, tripped = len(iters), None, None
+        columns = dict(zip(("dist_x", "dist_y"), dist))
+        if Y is not None:
+            diff, conj = np.empty(Y.shape) if out is None else out, self.problem.conj_grad_g
+            try:
+                for i in range(cut):
+                    np.subtract(Y[i], conj(AX[i]), diff[i])
+            except Exception as exc:
+                cut, pending = i, exc
+            columns["b_t"] = np.sqrt(_row_dots(diff[:cut]))
+        columns = {c: v[:cut] for c, v in columns.items() if v is not None}
+        if self.potential is not None:
+            columns["potential"] = self.potential(columns["dist_x"], columns["dist_y"],
+                                                  columns["b_t"])
+        rows = cut
         for name, col in (("distance", "dist_x"), ("potential", "potential")):
             values = columns.get(col)
-            if values is None or name not in self.limits or not rows:
+            if values is None or name not in self.limits or not len(values):
                 continue
             if self.limits[name] is None:
                 first = float(values[0])
@@ -229,15 +274,15 @@ class _Recorder:
             over = values[:cut] > self.limits[name]
             if over.any():
                 cut = int(over.argmax())
-                tripped = name, float(values[cut])
-        if tripped is not None:
-            columns = {c: v[:cut + 1] for c, v in columns.items()}
-            iters, units = iters[:cut + 1], units[:cut + 1]
-        self.trace.extend(iters, units, time.perf_counter() - self.t0, **columns)
-        if tripped is not None:
+                rows, tripped = cut + 1, (name, float(values[cut]))
+        self.trace.extend(iters[:rows], units[:rows], time.perf_counter() - self.t0,
+                          **{c: v[:rows] for c, v in columns.items()})
+        if tripped is not None:  # raised unbound: a local would keep the frame
             name, value = tripped
             raise self.error(f"{name} blew up", iters[cut] if at is None else at,
                              f": {value:.3e}")
+        if pending is not None:
+            raise pending
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -326,41 +371,29 @@ _BLOCK_ROWS = 32
 def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace:
     """The loop of both batch solvers.  With ``y`` None it runs the primal
     form: gs = grad g*(A x) once per step, then x - eta1 (grad f(x) + A^T gs).
-    Otherwise it is the PDG step, and with ``x_star`` the potential that
-    ``schedule`` certifies is recorded and watched.
+    Otherwise it is the PDG step, recording the potential ``schedule``
+    certifies.
 
-    The loop takes up to _BLOCK_ROWS steps into run-owned blocks of rows
-    (iterates, A x and the gradient pair; 64-byte aligned, each row padded to
-    whole cache lines), then measures the block's columns with a few array
-    calls: every row dot is one BLAS dot (``_row_dots``), so each value has
-    the bits of the row-by-row loop.  It then decides the rows in order, as
-    that loop did row by row: the iterate is proved finite (by finite
-    distances to a finite reference, else entry by entry), the step's
-    gradient norm is checked and the stopping rule applied, and only then
-    does a PDG row run the conjugate map for b_t (a factorized map fails on
-    an overflowed A x) and get recorded.  The first row that fails a check
-    raises, and an oracle that raised in a step is raised at its row; a stop
-    returns.  So a run may take up to _BLOCK_ROWS - 1 steps past its
-    stopping row, which it discards: they add no row and no grad-unit.  A
-    block never reaches past max_iters.  One np.errstate block covers the
-    whole loop.
+    It takes up to _BLOCK_ROWS steps into run-owned blocks of rows (iterates,
+    A x and the gradient pair; C-ordered, 64-byte aligned), measures their
+    gradient norms and distances, then decides the rows in order, as a
+    row-by-row loop: the iterate proved finite (by finite distances, else
+    entry by entry), the gradient norm checked, the stop applied, and only
+    then the conjugate map run for b_t (a factorized map fails on an
+    overflowed A x) and the row recorded.  The first row that fails raises
+    (a step's oracle error at its row); a stop discards the up to
+    _BLOCK_ROWS - 1 steps past it.  A block never reaches past max_iters.
     """
     dual = y is not None
     if not (eta1 > 0 and (not dual or eta2 > 0)):
         raise ValueError("step sizes must be positive")
     A, grad_f, grad_g = problem.coupling, problem.grad_f, problem.grad_g
     At, conj = A.T, problem.conj_grad_g
-    measured = x_star is not None
-    if measured:
-        x_star = np.asarray(x_star, dtype=float)
-        if dual:
-            y_star = conj_grad(problem, A @ x_star)
-    kind, potential = _certified_potential(schedule) if measured else (None, None)
-    trace = Trace(potential_kind=kind)
-    rec = _Recorder(trace, "at iteration", ("distance", "potential"))
+    rec = _Recorder(problem if dual else None, x_star, schedule, "at iteration",
+                    ("distance", "potential"))
 
     def block(rows, width):
-        return _cache_aligned(np.zeros((rows, -(-width // 8) * 8)))[:, :width]
+        return _cache_aligned(np.zeros((rows, width)))
 
     def first(mask):
         """Index of the first True in ``mask``, its length if none."""
@@ -373,6 +406,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
     X, GX = block(C + 1, d1), block(C, d1)
     X[0] = x
     xs, gxs = list(X), list(GX)
+    Y = AX = GY = None
     if dual:
         Y, AX, GY = block(C + 1, d2), block(C, d2), block(C, d2)
         Y[0] = y
@@ -407,48 +441,30 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
                 g2 += _row_dots(GY[:rows])
             gnorm = np.sqrt(g2)
             nm = rows + (failed is not None)
-            finite = np.zeros(nm, dtype=bool)
-            if measured:
-                dist = np.sqrt(_row_dots(subtract(X[:nm], x_star, GX[:nm])))
-                finite = np.isfinite(dist)
+            dist = dist_x, dist_y = rec.distances(
+                X[:nm], Y[:nm] if dual else None, (GX[:nm], GY[:nm] if dual else None))
+            finite = np.zeros(nm, dtype=bool) if dist_x is None else np.isfinite(dist_x)
+            if dist_y is not None:
+                finite &= np.isfinite(dist_y)
+            if not finite.all():  # entry by entry; a finite distance implies it
+                finite = np.isfinite(X[:nm]).all(axis=1)
                 if dual:
-                    dist_y = np.sqrt(_row_dots(subtract(Y[:nm], y_star, GY[:nm])))
-                    finite &= np.isfinite(dist_y)
-            if not finite.all():
-                entries = np.isfinite(X[:nm]).all(axis=1)
-                if dual:
-                    entries &= np.isfinite(Y[:nm]).all(axis=1)
-                finite |= entries
+                    finite &= np.isfinite(Y[:nm]).all(axis=1)
 
             # decide in row order: the row of the first failed check (k) or
             # the row after the stop (r) ends the block
             k = first(~finite)
             k = min(k, first(~np.isfinite(gnorm[:k])))
             stops = gnorm[:k] <= stop.tol
-            if measured:
-                stops |= dist[:k] <= stop.dist_tol
+            if dist_x is not None:
+                stops |= dist_x[:k] <= stop.dist_tol
             if stop.max_iters - t0 < len(stops):
                 stops[stop.max_iters - t0] = True
             s = first(stops)
-            r, pending, cols = min(s + 1, k), None, {}
-            if dual:
-                try:
-                    for i in range(r):
-                        subtract(ys[i], conj(axs[i]), gys[i])
-                except Exception as exc:
-                    r, pending = i, exc
-                cols["b_t"] = np.sqrt(_row_dots(GY[:r]))
-            if measured:
-                cols["dist_x"] = dist[:r]
-                if dual:
-                    cols["dist_y"] = dist_y[:r]
-                    if potential is not None:
-                        cols["potential"] = potential(dist[:r], dist_y[:r], cols["b_t"])
-            rec.append_rows(range(t0, t0 + r), range(t0, t0 + r), **cols)
-            if pending is not None:
-                raise pending
+            r = min(s + 1, k)
+            rec.append_rows(range(t0, t0 + r), range(t0, t0 + r), dist, Y, AX, GY)
             if r == s + 1:
-                return trace
+                return rec.trace
             if k < nm:
                 if not finite[k]:
                     raise rec.error("non-finite iterate", t0 + k)

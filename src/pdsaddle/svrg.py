@@ -56,9 +56,8 @@ from typing import Callable
 
 import numpy as np
 
-from .problems import SaddleProblem, _cache_aligned, _row_dots, conj_grad, grad_L
+from .problems import SaddleProblem, _cache_aligned, _row_dots, grad_L
 from .solvers import StoppingRule, Trace, _Recorder
-from .theory import _b_t, _q
 
 __all__ = [
     "RowSum",
@@ -354,10 +353,10 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     full pass fills the run's one snapshot table and the component comes in
     the run's own buffers (fresh arrays for a dense sum), the update
     x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in that order,
-    and the snapshot gradients are read through row views.  Rows
-    go through the solvers' one recorder, which watches Q_t (primal-dual) or
-    dist_x (primal) for blow-up.  ``stop`` ends the run at the first row
-    after a step with dist_x <= stop.dist_tol."""
+    and the snapshot gradients are read through row views.  Each row is one
+    call to the recorder, which watches Q_t (primal-dual) or dist_x
+    (primal).  ``stop`` ends the run at the first row after a step with
+    dist_x <= stop.dist_tol."""
     dual = y0 is not None
     form = "saddle" if dual else "primal"
     if form not in fsp.forms:
@@ -368,42 +367,14 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     step1, step2 = np.array(eta1), np.array(eta2)  # 0-d: cheaper ufunc operands
     x_snap = np.asarray(x0, dtype=float).copy()
     y_snap = np.asarray(y0, dtype=float).copy() if dual else None
-    agg = fsp.aggregate
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-        if dual:
-            y_star = conj_grad(agg, agg.coupling @ x_star)
-
-    def measure(x, y):
-        """Trace columns at (x, y), measured as floats (Q_t's squares are
-        libm's), each as a one-row array."""
-        if x_star is None:
-            return {}
-        dist = float(np.linalg.norm(x - x_star))
-        if not dual:
-            return {"dist_x": np.array([dist])}
-        b = _b_t(agg, x, y)
-        cols = dist, float(np.linalg.norm(y - y_star)), b, _q(cfg.mu, dist, b)
-        return dict(zip(("dist_x", "dist_y", "b_t", "potential"),
-                        np.array(cols)[:, None]))
-
-    def record(row, units, epoch, x, y, *unrecorded):
-        """Add the trace row at (x, y) once it and the unrecorded iterates
-        are finite; returns the columns."""
-        rec.finite(epoch, x, y, *unrecorded)
-        cols = measure(x, y)
-        rec.append_rows((row,), (units,), epoch, **cols)
-        return cols
-
-    def stopped(cols):
-        return stop is not None and cols and cols["dist_x"][0] <= stop.dist_tol
+    rec = _Recorder(fsp.aggregate if dual else None, x_star, cfg, "in epoch",
+                    ("potential",) if dual else ("distance",))
+    # an unmeasured dist_x is NaN, which stops nothing
+    dist_tol = -np.inf if stop is None else stop.dist_tol
 
     rng = np.random.default_rng(cfg.seed)
-    trace = Trace(potential_kind="Q_t" if dual and x_star is not None else None)
-    rec = _Recorder(trace, "in epoch", ("potential",) if dual else ("distance",))
-
     comp_evals = 0  # component-gradient evaluations; n per grad-unit
-    record(0, 0.0, 0, x_snap, y_snap)
+    rec.row(0, 0.0, 0, x_snap, y_snap)
     # two rows per variable, the iterate and the next one, swapped every step
     x, x_next = np.empty(x_snap.size), np.empty(x_snap.size)
     y = y_next = None
@@ -456,15 +427,15 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                         add(y, multiply(step2, gy, gy), y_next)
                 add(subtract(gx, gxs[i], gx), full_gx, gx)
                 subtract(x, multiply(step1, gx, gx), x_next)
-                if record_inner and stopped(record(
+                if record_inner and rec.row(
                         epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,
-                        epoch, x_next, y_next)):
-                    return trace
+                        epoch, x_next, y_next) <= dist_tol:
+                    return rec.trace
                 x, x_next = x_next, x
                 y, y_next = y_next, y
         comp_evals += 2 * N
 
-        if not record_inner and stopped(record(
-                epoch + 1, comp_evals / n, epoch, x_snap, y_snap, x, y)):
+        if not record_inner and rec.row(
+                epoch + 1, comp_evals / n, epoch, x_snap, y_snap, x, y) <= dist_tol:
             break
-    return trace
+    return rec.trace

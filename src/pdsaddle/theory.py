@@ -140,14 +140,20 @@ def _r(eta1, eta2, dist_x, dist_y):
     return eta2 * (dist_x * dist_x) + eta1 * (dist_y * dist_y)
 
 
-def _certified_potential(schedule):
-    """The potential ``schedule`` certifies, as (kind, its value from a trace
-    row's (dist_x, dist_y, b_t)): P_t for a PdgSchedule, R_t for an
-    ScSchedule, (None, None) for steps that certify none."""
-    if isinstance(schedule, PdgSchedule):
-        return "P_t", lambda dx, dy, b: _p(schedule.lambda_, dx, b)
-    if isinstance(schedule, ScSchedule):
-        return "R_t", lambda dx, dy, b: _r(schedule.eta1, schedule.eta2, dx, dy)
+def _certified_potential(steps):
+    """The potential ``steps`` certify, as (kind, its values from arrays of
+    rows' (dist_x, dist_y, b_t)): P_t for a PdgSchedule, R_t for an
+    ScSchedule, Q_t for an SvrgConfig's mu, else (None, None).  Q_t's
+    squares are taken on Python floats (libm's pow), as potential_Q's."""
+    from .svrg import SvrgConfig  # svrg imports this module
+
+    if isinstance(steps, PdgSchedule):
+        return "P_t", lambda dx, dy, b: _p(steps.lambda_, dx, b)
+    if isinstance(steps, ScSchedule):
+        return "R_t", lambda dx, dy, b: _r(steps.eta1, steps.eta2, dx, dy)
+    if isinstance(steps, SvrgConfig):
+        return "Q_t", lambda dx, dy, b: np.array(
+            [_q(steps.mu, d, e) for d, e in zip(dx.tolist(), b.tolist())])
     return None, None
 
 

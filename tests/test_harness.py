@@ -892,6 +892,30 @@ def test_cli_flags_are_checked_as_config_fields(doc, argv, path, tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("doc,command,least", [
+    (_doc(solvers=[{"name": "pdg"}], budget=0.5), "solve", "one step of pdg (1.0"),
+    (_doc(_SPLIT, [_SVRG], budget=4.9), "solve", "one epoch of pdsvrg (5.0"),
+    (_doc(_SPLIT, [{"name": "primal_svrg", "schedule": {"source": "explicit", "eta1": 0.01,
+                                                        "inner_iters": 30}}], budget=5),
+     "solve", "one epoch of primal_svrg (6.0"),
+    # a grid is refused at its longest epoch, though a shorter one fits
+    (_doc(_SPLIT, [_grid_svrg(inner_iters=[6, 60])], budget=10), "grid",
+     "one epoch of pdsvrg (11.0"),
+], ids=["pdg_half_step", "pdsvrg_default_epoch", "primal_svrg_explicit_epoch",
+        "pdsvrg_grid_longest_epoch"])
+def test_budget_below_one_step_or_epoch_exits_1_before_any_output(doc, command, least,
+                                                                  tmp_path, capsys):
+    # such a run used to take one step or epoch anyway, past its budget
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config.budget: must cover {least} grad-units)")
+    assert not (tmp_path / "o").exists()
+    doc["budget"] = float(least.split("(")[1])  # exactly one epoch or step runs
+    cfg = _write(tmp_path, "cfg.json", doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_flags_override_the_document(tmp_path):
     cfg = _write(tmp_path, "cfg.json", _doc(solvers=[_PDG_GRID], budget=7, seed=1))
     assert ExperimentConfig.load(cfg, seed=None, budget=None).budget == 7.0

@@ -22,10 +22,15 @@ from pdsaddle import (
     run_primal_gd,
     sc_schedule,
 )
-from pdsaddle.instances import random_quadratic, split_quadratic
+from pdsaddle.instances import (
+    make_smoothed_l1,
+    random_quadratic,
+    smoothed_l1_saddle,
+    split_quadratic,
+)
 from pdsaddle.problems import SaddleProblem
-from pdsaddle.solvers import TRACE_COLUMNS
-from pdsaddle.theory import primal_step
+from pdsaddle.solvers import TRACE_COLUMNS, _Recorder
+from pdsaddle.theory import ScSchedule, _b_t, _dist, potential_Q, potential_R, primal_step
 
 
 def test_pdg_step_zero_f(unit_problem):
@@ -244,6 +249,12 @@ def test_trace_invariants_and_csv(tmp_path):
         trace.extend([1], [2.0], 0.2)
     with pytest.raises(ValueError, match="grad_evals must be nondecreasing"):
         trace.extend([2], [0.5], 0.2)
+    # the order within one call is checked too
+    with pytest.raises(ValueError, match="iteration indices must be strictly increasing"):
+        Trace().extend([2, 1], [1.0, 0.0], 0.0)
+    with pytest.raises(ValueError, match="grad_evals must be nondecreasing"):
+        Trace().extend([1, 2], [1.0, 0.0], 0.0)
+    assert len(trace) == 2
     assert trace.units_to_target(0.6) == 1.0
     assert trace.units_to_target(0.1) is None
     path = tmp_path / "t.csv"
@@ -375,3 +386,50 @@ def test_trace_row_costs_at_most_64_bytes():
         tracemalloc.stop()
     assert len(trace) == rows
     assert per_row <= 64, f"{per_row:.1f} bytes per row"
+
+
+_RECORDER_CASES = {
+    "random_quadratic": lambda: random_quadratic(7, 6, 9),
+    "split_quadratic": lambda: split_quadratic(random_quadratic(7, 6, 9), 5, seed=8).aggregate,
+    "smoothed_l1": lambda: smoothed_l1_saddle(
+        make_smoothed_l1(40, 12, cov="exp_decay", decay=2.0, seed=4)).aggregate,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDER_CASES))
+def test_recorder_columns_equal_the_reference_potentials(name):
+    """The recorder's columns of a one-row block (an SVRG row) and of one
+    block of all the rows (as the batch loop measures) have the bits of
+    _dist, _b_t and potential_P/Q/R at each point, over points from near
+    the reference out to far from it."""
+    problem = _RECORDER_CASES[name]()
+    d1, d2, A = problem.d1, problem.d2, problem.coupling
+    rng = np.random.default_rng(5)
+    x_star = rng.standard_normal(d1)
+    y_star = problem.conj_grad_g(A @ x_star)
+    points = [(x_star + s * rng.standard_normal(d1), y_star + s * rng.standard_normal(d2))
+              for s in 10.0 ** rng.uniform(-9, 3, size=3000)]
+    pdg = pdg_schedule(problem.params)
+    cfg = SvrgConfig(eta1=0.1, eta2=0.1, inner_iters=1, epochs=1, mu=1.7)
+    sc = ScSchedule(eta1=0.3, eta2=0.07, rate=0.5)
+    want = {
+        "dist_x": [_dist(x, x_star) for x, _ in points],
+        "dist_y": [_dist(y, y_star) for _, y in points],
+        "b_t": [_b_t(problem, x, y) for x, y in points],
+        "P_t": [potential_P(problem, x, y, x_star, pdg.lambda_) for x, y in points],
+        "Q_t": [potential_Q(problem, x, y, x_star, cfg.mu) for x, y in points],
+        "R_t": [potential_R(x, y, x_star, y_star, sc.eta1, sc.eta2) for x, y in points],
+    }
+    X, Y = np.array([x for x, _ in points]), np.array([y for _, y in points])
+    AX = np.array([A @ x for x in X])
+    for steps in (pdg, cfg, sc):
+        one, block = (_Recorder(problem, x_star, steps, "at iteration", ())
+                      for _ in range(2))
+        for k, (x, y) in enumerate(points):
+            one.row(k, float(k), k, x, y)
+        its = range(len(points))
+        block.append_rows(its, its, block.distances(X, Y), Y, AX)
+        for trace in (one.trace, block.trace):
+            for col in ("dist_x", "dist_y", "b_t"):
+                assert trace.column(col).tolist() == want[col], col
+            assert trace.column("potential").tolist() == want[trace.potential_kind]
