@@ -54,6 +54,7 @@ __all__ = [
     "cmd_estimate",
     "grid_search",
     "measure_units_to_target",
+    "tune_to_target",
 ]
 
 
@@ -62,7 +63,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
+        self.path, self.message = path, message
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,14 @@ class SolverEntry:
 
 def _sc_schedule(problem: SaddleProblem):
     """The both-strongly-convex schedule of a quadratic instance whose f is
-    strongly convex."""
+    strongly convex; another instance is a ConfigError at the path of the
+    variant, relative to its solver entry."""
     parts = getattr(problem, "quadratic_parts", None)
     if parts is None:
-        raise ConfigError("config", "sc schedule needs a quadratic instance")
+        raise ConfigError("schedule.variant", "sc schedule needs a quadratic instance")
     eig = np.linalg.eigvalsh(parts[0])
     if eig[0] <= 0:
-        raise ConfigError("config", "sc schedule needs strongly convex f")
+        raise ConfigError("schedule.variant", "sc schedule needs strongly convex f")
     p = problem.params
     return sc_schedule(float(eig[0]), float(eig[-1]), p.alpha, p.beta, p.sigma_max)
 
@@ -483,9 +485,7 @@ def fitted_slope(grad_evals, dist_x) -> float | None:
     u, d = u[skip:], d[skip:]
     if len(u) < 2 or np.ptp(u) == 0:
         return None
-    logd = np.log10(np.maximum(d, 1e-300))
-    slope = np.polyfit(u, logd, 1)[0]
-    return float(slope)
+    return float(np.polyfit(u, np.log10(np.maximum(d, 1e-300)), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +545,20 @@ def _theory(make, *args):
                           f"no theory step for its curvature constants: {exc}") from exc
 
 
-def _theory_point(bundle: InstanceBundle, spec: SolverSpec) -> dict | None:
-    """The step point of a theory entry on ``bundle``; None for the other
-    sources."""
+def _theory_point(bundle: InstanceBundle, spec: SolverSpec,
+                  config: ExperimentConfig) -> dict | None:
+    """The step point of ``config``'s theory entry ``spec`` on ``bundle``;
+    None for the other sources.  A variant the instance cannot take is a
+    ConfigError at the entry's schedule.variant."""
     if spec.schedule["source"] != "theory":
         return None
-    return _theory(SOLVERS[spec.name].theory[spec.schedule.get("variant")], bundle)
+    try:
+        return _theory(SOLVERS[spec.name].theory[spec.schedule.get("variant")], bundle)
+    except ConfigError as exc:
+        if exc.path != "schedule.variant":
+            raise
+        where = f"config.solvers[{config.solvers.index(spec)}].{exc.path}"
+        raise ConfigError(where, exc.message) from None
 
 
 def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
@@ -598,7 +606,7 @@ def _prepared(config: ExperimentConfig, specs: list[SolverSpec]):
     written.  So is a ``budget`` below one batch step (1 grad-unit) or below
     one epoch, 1 + 2N/n, at the largest inner_iters N an entry may run."""
     bundle = build_instance(config.instance)
-    points = [_theory_point(bundle, spec) for spec in specs]
+    points = [_theory_point(bundle, spec, config) for spec in specs]
     for spec, point in zip(specs, points):
         least, what = 1.0, "step"
         if SOLVERS[spec.name].form is not None:
@@ -630,19 +638,16 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
             trace, info, reps = _run_one(bundle, spec, point, config)
-            entry.update(info)
-            entry["status"] = "ok"
+            entry.update(info, status="ok")
         except DivergenceError as exc:
-            entry["status"] = "diverged"
-            entry["error"] = str(exc)
+            entry.update(status="diverged", error=str(exc))
             trace = exc.trace
             reps = [trace] if trace is not None else []
         if trace is not None:
             trace.to_csv(out / entry["csv"])
-            entry["rows"] = len(trace)
-            entry["final_dist_x"] = trace.final_dist_x()
-            entry["slope"] = fitted_slope(trace.column("grad_evals"), trace.column("dist_x"))
-            entry["potential_kind"] = trace.potential_kind
+            entry.update(rows=len(trace), final_dist_x=trace.final_dist_x(),
+                         slope=fitted_slope(trace.column("grad_evals"), trace.column("dist_x")),
+                         potential_kind=trace.potential_kind)
         if len(reps) > 1:
             rows = min(len(t) for t in reps)
             if trace.potential_kind is not None:
@@ -662,17 +667,19 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
 # grid search
 # ---------------------------------------------------------------------------
 
-def _grid_points(solver: str, grid: dict, n: int | None):
+def _grid_points(bundle: InstanceBundle, solver: str, grid: dict):
     """The keys of ``solver``'s grid and its points, sorted by value: the
-    Cartesian product of the value lists of a grid read through
-    _schedule_fields, with a stochastic point's defaults (_filled) on an
-    n-component sum for the keys the grid leaves out."""
+    Cartesian product of the value lists of ``grid``, read through
+    _schedule_fields, with a stochastic point's defaults (_filled) on
+    ``bundle``'s finite sum for the keys the grid leaves out."""
+    form = SOLVERS[solver].form
+    grid = _read(grid, _schedule_fields(solver, "grid"), "schedule")
     keys = list(SOLVERS[solver].keys)
     points = [{}]
     for key in (k for k in keys if k in grid):
         points = [dict(p, **{key: v}) for v in grid[key] for p in points]
-    if n is not None:
-        points = [_filled(p, n) for p in points]
+    if form is not None:
+        points = [_filled(p, bundle.finite_sum(form).n) for p in points]
     points = [{k: float(p[k]) for k in keys} for p in points]
     points.sort(key=lambda p: tuple(p[k] for k in keys))
     return keys, points
@@ -687,71 +694,67 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
     Returns {"status", "best", "ranked", "keys"}; status is
     "no_convergent_schedule" when every point diverges.
     """
-    form = SOLVERS[solver].form
-    grid = _read(grid, _schedule_fields(solver, "grid"), "schedule")
-    keys, points = _grid_points(solver, grid, bundle.finite_sum(form).n if form else None)
+    keys, points = _grid_points(bundle, solver, grid)
     rows = []
     for point in points:
         row = dict(point)
         try:
             trace, _ = _run_point(bundle, solver, point, cap=budget, tol=1e-300, seed=seed)
-            row["final_dist_x"] = trace.final_dist_x()
-            row["status"] = "ok"
+            row.update(final_dist_x=trace.final_dist_x(), status="ok")
         except DivergenceError as exc:
-            row["final_dist_x"] = math.inf
-            row["status"] = "diverged"
-            row["error"] = str(exc)
+            row.update(final_dist_x=math.inf, status="diverged", error=str(exc))
         rows.append(row)
 
     ranked = sorted(rows, key=lambda row: row["final_dist_x"])
-    ok = [r for r in ranked if r["status"] == "ok"]
-    if not ok:
-        return {"status": "no_convergent_schedule", "best": None,
-                "ranked": ranked, "keys": keys}
-    return {"status": "ok", "best": ok[0], "ranked": ranked, "keys": keys}
+    best = next((row for row in ranked if row["status"] == "ok"), None)
+    return {"status": "no_convergent_schedule" if best is None else "ok", "best": best,
+            "ranked": ranked, "keys": keys}
+
+
+def tune_to_target(bundle: InstanceBundle, solver: str, grid: dict, target: float, *,
+                   max_units: float, seed: int = 0) -> tuple[float | None, dict | None]:
+    """The least grad-units to ``dist_x <= target`` over ``grid``'s points
+    (read as grid_search reads it) and the point, or (None, None) if none
+    reaches it within ``max_units``.  Each point is a measure_units_to_target
+    run capped at the least units so far, so one that reaches the target
+    replaces the incumbent.  Points run largest step first, where the cap
+    falls fastest: ties go to the earlier point in key order."""
+    _, points = _grid_points(bundle, solver, grid)
+    best = (None, None)
+    for point in reversed(points):
+        got = measure_units_to_target(bundle, solver, [point], target, seed=seed,
+                                      max_units=max_units if best[0] is None else best[0])
+        best = best if got[0] is None else got
+    return best
 
 
 def measure_units_to_target(
     bundle: InstanceBundle, solver: str, ranked: list[dict], target: float, *,
-    max_units: float, seed: int = 0, try_top: int = 1,
+    max_units: float, seed: int = 0,
 ) -> tuple[float | None, dict | None]:
-    """Grad-units needed to reach ``dist_x <= target`` with the tuned steps.
+    """Grad-units to ``dist_x <= target`` from the first row of ``ranked``
+    (grid rows or step points) that reaches it within ``max_units``, and its
+    point, or (None, None).  A row counts when its status is "ok" or absent.
 
-    Walks the ranked grid points, measures up to ``try_top`` of them that
-    converge, and returns the fastest (units, point).  Walking past the
-    winner guards against near-boundary points that led at the tuning budget
-    but never converge; measuring a few points smooths out ranking noise
-    among configurations that all hit the numeric floor before the budget
-    ended.  Later candidates only run as long as the incumbent's units.
-
-    Every candidate runs with dist_tol = target and a gradient-norm floor of
-    tol = target * 1e-3 (only batch runs check it), so it ends at the first
-    row with dist_x <= target, the row Trace.units_to_target reads, or at
-    the floor or the cap.  Such a run is a prefix of one that goes on to
-    dist_x <= target * 1e-3, so the units and the point are the ones that
-    longer run gives, with one exception: a run that reaches the target and
-    diverges later counts here, where the longer run was skipped."""
-    entry = SOLVERS[solver]
-    best: tuple[float, dict] | None = None
-    measured = 0
+    Each run has dist_tol = target and a gradient-norm floor tol = target *
+    1e-3 (batch runs only), so it ends at the first row with dist_x <=
+    target, the row Trace.units_to_target reads, or at the floor or the cap:
+    a prefix of a run to target * 1e-3, with its units and point, but that a
+    run that reaches the target and diverges later counts here."""
+    keys = SOLVERS[solver].keys
     for row in ranked:
-        if measured >= try_top:
-            break
-        if row.get("status") != "ok":
+        if row.get("status", "ok") != "ok":
             continue
-        point = {k: row[k] for k in entry.keys if k in row}
-        cap = max_units if best is None else best[0]
+        point = {k: row[k] for k in keys if k in row}
         try:
-            trace, _ = _run_point(bundle, solver, point, cap=cap, tol=target * 1e-3,
+            trace, _ = _run_point(bundle, solver, point, cap=max_units, tol=target * 1e-3,
                                   dist_tol=target, seed=seed)
         except DivergenceError:
             continue
         units = trace.units_to_target(target)
         if units is not None:
-            measured += 1
-            if best is None or units < best[0]:
-                best = (units, point)
-    return best if best is not None else (None, None)
+            return units, point
+    return None, None
 
 
 def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
@@ -777,10 +780,8 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
         with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([*keys, "final_dist_x", "status"])
-            for row in result["ranked"]:
-                writer.writerow([
-                    *(repr(row[k]) for k in keys), repr(row["final_dist_x"]), row["status"],
-                ])
+            writer.writerows([*(repr(row[k]) for k in keys), repr(row["final_dist_x"]),
+                              row["status"]] for row in result["ranked"])
         report["solvers"].append({"name": spec.name, "sweep_csv": sweep_path.name,
                                   "status": result["status"], "best": result["best"]})
     with open(out / "best.json", "w", encoding="utf-8") as fh:

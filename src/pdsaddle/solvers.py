@@ -248,7 +248,7 @@ class _Recorder:
         first that fails: a row whose conjugate map raises is not added and
         the map's error raised; a row that trips the guard (distance first)
         is added and fails at the counter ``at`` (None: its iteration)."""
-        cut, pending, tripped = len(iters), None, None
+        cut, pending, tripped = len(iters), [], None
         columns = dict(zip(("dist_x", "dist_y"), dist))
         if Y is not None:
             diff, conj = np.empty(Y.shape) if out is None else out, self.problem.conj_grad_g
@@ -256,7 +256,7 @@ class _Recorder:
                 for i in range(cut):
                     np.subtract(Y[i], conj(AX[i]), diff[i])
             except Exception as exc:
-                cut, pending = i, exc
+                cut, pending = i, [exc]
             columns["b_t"] = np.sqrt(_row_dots(diff[:cut]))
         columns = {c: v[:cut] for c, v in columns.items() if v is not None}
         if self.potential is not None:
@@ -277,12 +277,14 @@ class _Recorder:
                 rows, tripped = cut + 1, (name, float(values[cut]))
         self.trace.extend(iters[:rows], units[:rows], time.perf_counter() - self.t0,
                           **{c: v[:rows] for c, v in columns.items()})
-        if tripped is not None:  # raised unbound: a local would keep the frame
+        # each error raised unbound (popped): a local holding it would tie it,
+        # through its traceback, to this frame
+        if tripped is not None:
             name, value = tripped
             raise self.error(f"{name} blew up", iters[cut] if at is None else at,
                              f": {value:.3e}")
-        if pending is not None:
-            raise pending
+        if pending:
+            raise pending.pop()
 
 
 def pdg_step(problem: SaddleProblem, it: Iterate, eta1: float, eta2: float) -> Iterate:
@@ -417,7 +419,7 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
             # step: rows [0, rows) take a step, X[rows] starts the next
             # block.  Sums and products commute in IEEE arithmetic, so these
             # are pdg_step's bits (GD: the ghost step's)
-            rows, failed = min(C, stop.max_iters - t0 + 1), None
+            rows, failed = min(C, stop.max_iters - t0 + 1), []
             try:
                 if dual:
                     for i in range(rows):
@@ -433,14 +435,14 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
                         add(matmul(At, conj(A @ x), gx), grad_f(x), gx)
                         subtract(x, multiply(gx, step1, xs[i + 1]), xs[i + 1])
             except Exception as exc:  # raised at its row, if the run gets there
-                rows, failed = i, exc
+                rows, failed = i, [exc]
 
             # measure: the iterate of the failed step's row is checked too
             g2 = _row_dots(GX[:rows])
             if dual:
                 g2 += _row_dots(GY[:rows])
             gnorm = np.sqrt(g2)
-            nm = rows + (failed is not None)
+            nm = rows + len(failed)
             dist = dist_x, dist_y = rec.distances(
                 X[:nm], Y[:nm] if dual else None, (GX[:nm], GY[:nm] if dual else None))
             finite = np.zeros(nm, dtype=bool) if dist_x is None else np.isfinite(dist_x)
@@ -468,8 +470,8 @@ def _batch_loop(problem, x, y, eta1, eta2, stop, x_star, schedule=None) -> Trace
             if k < nm:
                 if not finite[k]:
                     raise rec.error("non-finite iterate", t0 + k)
-                if k == rows:
-                    raise failed
+                if k == rows:  # popped, as _Recorder.append_rows raises its error
+                    raise failed.pop()
                 raise rec.error("non-finite gradient", t0 + k)
             X[0] = X[rows]
             if dual:

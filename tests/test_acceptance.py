@@ -30,6 +30,7 @@ from pdsaddle.harness import (
     fitted_slope,
     grid_search,
     measure_units_to_target,
+    tune_to_target,
 )
 from pdsaddle.instances import (
     make_smoothed_l1,
@@ -51,10 +52,10 @@ CASES = {"identity": "experiment_identity", "exp_decay(2)": "experiment_decay2",
 # criterion 7's outputs per case, on the host that tests/golden.json records
 PINNED = {
     "identity": {
-        "units_gd": 189.0, "units_pdg": 436.0, "units_svrg": 460.0,
-        "slope_pdg": -0.01316804170919966, "slope_svrg": -0.014116383680564339,
-        "tuned": {"primal_gd": {"eta": 0.4550360649836774},
-                  "pdg": {"eta1": 0.18959836040986558, "eta2": 250.0},
+        "units_gd": 124.0, "units_pdg": 243.0, "units_svrg": 460.0,
+        "slope_pdg": -0.023706168521730308, "slope_svrg": -0.014116383680564339,
+        "tuned": {"primal_gd": {"eta": 0.6825540974755161},
+                  "pdg": {"eta1": 0.34127704873775805, "eta2": 500.0},
                   "pdsvrg": {"eta1": 0.0023047693017111373, "eta2": 0.5,
                              "inner_iters": 1000.0, "mu": 1.0}},
     },
@@ -206,21 +207,17 @@ def test_criterion_6_epoch_halving_config_exists():
 
 def _reproduce_case(path, compare_primal_stochastic=False):
     """Criterion 7 on the experiment config at ``path``: its instance, seed,
-    grids, primal_gd tuning budget and the budget and tol of the slope runs
-    come from the config; the rest of the protocol is fixed here."""
+    grids and the budget and tol of the slope runs come from the config; the
+    rest of the protocol is fixed here."""
     config = ExperimentConfig.load(path)
     bundle = build_instance(config.instance)
     grids = {spec.name: spec.schedule for spec in config.solvers}
     target = 1e-6
 
-    gd_grid = grid_search(bundle, "primal_gd", grids["primal_gd"], budget=config.budget)
-    u_gd, pt_gd = measure_units_to_target(
-        bundle, "primal_gd", gd_grid["ranked"], target, max_units=200_000,
-        try_top=3)
-
-    pdg_grid = grid_search(bundle, "pdg", grids["pdg"], budget=6000)
-    u_pdg, pt_pdg = measure_units_to_target(
-        bundle, "pdg", pdg_grid["ranked"], target, max_units=400_000, try_top=3)
+    # the batch solvers: each grid's least grad-units to the target
+    u_gd, pt_gd = tune_to_target(bundle, "primal_gd", grids["primal_gd"], target,
+                                 max_units=200_000)
+    u_pdg, pt_pdg = tune_to_target(bundle, "pdg", grids["pdg"], target, max_units=400_000)
 
     # tuned at grid_search's and measure_units_to_target's default seed 0
     svrg_grid = grid_search(bundle, "pdsvrg", grids["pdsvrg"], budget=1000)

@@ -12,6 +12,7 @@ The fast paths must reproduce their oracles bit for bit, so every comparison
 is exact.
 """
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -846,3 +847,27 @@ def test_batch_failure_inside_a_block_matches_old_loop(case):
     else:
         # the refused input is row's A x, about row * 1e147
         assert want is None and str(error).endswith(f"at {row * 1e147:.3e}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("solver", ["primal_gd", "pdg"])
+def test_batch_oracle_failure_leaves_no_garbage(solver):
+    """The conjugate map's error, in primal GD's step and at PDG's b_t, is
+    raised without a local that ties it, through its traceback, to the
+    frame that raised it: the run leaves nothing for the cycle collector."""
+    problem, stop = _drift_problem(1.05e148), _rule(10**4)
+    x0, y0 = np.linspace(-1.0, 1.0, problem.d1), np.linspace(0.5, -0.5, problem.d2)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            if solver == "pdg":
+                run_pdg(problem, Iterate(x0, y0), eta1=1e307, eta2=1.0, stop=stop)
+            else:
+                run_primal_gd(problem, x0, eta=1e307, stop=stop)
+        except ValueError as exc:
+            message = str(exc)
+        assert message.startswith("conjugate map input out of range")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

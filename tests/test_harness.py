@@ -17,6 +17,7 @@ from pdsaddle.harness import (
     fitted_slope,
     grid_search,
     measure_units_to_target,
+    tune_to_target,
 )
 from pdsaddle.solvers import Trace
 
@@ -475,7 +476,8 @@ def test_sc_variant_needs_a_strongly_convex_quadratic(instance, message, tmp_pat
         "instance": instance,
         "solvers": [{"name": "pdg", "schedule": {"source": "theory", "variant": "sc"}}]})
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == f"config error: config: {message}\n"
+    assert capsys.readouterr().err == (f"config error: config.solvers[0].schedule.variant: "
+                                       f"{message}\n")
 
 
 def test_sc_variant_error_leaves_no_output(tmp_path, capsys):
@@ -486,8 +488,8 @@ def test_sc_variant_error_leaves_no_output(tmp_path, capsys):
         "solvers": [{"name": "pdg"},
                     {"name": "pdg", "schedule": {"source": "theory", "variant": "sc"}}]})
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err == ("config error: config: sc schedule needs "
-                                       "strongly convex f\n")
+    assert capsys.readouterr().err == ("config error: config.solvers[1].schedule.variant: "
+                                       "sc schedule needs strongly convex f\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -627,10 +629,9 @@ def test_batch_to_target_runs_end_at_the_target_row(monkeypatch):
     bundle = build_instance(_split_spec())
     target = 1e-4
     for solver in ("pdg", "primal_gd"):
-        result = grid_search(bundle, solver, SMALL_GRIDS[solver], budget=40)
         del traces[:]
-        units, _ = measure_units_to_target(bundle, solver, result["ranked"], target,
-                                           max_units=5000, try_top=2)
+        units, _ = tune_to_target(bundle, solver, SMALL_GRIDS[solver], target,
+                                  max_units=5000)
         reached = [t for t in traces if t.units_to_target(target) is not None]
         assert units is not None and reached
         for trace in reached:
@@ -647,49 +648,83 @@ WIDE_GRIDS = {
 }
 
 
-def _units_to_target_past_the_target(bundle, solver, ranked, target, *,
-                                      max_units, seed, try_top):
-    """measure_units_to_target with one tolerance per run: a batch candidate
-    runs on until dist_x or its gradient norm is <= target * 1e-3, a
-    stochastic one until dist_x <= 0.99 * target."""
+def _units_to_target_past_the_target(bundle, solver, ranked, target, *, max_units, seed):
+    """measure_units_to_target with one tolerance per run: a batch row runs
+    on until dist_x or its gradient norm is <= target * 1e-3, a stochastic
+    one until dist_x <= 0.99 * target."""
     entry = harness.SOLVERS[solver]
     tol = target * 1e-3 if entry.form is None else 0.99 * target
-    best, measured = None, 0
     for row in ranked:
-        if measured >= try_top:
-            break
-        if row.get("status") != "ok":
+        if row.get("status", "ok") != "ok":
             continue
         point = {k: row[k] for k in entry.keys if k in row}
-        cap = max_units if best is None else best[0]
         try:
-            trace, _ = harness._run_point(bundle, solver, point, cap=cap, tol=tol,
+            trace, _ = harness._run_point(bundle, solver, point, cap=max_units, tol=tol,
                                           seed=seed)
         except harness.DivergenceError:
             continue
         units = trace.units_to_target(target)
         if units is not None:
-            measured += 1
-            if best is None or units < best[0]:
-                best = (units, point)
-    return best if best is not None else (None, None)
+            return units, point
+    return None, None
 
 
+# the walk at two solver seeds, over a grid's ranking and its reverse
 @pytest.mark.differential
 @pytest.mark.parametrize("order", ["ranked", "reversed"])
-@pytest.mark.parametrize("try_top", [1, 3])
+@pytest.mark.parametrize("seed", [1, 3])
 @pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
-def test_units_to_target_match_runs_past_the_target(solver, try_top, order):
+def test_units_to_target_match_runs_past_the_target(solver, seed, order):
     bundle = build_instance(_split_spec())
     ranked = grid_search(bundle, solver, WIDE_GRIDS[solver], budget=40, seed=1)["ranked"]
     if order == "reversed":
-        ranked = ranked[::-1]  # the slowest point first, so try_top decides
+        ranked = ranked[::-1]  # the slowest point first
     for target in (1e-4, 1e-6):
         got = measure_units_to_target(bundle, solver, ranked, target, max_units=5000,
-                                      seed=1, try_top=try_top)
+                                      seed=seed)
         assert got[0] is not None
         assert got == _units_to_target_past_the_target(
-            bundle, solver, ranked, target, max_units=5000, seed=1, try_top=try_top)
+            bundle, solver, ranked, target, max_units=5000, seed=seed)
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
+def test_tune_to_target_is_the_grid_minimum(solver):
+    # the oracle ignores the visiting order: every point alone to max_units,
+    # the least units, ties to the earliest point in key order
+    bundle = build_instance(_split_spec())
+    _, points = harness._grid_points(bundle, solver, WIDE_GRIDS[solver])
+    for target in (1e-4, 1e-6):
+        runs = [measure_units_to_target(bundle, solver, [p], target, max_units=5000, seed=1)
+                for p in points]
+        want = min((r for r in runs if r[0] is not None), key=lambda r: r[0])
+        assert tune_to_target(bundle, solver, WIDE_GRIDS[solver], target, max_units=5000,
+                              seed=1) == want
+
+
+def test_tune_to_target_caps_each_point_and_keeps_the_earliest_tie(monkeypatch):
+    # fake runs: units to the target per eta (None: misses it), each within
+    # its cap; the search visits the largest eta first
+    units = {0.1: 30.0, 0.2: 30.0, 0.3: None, 0.4: 50.0, 0.5: 60.0}
+    caps = []
+
+    def fake(bundle, solver, point, *, cap, tol, dist_tol=None, seed=0):
+        caps.append((point["eta"], cap))
+        trace = Trace()
+        reached = units[point["eta"]]
+        if reached is None or reached > cap:
+            trace.extend([0], [0.0], 0.0, dist_x=[1.0])
+        else:
+            trace.extend([0, 1], [0.0, reached], 0.0, dist_x=[1.0, dist_tol])
+        return trace, point
+
+    monkeypatch.setattr(harness, "_run_point", fake)
+    bundle = build_instance(_quad_instance_spec())
+    got = tune_to_target(bundle, "primal_gd", {"eta": sorted(units)}, 1e-6, max_units=1000)
+    assert got == (30.0, {"eta": 0.1})
+    assert caps == [(0.5, 1000), (0.4, 60.0), (0.3, 50.0), (0.2, 50.0), (0.1, 30.0)]
+    assert tune_to_target(bundle, "primal_gd", {"eta": [0.3]}, 1e-6,
+                          max_units=1000) == (None, None)
 
 
 # ---------------------------------------------------------------------------
