@@ -736,11 +736,10 @@ def measure_units_to_target(
     (grid rows or step points) that reaches it within ``max_units``, and its
     point, or (None, None).  A row counts when its status is "ok" or absent.
 
-    Each run has dist_tol = target and a gradient-norm floor tol = target *
-    1e-3 (batch runs only), so it ends at the first row with dist_x <=
-    target, the row Trace.units_to_target reads, or at the floor or the cap:
-    a prefix of a run to target * 1e-3, with its units and point, but that a
-    run that reaches the target and diverges later counts here."""
+    Each run stops at dist_x <= target (the row Trace.units_to_target
+    reads), at a gradient-norm floor of target * 1e-3 (batch runs only) or
+    at the cap: a run on to target * 1e-3 gives the same units and point,
+    but one that reaches the target and diverges later counts only here."""
     keys = SOLVERS[solver].keys
     for row in ranked:
         if row.get("status", "ok") != "ok":

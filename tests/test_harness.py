@@ -695,8 +695,8 @@ def test_tune_to_target_is_the_grid_minimum(solver):
     bundle = build_instance(_split_spec())
     _, points = harness._grid_points(bundle, solver, WIDE_GRIDS[solver])
     for target in (1e-4, 1e-6):
-        runs = [measure_units_to_target(bundle, solver, [p], target, max_units=5000, seed=1)
-                for p in points]
+        runs = [_units_to_target_past_the_target(bundle, solver, [p], target,
+                                                 max_units=5000, seed=1) for p in points]
         want = min((r for r in runs if r[0] is not None), key=lambda r: r[0])
         assert tune_to_target(bundle, solver, WIDE_GRIDS[solver], target, max_units=5000,
                               seed=1) == want
