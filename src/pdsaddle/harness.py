@@ -63,7 +63,8 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path, self.message = path, message
+        self.path = path
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -485,7 +486,9 @@ def fitted_slope(grad_evals, dist_x) -> float | None:
     u, d = u[skip:], d[skip:]
     if len(u) < 2 or np.ptp(u) == 0:
         return None
-    return float(np.polyfit(u, np.log10(np.maximum(d, 1e-300)), 1)[0])
+    logd = np.log10(np.maximum(d, 1e-300))
+    slope = np.polyfit(u, logd, 1)[0]
+    return float(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +641,19 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         entry: dict = {"name": spec.name, "csv": f"{stem}.csv"}
         try:
             trace, info, reps = _run_one(bundle, spec, point, config)
-            entry.update(info, status="ok")
+            entry.update(info)
+            entry["status"] = "ok"
         except DivergenceError as exc:
-            entry.update(status="diverged", error=str(exc))
+            entry["status"] = "diverged"
+            entry["error"] = str(exc)
             trace = exc.trace
             reps = [trace] if trace is not None else []
         if trace is not None:
             trace.to_csv(out / entry["csv"])
-            entry.update(rows=len(trace), final_dist_x=trace.final_dist_x(),
-                         slope=fitted_slope(trace.column("grad_evals"), trace.column("dist_x")),
-                         potential_kind=trace.potential_kind)
+            entry["rows"] = len(trace)
+            entry["final_dist_x"] = trace.final_dist_x()
+            entry["slope"] = fitted_slope(trace.column("grad_evals"), trace.column("dist_x"))
+            entry["potential_kind"] = trace.potential_kind
         if len(reps) > 1:
             rows = min(len(t) for t in reps)
             if trace.potential_kind is not None:
@@ -700,31 +706,38 @@ def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
         row = dict(point)
         try:
             trace, _ = _run_point(bundle, solver, point, cap=budget, tol=1e-300, seed=seed)
-            row.update(final_dist_x=trace.final_dist_x(), status="ok")
+            row["final_dist_x"] = trace.final_dist_x()
+            row["status"] = "ok"
         except DivergenceError as exc:
-            row.update(final_dist_x=math.inf, status="diverged", error=str(exc))
+            row["final_dist_x"] = math.inf
+            row["status"] = "diverged"
+            row["error"] = str(exc)
         rows.append(row)
 
     ranked = sorted(rows, key=lambda row: row["final_dist_x"])
-    best = next((row for row in ranked if row["status"] == "ok"), None)
-    return {"status": "no_convergent_schedule" if best is None else "ok", "best": best,
-            "ranked": ranked, "keys": keys}
+    ok = [r for r in ranked if r["status"] == "ok"]
+    if not ok:
+        return {"status": "no_convergent_schedule", "best": None,
+                "ranked": ranked, "keys": keys}
+    return {"status": "ok", "best": ok[0], "ranked": ranked, "keys": keys}
 
 
 def tune_to_target(bundle: InstanceBundle, solver: str, grid: dict, target: float, *,
-                   max_units: float, seed: int = 0) -> tuple[float | None, dict | None]:
+                   max_units: float) -> tuple[float | None, dict | None]:
     """The least grad-units to ``dist_x <= target`` over ``grid``'s points
     (read as grid_search reads it) and the point, or (None, None) if none
     reaches it within ``max_units``.  Each point is a measure_units_to_target
-    run capped at the least units so far, so one that reaches the target
-    replaces the incumbent.  Points run largest step first, where the cap
-    falls fastest: ties go to the earlier point in key order."""
+    run capped at the least units so far, and replaces the incumbent when it
+    takes no more units: a stochastic run spends at least one epoch, so it
+    may reach the target past its cap.  Points run largest step first, where
+    the cap falls fastest: ties go to the earlier point in key order."""
     _, points = _grid_points(bundle, solver, grid)
     best = (None, None)
     for point in reversed(points):
-        got = measure_units_to_target(bundle, solver, [point], target, seed=seed,
+        got = measure_units_to_target(bundle, solver, [point], target,
                                       max_units=max_units if best[0] is None else best[0])
-        best = best if got[0] is None else got
+        if got[0] is not None and (best[0] is None or got[0] <= best[0]):
+            best = got
     return best
 
 
@@ -779,8 +792,10 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
         with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([*keys, "final_dist_x", "status"])
-            writer.writerows([*(repr(row[k]) for k in keys), repr(row["final_dist_x"]),
-                              row["status"]] for row in result["ranked"])
+            for row in result["ranked"]:
+                writer.writerow([
+                    *(repr(row[k]) for k in keys), repr(row["final_dist_x"]), row["status"],
+                ])
         report["solvers"].append({"name": spec.name, "sweep_csv": sweep_path.name,
                                   "status": result["status"], "best": result["best"]})
     with open(out / "best.json", "w", encoding="utf-8") as fh:

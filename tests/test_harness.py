@@ -687,32 +687,43 @@ def test_units_to_target_match_runs_past_the_target(solver, seed, order):
             bundle, solver, ranked, target, max_units=5000, seed=seed)
 
 
+# stochastic grids with an epoch-length axis: at the loose target 0.5 one
+# epoch of 240 inner steps (41 grad-units) reaches it, past the cap that a
+# 12-step point's few units set
+EPOCH_GRIDS = {
+    "pdsvrg": {"eta1": [0.01, 0.03], "eta2": [0.02], "inner_iters": [12, 240]},
+    "primal_svrg": {"eta1": [0.01, 0.04], "inner_iters": [12, 240]},
+}
+
+
 @pytest.mark.differential
-@pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
-def test_tune_to_target_is_the_grid_minimum(solver):
+@pytest.mark.parametrize("solver, grid", [
+    *(pytest.param(s, WIDE_GRIDS[s], id=s) for s in sorted(harness.SOLVERS)),
+    *(pytest.param(s, g, id=f"{s}-epochs") for s, g in EPOCH_GRIDS.items())])
+def test_tune_to_target_is_the_grid_minimum(solver, grid):
     # the oracle ignores the visiting order: every point alone to max_units,
     # the least units, ties to the earliest point in key order
     bundle = build_instance(_split_spec())
-    _, points = harness._grid_points(bundle, solver, WIDE_GRIDS[solver])
-    for target in (1e-4, 1e-6):
+    _, points = harness._grid_points(bundle, solver, grid)
+    for target in (0.5, 1e-4, 1e-6):
         runs = [_units_to_target_past_the_target(bundle, solver, [p], target,
-                                                 max_units=5000, seed=1) for p in points]
+                                                 max_units=5000, seed=0) for p in points]
         want = min((r for r in runs if r[0] is not None), key=lambda r: r[0])
-        assert tune_to_target(bundle, solver, WIDE_GRIDS[solver], target, max_units=5000,
-                              seed=1) == want
+        assert tune_to_target(bundle, solver, grid, target, max_units=5000) == want
 
 
 def test_tune_to_target_caps_each_point_and_keeps_the_earliest_tie(monkeypatch):
-    # fake runs: units to the target per eta (None: misses it), each within
-    # its cap; the search visits the largest eta first
-    units = {0.1: 30.0, 0.2: 30.0, 0.3: None, 0.4: 50.0, 0.5: 60.0}
+    # fake runs: units to the target per eta (None: misses it); the search
+    # visits the largest eta first.  A run may reach the target past its cap,
+    # as a stochastic run's one epoch can: 0.05 must not replace 0.1
+    units = {0.05: 80.0, 0.1: 30.0, 0.2: 30.0, 0.3: None, 0.4: 50.0, 0.5: 60.0}
     caps = []
 
     def fake(bundle, solver, point, *, cap, tol, dist_tol=None, seed=0):
         caps.append((point["eta"], cap))
         trace = Trace()
         reached = units[point["eta"]]
-        if reached is None or reached > cap:
+        if reached is None:
             trace.extend([0], [0.0], 0.0, dist_x=[1.0])
         else:
             trace.extend([0, 1], [0.0, reached], 0.0, dist_x=[1.0, dist_tol])
@@ -722,7 +733,8 @@ def test_tune_to_target_caps_each_point_and_keeps_the_earliest_tie(monkeypatch):
     bundle = build_instance(_quad_instance_spec())
     got = tune_to_target(bundle, "primal_gd", {"eta": sorted(units)}, 1e-6, max_units=1000)
     assert got == (30.0, {"eta": 0.1})
-    assert caps == [(0.5, 1000), (0.4, 60.0), (0.3, 50.0), (0.2, 50.0), (0.1, 30.0)]
+    assert caps == [(0.5, 1000), (0.4, 60.0), (0.3, 50.0), (0.2, 50.0), (0.1, 30.0),
+                    (0.05, 30.0)]
     assert tune_to_target(bundle, "primal_gd", {"eta": [0.3]}, 1e-6,
                           max_units=1000) == (None, None)
 
