@@ -9,8 +9,8 @@ Commands (exposed through the CLI):
 * verify   -- sample random instances and check the contraction certificates
               (potential decrease, step-to-step inequalities, or the
               epoch-halving property of the stochastic solver).
-* grid     -- sweep step-size grids to a fixed grad-unit budget and pick the
-              best-performing point.
+* grid     -- sweep step-size grids, each point to dist_x <= stopping.tol or
+              the budget, and pick the fewest grad-units to that tol.
 * estimate -- report the curvature constants of an instance and the
               theoretical schedule they imply.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "cmd_estimate",
     "grid_search",
     "measure_units_to_target",
-    "tune_to_target",
 ]
 
 
@@ -512,7 +511,8 @@ def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
     batch run's gradient norm drops to tol or dist_x to dist_tol (default:
     tol); returns the trace and the runner's step arguments.  A batch point
     holds those already; a stochastic one is completed here, the one place
-    that does so: _filled's defaults and the epochs ``cap`` affords."""
+    that does so: _filled's defaults and the epochs ``cap`` affords.  A
+    stochastic run's DivergenceError names its ``seed``."""
     entry = SOLVERS[solver]
     run = globals()[entry.runner]
     stop = StoppingRule(max_iters=max(1, int(cap)), tol=tol, dist_tol=dist_tol)
@@ -521,7 +521,11 @@ def _run_point(bundle: InstanceBundle, solver: str, point: dict, *,
     fsp = bundle.finite_sum(entry.form)
     full = _filled(point, fsp.n)
     full["epochs"] = max(1, int(cap / (1.0 + 2.0 * full["inner_iters"] / fsp.n)))
-    return run(fsp, cfg=SvrgConfig(seed=seed, **full), x_star=bundle.x_star, stop=stop), full
+    try:
+        return run(fsp, cfg=SvrgConfig(seed=seed, **full), x_star=bundle.x_star, stop=stop), full
+    except DivergenceError as exc:
+        exc.seed = seed
+        raise
 
 
 def _shown(point: dict) -> dict:
@@ -578,7 +582,7 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
     if point is None:
         if schedule["source"] == "grid":
             result = grid_search(bundle, spec.name, schedule, budget=config.budget,
-                                 seed=config.seed)
+                                 target=config.tol, seed=config.seed)
             if result["status"] != "ok":
                 raise DivergenceError("no convergent schedule in the grid", 0, None)
             info["grid_best"] = schedule = result["best"]
@@ -644,11 +648,14 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
             entry.update(info)
             entry["status"] = "ok"
         except DivergenceError as exc:
-            entry["status"] = "diverged"
-            entry["error"] = str(exc)
+            entry.update(status="diverged", error=str(exc))
+            if hasattr(exc, "seed"):
+                entry["seed"] = exc.seed
             trace = exc.trace
             reps = [trace] if trace is not None else []
-        if trace is not None:
+        if trace is None:
+            del entry["csv"]  # no trace, no file
+        else:
             trace.to_csv(out / entry["csv"])
             entry["rows"] = len(trace)
             entry["final_dist_x"] = trace.final_dist_x()
@@ -691,54 +698,48 @@ def _grid_points(bundle: InstanceBundle, solver: str, grid: dict):
     return keys, points
 
 
-def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
-                budget: float, seed: int = 0) -> dict:
-    """Run every grid point to the grad-unit budget; rank by final dist_x.
-    The sort is stable over points _grid_points sorted by their key tuple,
-    so ties keep that order.
+def _to_target(bundle: InstanceBundle, solver: str, point: dict, target: float, *,
+               cap: float, seed: int):
+    """The trace of a run of ``point`` to dist_x <= target (the row
+    Trace.units_to_target reads), to a gradient-norm floor of target * 1e-3,
+    kept > 0 (batch runs only), or to ``cap``."""
+    return _run_point(bundle, solver, point, cap=cap, tol=max(target * 1e-3, 5e-324),
+                      dist_tol=target, seed=seed)[0]
 
-    Returns {"status", "best", "ranked", "keys"}; status is
-    "no_convergent_schedule" when every point diverges.
-    """
+
+def grid_search(bundle: InstanceBundle, solver: str, grid: dict, *,
+                budget: float, target: float | None = None, seed: int = 0) -> dict:
+    """Run every point of ``grid`` (_grid_points), largest step first, to
+    dist_x <= ``target`` (_to_target) or its cap: the fewest grad-units an
+    earlier point took to the target, or ``budget`` until one reaches it.
+    Points that reach it rank first, by those units (a stochastic run spends
+    at least one epoch, so it may pass its cap); the rest follow by final
+    dist_x, read at their own cap; ties keep key order.  Without a target
+    every point runs the whole budget.  Returns {"status", "best",
+    "ranked", "keys"}, status "no_convergent_schedule" if every point
+    diverges; a row holds the point, units_to_target (None: missed),
+    final_dist_x and status."""
     keys, points = _grid_points(bundle, solver, grid)
-    rows = []
-    for point in points:
-        row = dict(point)
+    rows, cap = [], budget
+    for point in reversed(points):
+        row = dict(point, units_to_target=None)
         try:
-            trace, _ = _run_point(bundle, solver, point, cap=budget, tol=1e-300, seed=seed)
-            row["final_dist_x"] = trace.final_dist_x()
-            row["status"] = "ok"
+            if target is None:
+                trace, _ = _run_point(bundle, solver, point, cap=budget, tol=1e-300, seed=seed)
+            else:
+                trace = _to_target(bundle, solver, point, target, cap=cap, seed=seed)
+                row["units_to_target"] = units = trace.units_to_target(target)
+                cap = cap if units is None else min(cap, units)
+            row.update(final_dist_x=trace.final_dist_x(), status="ok")
         except DivergenceError as exc:
-            row["final_dist_x"] = math.inf
-            row["status"] = "diverged"
-            row["error"] = str(exc)
+            row.update(final_dist_x=math.inf, status="diverged", error=str(exc))
         rows.append(row)
 
-    ranked = sorted(rows, key=lambda row: row["final_dist_x"])
-    ok = [r for r in ranked if r["status"] == "ok"]
-    if not ok:
-        return {"status": "no_convergent_schedule", "best": None,
-                "ranked": ranked, "keys": keys}
-    return {"status": "ok", "best": ok[0], "ranked": ranked, "keys": keys}
-
-
-def tune_to_target(bundle: InstanceBundle, solver: str, grid: dict, target: float, *,
-                   max_units: float) -> tuple[float | None, dict | None]:
-    """The least grad-units to ``dist_x <= target`` over ``grid``'s points
-    (read as grid_search reads it) and the point, or (None, None) if none
-    reaches it within ``max_units``.  Each point is a measure_units_to_target
-    run capped at the least units so far, and replaces the incumbent when it
-    takes no more units: a stochastic run spends at least one epoch, so it
-    may reach the target past its cap.  Points run largest step first, where
-    the cap falls fastest: ties go to the earlier point in key order."""
-    _, points = _grid_points(bundle, solver, grid)
-    best = (None, None)
-    for point in reversed(points):
-        got = measure_units_to_target(bundle, solver, [point], target,
-                                      max_units=max_units if best[0] is None else best[0])
-        if got[0] is not None and (best[0] is None or got[0] <= best[0]):
-            best = got
-    return best
+    ranked = sorted(reversed(rows), key=lambda row: (1, row["final_dist_x"])
+                    if row["units_to_target"] is None else (0, row["units_to_target"]))
+    best = next((row for row in ranked if row["status"] == "ok"), None)
+    return {"status": "no_convergent_schedule" if best is None else "ok", "best": best,
+            "ranked": ranked, "keys": keys}
 
 
 def measure_units_to_target(
@@ -747,20 +748,15 @@ def measure_units_to_target(
 ) -> tuple[float | None, dict | None]:
     """Grad-units to ``dist_x <= target`` from the first row of ``ranked``
     (grid rows or step points) that reaches it within ``max_units``, and its
-    point, or (None, None).  A row counts when its status is "ok" or absent.
-
-    Each run stops at dist_x <= target (the row Trace.units_to_target
-    reads), at a gradient-norm floor of target * 1e-3 (batch runs only) or
-    at the cap: a run on to target * 1e-3 gives the same units and point,
-    but one that reaches the target and diverges later counts only here."""
+    point, or (None, None).  A row counts when its status is "ok" or absent;
+    each runs as _to_target runs it."""
     keys = SOLVERS[solver].keys
     for row in ranked:
         if row.get("status", "ok") != "ok":
             continue
         point = {k: row[k] for k in keys if k in row}
         try:
-            trace, _ = _run_point(bundle, solver, point, cap=max_units, tol=target * 1e-3,
-                                  dist_tol=target, seed=seed)
+            trace = _to_target(bundle, solver, point, target, cap=max_units, seed=seed)
         except DivergenceError:
             continue
         units = trace.units_to_target(target)
@@ -771,9 +767,9 @@ def measure_units_to_target(
 
 def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
     """Grid-search each solver entry whose schedule source is 'grid' to the
-    config's budget; write a sweep CSV per solver and best.json with the
-    selected points.  A config without a grid entry, or an error that needs
-    the instance (_prepared), is found before anything is written."""
+    config's tol and budget; write a sweep CSV per solver and best.json with
+    the selected points.  A config without a grid entry, or an error that
+    needs the instance (_prepared), is found before anything is written."""
     specs = [spec for spec in config.solvers if spec.schedule["source"] == "grid"]
     if not specs:
         raise ConfigError("config.solvers", "no entry has schedule source 'grid'")
@@ -781,21 +777,20 @@ def cmd_grid(config: ExperimentConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    report: dict = {"budget": config.budget, "solvers": []}
+    report: dict = {"budget": config.budget, "target": config.tol, "solvers": []}
     used = set()
     for spec in specs:
         stem = _unique_stem(spec.label or spec.name, used)
         result = grid_search(bundle, spec.name, spec.schedule, budget=config.budget,
-                             seed=config.seed)
+                             target=config.tol, seed=config.seed)
         sweep_path = out / f"sweep_{stem}.csv"
         keys = result["keys"]
         with open(sweep_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([*keys, "final_dist_x", "status"])
+            writer.writerow([*keys, "units_to_target", "final_dist_x", "status"])
             for row in result["ranked"]:
-                writer.writerow([
-                    *(repr(row[k]) for k in keys), repr(row["final_dist_x"]), row["status"],
-                ])
+                writer.writerow([*("" if row[k] is None else repr(row[k]) for k in
+                                   (*keys, "units_to_target", "final_dist_x")), row["status"]])
         report["solvers"].append({"name": spec.name, "sweep_csv": sweep_path.name,
                                   "status": result["status"], "best": result["best"]})
     with open(out / "best.json", "w", encoding="utf-8") as fh:

@@ -30,7 +30,6 @@ from pdsaddle.harness import (
     fitted_slope,
     grid_search,
     measure_units_to_target,
-    tune_to_target,
 )
 from pdsaddle.instances import (
     make_smoothed_l1,
@@ -215,9 +214,12 @@ def _reproduce_case(path, compare_primal_stochastic=False):
     target = 1e-6
 
     # the batch solvers: each grid's least grad-units to the target
-    u_gd, pt_gd = tune_to_target(bundle, "primal_gd", grids["primal_gd"], target,
-                                 max_units=200_000)
-    u_pdg, pt_pdg = tune_to_target(bundle, "pdg", grids["pdg"], target, max_units=400_000)
+    tuned = {}
+    for solver, budget in (("primal_gd", 200_000), ("pdg", 400_000)):
+        result = grid_search(bundle, solver, grids[solver], budget=budget, target=target)
+        best = result["best"]
+        tuned[solver] = best["units_to_target"], {k: best[k] for k in result["keys"]}
+    (u_gd, pt_gd), (u_pdg, pt_pdg) = tuned["primal_gd"], tuned["pdg"]
 
     # tuned at grid_search's and measure_units_to_target's default seed 0
     svrg_grid = grid_search(bundle, "pdsvrg", grids["pdsvrg"], budget=1000)

@@ -17,7 +17,6 @@ from pdsaddle.harness import (
     fitted_slope,
     grid_search,
     measure_units_to_target,
-    tune_to_target,
 )
 from pdsaddle.solvers import Trace
 
@@ -287,9 +286,91 @@ def test_cmd_grid_writes_sweep(tmp_path):
     report = cmd_grid(config, tmp_path / "g")
     assert len(report["solvers"]) == 1
     sweep = (tmp_path / "g" / report["solvers"][0]["sweep_csv"]).read_text().splitlines()
-    assert sweep[0] == "eta1,eta2,final_dist_x,status"
+    assert sweep[0] == "eta1,eta2,units_to_target,final_dist_x,status"
     assert len(sweep) == 3
     assert (tmp_path / "g" / "best.json").exists()
+
+
+# primal GD steps on _quad_instance_spec() whose final dist_x at the budget,
+# near the roundoff floor, ranks them in another order than their units to
+# the tol
+UNITS_GRID = {"eta": [0.1, 0.2, 0.3, 0.4, 0.5]}
+
+
+def test_cli_grid_picks_the_fewest_units_to_the_tol(tmp_path):
+    bundle = build_instance(_quad_instance_spec())
+    tol = 1e-8
+    _, points = harness._grid_points(bundle, "primal_gd", UNITS_GRID)
+    units = {p["eta"]: measure_units_to_target(bundle, "primal_gd", [p], tol,
+                                               max_units=400)[0] for p in points}
+    fewest = min((u, eta) for eta, u in units.items() if u is not None)
+    by_final = grid_search(bundle, "primal_gd", UNITS_GRID, budget=400)["best"]["eta"]
+    assert by_final != fewest[1]  # the two rules disagree here
+
+    cfg = _write(tmp_path, "cfg.json", {
+        "budget": 400, "stopping": {"tol": tol}, "instance": _quad_instance_spec(),
+        "solvers": [{"name": "primal_gd", "schedule": {"source": "grid", **UNITS_GRID}}]})
+    assert cli.main(["grid", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+    report = json.loads((tmp_path / "g" / "best.json").read_text())
+    assert (report["budget"], report["target"]) == (400, tol)
+    best = report["solvers"][0]["best"]
+    assert (best["units_to_target"], best["eta"]) == fewest
+    rows = (tmp_path / "g" / "sweep_primal_gd.csv").read_text().splitlines()[1:]
+    # each point runs capped at the fewest units so far; one that misses the
+    # tol within its cap has an empty units_to_target
+    assert [row.split(",")[1] for row in rows] == [
+        "" if units[eta] is None or units[eta] > fewest[0] else repr(units[eta])
+        for eta in [float(row.split(",")[0]) for row in rows]]
+
+
+def test_cli_grid_takes_the_least_positive_tol(tmp_path):
+    # tol * 1e-3 underflows to 0; the sweep's gradient floor stays positive
+    cfg = _write(tmp_path, "cfg.json", {
+        "budget": 30, "stopping": {"tol": 5e-324}, "instance": _quad_instance_spec(),
+        "solvers": [{"name": "primal_gd", "schedule": {"source": "grid", "eta": [0.1, 0.3]}},
+                    {"name": "pdg", "schedule": {"source": "grid", "eta1": [0.05],
+                                                 "eta2": [0.3]}}]})
+    assert cli.main(["grid", "--config", cfg, "--out", str(tmp_path / "g")]) == 0
+    report = json.loads((tmp_path / "g" / "best.json").read_text())
+    assert report["target"] == 5e-324
+    assert [entry["status"] for entry in report["solvers"]] == ["ok", "ok"]
+
+
+@pytest.mark.slow
+def test_cli_grid_on_the_identity_experiment_names_the_to_target_minima(tmp_path):
+    out = tmp_path / "g"
+    assert cli.main(["grid", "--config", str(CONFIG_DIR / "experiment_identity.json"),
+                     "--out", str(out)]) == 0
+    best = {e["name"]: e["best"] for e in json.loads((out / "best.json").read_text())["solvers"]}
+    assert best["primal_gd"]["eta"] == 0.6825540974755161
+    assert (best["pdg"]["eta1"], best["pdg"]["eta2"]) == (0.34127704873775805, 500.0)
+
+
+def test_cmd_solve_names_only_the_csv_files_it_writes(tmp_path):
+    config = ExperimentConfig.from_dict({
+        "seed": 0, "budget": 40, "stopping": {"tol": 1e-12},
+        "instance": {"family": "random_quadratic", "d1": 4, "d2": 6, "seed": 7},
+        "solvers": [{"name": "pdg", "schedule": {"source": "grid", "eta1": [1e4],
+                                                 "eta2": [1e4]}},
+                    {"name": "primal_gd"}]})
+    summary = cmd_solve(config, tmp_path / "out")
+    pdg, gd = summary["solvers"]
+    assert pdg["status"] == "diverged" and "csv" not in pdg
+    assert gd["status"] == "ok"
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [gd["csv"], "summary.json"]
+
+
+@pytest.mark.parametrize("repetitions, status, seed", [(6, "diverged", 2), (1, "ok", None)])
+def test_cmd_solve_names_the_seed_whose_repetition_diverged(repetitions, status, seed,
+                                                             tmp_path):
+    config = ExperimentConfig.from_dict({
+        "seed": 0, "budget": 400, "stopping": {"tol": 1e-12},
+        "instance": {"family": "random_quadratic", "d1": 4, "d2": 6, "seed": 7, "splits": 6},
+        "solvers": [{"name": "pdsvrg", "repetitions": repetitions,
+                     "schedule": {"source": "explicit", "eta1": 0.35, "eta2": 0.35,
+                                  "inner_iters": 12}}]})
+    entry = cmd_solve(config, tmp_path / "out")["solvers"][0]
+    assert (entry["status"], entry.get("seed")) == (status, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +711,8 @@ def test_batch_to_target_runs_end_at_the_target_row(monkeypatch):
     target = 1e-4
     for solver in ("pdg", "primal_gd"):
         del traces[:]
-        units, _ = tune_to_target(bundle, solver, SMALL_GRIDS[solver], target,
-                                  max_units=5000)
+        result = grid_search(bundle, solver, SMALL_GRIDS[solver], budget=5000, target=target)
+        units = result["best"]["units_to_target"]
         reached = [t for t in traces if t.units_to_target(target) is not None]
         assert units is not None and reached
         for trace in reached:
@@ -709,7 +790,8 @@ def test_tune_to_target_is_the_grid_minimum(solver, grid):
         runs = [_units_to_target_past_the_target(bundle, solver, [p], target,
                                                  max_units=5000, seed=0) for p in points]
         want = min((r for r in runs if r[0] is not None), key=lambda r: r[0])
-        assert tune_to_target(bundle, solver, grid, target, max_units=5000) == want
+        best = grid_search(bundle, solver, grid, budget=5000, target=target)["best"]
+        assert (best["units_to_target"], {k: best[k] for k in want[1]}) == want
 
 
 def test_tune_to_target_caps_each_point_and_keeps_the_earliest_tie(monkeypatch):
@@ -731,12 +813,54 @@ def test_tune_to_target_caps_each_point_and_keeps_the_earliest_tie(monkeypatch):
 
     monkeypatch.setattr(harness, "_run_point", fake)
     bundle = build_instance(_quad_instance_spec())
-    got = tune_to_target(bundle, "primal_gd", {"eta": sorted(units)}, 1e-6, max_units=1000)
-    assert got == (30.0, {"eta": 0.1})
+    result = grid_search(bundle, "primal_gd", {"eta": sorted(units)}, budget=1000, target=1e-6)
+    assert (result["best"]["eta"], result["best"]["units_to_target"]) == (0.1, 30.0)
     assert caps == [(0.5, 1000), (0.4, 60.0), (0.3, 50.0), (0.2, 50.0), (0.1, 30.0),
                     (0.05, 30.0)]
-    assert tune_to_target(bundle, "primal_gd", {"eta": [0.3]}, 1e-6,
-                          max_units=1000) == (None, None)
+    # reached points by units, ties in key order, then the miss
+    assert [r["eta"] for r in result["ranked"]] == [0.1, 0.2, 0.4, 0.5, 0.05, 0.3]
+    missed = grid_search(bundle, "primal_gd", {"eta": [0.3]}, budget=1000, target=1e-6)
+    assert missed["status"] == "ok" and missed["best"]["units_to_target"] is None
+
+
+# WIDE_GRIDS with a step that diverges within the budget below
+DIVERGING_GRIDS = {solver: {key: values + [1e3] if key in ("eta", "eta1") else values
+                            for key, values in grid.items()}
+                   for solver, grid in WIDE_GRIDS.items()}
+
+
+@pytest.mark.differential
+@pytest.mark.parametrize("solver", sorted(harness.SOLVERS))
+def test_grid_search_without_a_target_ranks_by_final_dist_x(solver):
+    # the oracle: every point alone to the whole budget, sorted stably by
+    # final dist_x over the points in key order
+    bundle = build_instance(_split_spec())
+    entry = harness.SOLVERS[solver]
+    _, points = harness._grid_points(bundle, solver, DIVERGING_GRIDS[solver])
+    want = []
+    for point in points:
+        row = dict(point, units_to_target=None)
+        stop = harness.StoppingRule(max_iters=40, tol=1e-300)
+        try:
+            if entry.form is None:
+                trace = getattr(harness, entry.runner)(bundle.problem, **point, stop=stop,
+                                                       x_star=bundle.x_star)
+            else:
+                fsp = bundle.finite_sum(entry.form)
+                full = harness._filled(point, fsp.n)
+                epochs = int(40 / (1.0 + 2.0 * full["inner_iters"] / fsp.n))
+                cfg = harness.SvrgConfig(seed=1, epochs=epochs, **full)
+                trace = getattr(harness, entry.runner)(fsp, cfg=cfg, x_star=bundle.x_star,
+                                                       stop=stop)
+            row.update(final_dist_x=trace.final_dist_x(), status="ok")
+        except harness.DivergenceError as exc:
+            row.update(final_dist_x=float("inf"), status="diverged", error=str(exc))
+        want.append(row)
+    want.sort(key=lambda row: row["final_dist_x"])
+    result = grid_search(bundle, solver, DIVERGING_GRIDS[solver], budget=40, seed=1)
+    assert result["ranked"] == want
+    assert result["best"] == want[0]
+    assert [row["status"] for row in want].count("diverged") == 1
 
 
 # ---------------------------------------------------------------------------
