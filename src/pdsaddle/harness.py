@@ -575,7 +575,9 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
     The step point is ``point``, the entry's theory point, or else its
     explicit steps or the best point of its grid.  Each run is capped at the
     config's budget; a stochastic entry runs ``spec.repetitions`` times,
-    over seeds seed + r."""
+    over seeds seed + r, all of them: if some diverge, the first one's error
+    is raised, with every diverging seed (``diverged_seeds``) and the traces
+    of the seeds that ran to the budget (``converged``) attached."""
     entry = SOLVERS[spec.name]
     schedule = spec.schedule
     info: dict = {"name": spec.name, "source": schedule["source"]}
@@ -587,8 +589,17 @@ def _run_one(bundle: InstanceBundle, spec: SolverSpec, point: dict | None,
                 raise DivergenceError("no convergent schedule in the grid", 0, None)
             info["grid_best"] = schedule = result["best"]
         point = {k: float(schedule[k]) for k in entry.keys if k in schedule}
-    runs = [_run_point(bundle, spec.name, point, cap=config.budget, tol=config.tol,
-                       seed=config.seed + r) for r in range(spec.repetitions)]
+    runs, failed = [], []
+    for r in range(spec.repetitions):
+        try:
+            runs.append(_run_point(bundle, spec.name, point, cap=config.budget,
+                                   tol=config.tol, seed=config.seed + r))
+        except DivergenceError as exc:
+            failed.append(exc)
+    if failed:
+        failed[0].diverged_seeds = [getattr(exc, "seed", None) for exc in failed]
+        failed[0].converged = [trace for trace, _ in runs]
+        raise failed[0]
     info["schedule"] = _shown(runs[0][1])
     traces = [trace for trace, _ in runs]
     return traces[0], info, traces
@@ -650,9 +661,8 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
         except DivergenceError as exc:
             entry.update(status="diverged", error=str(exc))
             if hasattr(exc, "seed"):
-                entry["seed"] = exc.seed
-            trace = exc.trace
-            reps = [trace] if trace is not None else []
+                entry.update(seed=exc.seed, diverged_seeds=exc.diverged_seeds)
+            trace, reps = exc.trace, getattr(exc, "converged", [])
         if trace is None:
             del entry["csv"]  # no trace, no file
         else:
@@ -663,7 +673,7 @@ def cmd_solve(config: ExperimentConfig, out_dir) -> dict:
             entry["potential_kind"] = trace.potential_kind
         if len(reps) > 1:
             rows = min(len(t) for t in reps)
-            if trace.potential_kind is not None:
+            if reps[0].potential_kind is not None:
                 pots = [t.column("potential")[:rows] for t in reps]
                 entry["mean_potential_per_epoch"] = list(np.mean(pots, axis=0))
             dists = [t.column("dist_x")[:rows] for t in reps]

@@ -30,12 +30,14 @@ Storage: a finite sum is held as arrays, in one of two kinds.
 A full pass evaluates all components as one array expression whose
 arithmetic is that of one component at a time, bit for bit: stacked matvecs
 are per-matrix matvecs, and the row dots are one BLAS dot per row (a gemv
-``A @ x`` sums in another order).  Each kind has one formula for a single
-component, which ``component_grad`` and the epoch loop share, and one for a
-full pass, which ``full_grad`` and the epoch loop share.  A row sum writes
-into buffers its caller owns: a component into ``_buffers``, a full pass
-into a snapshot table (``_table``), by in-place ufunc calls in the order of
-the expression.  Each run owns one table, allocated once and refilled every
+``A @ x`` sums in another order).  Each kind has one reference formula for
+a component, ``_component``, which ``component_grad`` and ``vr_grad`` use
+(the epoch loop runs a row component inline, by the same ufunc calls in its
+order, and the tests hold the two to the same bits), and one for a full
+pass, which ``full_grad`` and the epoch loop share.  A row sum's run writes
+into buffers it owns: a component into ``_buffers``, a full pass into a
+snapshot table (``_table``), by in-place ufunc calls in the order of the
+expression.  Each run owns one table, allocated once and refilled every
 epoch; the sum holds none, so runs can share it.  A ``DenseSum`` returns
 fresh arrays for both.
 
@@ -136,18 +138,17 @@ class RowSum(_FiniteSum):
         return _cache_aligned(np.zeros((self.n, self.d1)))
 
     def _buffers(self):
-        """Fresh buffers for ``_component``: the primal part and a scalar."""
+        """Fresh buffers for a component: the primal part and a scalar."""
         return np.empty(self.d1), np.empty(())
 
-    def _component(self, i, x, y=None, out=None):
+    def _component(self, i, x, y=None):
         """Gradient of component i, gx in the primal form (y None), else
         (gx, gy) with gy the dual part's scalar at coordinate i.  gx is
-        written into ``out`` from ``_buffers`` (fresh ones when None), never
-        into grad_f's result.  The row dots are BLAS dots, and the scalar
-        factors 0-d arrays (``y[i, ...]`` is a view): a ufunc multiplies by
-        those faster than by a float."""
+        written into fresh ``_buffers``, never into grad_f's result.  The row
+        dots are BLAS dots, and the scalar factors 0-d arrays (``y[i, ...]``
+        is a view): a ufunc multiplies by those faster than by a float."""
         a = self._rows[i]
-        gx, r = self._buffers() if out is None else out
+        gx, r = self._buffers()
         if y is None:
             r[()] = a.dot(x) - self._targets[i]
             return np.add(self.grad_f(x), np.multiply(r, a, gx), gx)
@@ -198,13 +199,9 @@ class DenseSum(_FiniteSum):
         """None: a dense full pass comes as fresh arrays."""
         return None
 
-    def _buffers(self):
-        """None: a dense component comes as fresh arrays."""
-        return None
-
-    def _component(self, i, x, y=None, out=None):
+    def _component(self, i, x, y=None):
         """Gradient of component i, gx in the primal form (y None), else
-        (gx, gy), as fresh arrays; ``out`` is ignored."""
+        (gx, gy), as fresh arrays."""
         gx = self.B[i] @ x + self.b[i]
         if y is None:
             return gx
@@ -350,8 +347,9 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     drawn before the inner loop and its iterate copied when the loop reaches
     it.  A non-finite snapshot raises there, with the error and partial trace
     of the end-of-epoch row, which checks x_N, y_N for finiteness.  The
-    full pass fills the run's one snapshot table and the component comes in
-    the run's own buffers (fresh arrays for a dense sum), the update
+    full pass fills the run's one snapshot table, a row component is
+    computed inline into the run's own buffers (a dense one comes as fresh
+    arrays from ``_component``), the update
     x - eta1 ((g_i(x) - g_i(snap)) + full) is made in place in that order,
     and the snapshot gradients are read through row views.  Each row is one
     call to the recorder, which watches Q_t (primal-dual) or dist_x
@@ -380,7 +378,13 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
     y = y_next = None
     if dual:
         y, y_next = np.empty(y_snap.size), np.empty(y_snap.size)
-    component, out, table = fsp._component, fsp._buffers(), fsp._table()
+    component, table = fsp._component, fsp._table()
+    # every full pass refills a run-owned table, so its row views last the run
+    snap_gx = None if table is None else list(table)
+    if row_sum:
+        # the inner step is _component's formula inline, in its ufunc order
+        rows, targets, grad_f = fsp._rows, fsp._targets, fsp.grad_f
+        gx, r = fsp._buffers()
     add, subtract, multiply = np.add, np.subtract, np.multiply
 
     for epoch in range(cfg.epochs):
@@ -400,9 +404,10 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                 gys = list(gys)
         else:
             gxs, full_gx = fsp._full_pass(x_snap, None, table)
-        gxs = list(gxs)
+        if table is None:  # a dense full pass comes as fresh arrays
+            snap_gx = list(gxs)
         comp_evals += n
-        # gxs/gys hold every component gradient at the snapshot, so the inner
+        # snap_gx/gys hold every component gradient at the snapshot, so the
         # updates below reproduce vr_grad bit for bit without re-evaluating
         # the snapshot component (the 2-evaluations cost model still applies)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -413,19 +418,27 @@ def _epoch_loop(fsp, x0, y0, cfg, x_star, stop, record_inner) -> Trace:
                     x_snap = x.copy()
                     if dual:
                         y_snap = y.copy()
-                if not dual:
-                    gx = component(i, x, None, out)
-                else:
-                    gx, gy = component(i, x, y, out)
-                    if row_sum:
-                        # away from coordinate i the dual estimate is
-                        # (0 - 0) + full_gy, so only coordinate i needs work
-                        add(y, drift, y_next)
-                        y_next[i] = y[i] + eta2 * ((gy - gys_at[i]) + full_gy_at[i])
+                if row_sum:
+                    a = rows[i]
+                    if dual:
+                        r[()] = y_i = y.item(i)
                     else:
-                        add(subtract(gy, gys[i], gy), full_gy, gy)
-                        add(y, multiply(step2, gy, gy), y_next)
-                add(subtract(gx, gxs[i], gx), full_gx, gx)
+                        r[()] = a.dot(x) - targets[i]
+                    add(grad_f(x), multiply(r, a, gx), gx)
+                    if dual:
+                        # away from coordinate i the dual estimate is
+                        # (0 - 0) + full_gy, so only coordinate i needs work;
+                        # Python floats give the bits of numpy scalars
+                        add(y, drift, y_next)
+                        y_next[i] = y_i + eta2 * (((float(a.dot(x)) - (y_i + targets[i]))
+                                                   - gys_at[i]) + full_gy_at[i])
+                elif not dual:
+                    gx = component(i, x)
+                else:
+                    gx, gy = component(i, x, y)
+                    add(subtract(gy, gys[i], gy), full_gy, gy)
+                    add(y, multiply(step2, gy, gy), y_next)
+                add(subtract(gx, snap_gx[i], gx), full_gx, gx)
                 subtract(x, multiply(step1, gx, gx), x_next)
                 if record_inner and rec.row(
                         epoch * N + j + 1, (comp_evals + 2 * (j + 1)) / n,

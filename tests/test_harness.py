@@ -360,17 +360,36 @@ def test_cmd_solve_names_only_the_csv_files_it_writes(tmp_path):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [gd["csv"], "summary.json"]
 
 
-@pytest.mark.parametrize("repetitions, status, seed", [(6, "diverged", 2), (1, "ok", None)])
-def test_cmd_solve_names_the_seed_whose_repetition_diverged(repetitions, status, seed,
-                                                             tmp_path):
-    config = ExperimentConfig.from_dict({
-        "seed": 0, "budget": 400, "stopping": {"tol": 1e-12},
+def _split_pdsvrg_config(seed, repetitions):
+    return ExperimentConfig.from_dict({
+        "seed": seed, "budget": 400, "stopping": {"tol": 1e-12},
         "instance": {"family": "random_quadratic", "d1": 4, "d2": 6, "seed": 7, "splits": 6},
         "solvers": [{"name": "pdsvrg", "repetitions": repetitions,
                      "schedule": {"source": "explicit", "eta1": 0.35, "eta2": 0.35,
                                   "inner_iters": 12}}]})
-    entry = cmd_solve(config, tmp_path / "out")["solvers"][0]
+
+
+@pytest.mark.parametrize("repetitions, status, seed", [(6, "diverged", 2), (1, "ok", None)])
+def test_cmd_solve_names_the_seed_whose_repetition_diverged(repetitions, status, seed,
+                                                             tmp_path):
+    entry = cmd_solve(_split_pdsvrg_config(0, repetitions), tmp_path / "out")["solvers"][0]
     assert (entry["status"], entry.get("seed")) == (status, seed)
+    if repetitions == 1:
+        return
+    # every seed runs: the CSV is seed 2's partial trace, and the means are
+    # over the five seeds that ran to the budget, each as it runs alone
+    assert entry["diverged_seeds"] == [2] and entry["repetitions"] == 5
+    rows = np.genfromtxt(tmp_path / "out" / entry["csv"], delimiter=",", names=True)
+    assert len(rows) == entry["rows"] == 57
+    alone = []
+    for s in (0, 1, 3, 4, 5):
+        one = cmd_solve(_split_pdsvrg_config(s, 1), tmp_path / f"seed{s}")["solvers"][0]
+        assert one["status"] == "ok" and one["rows"] == 81
+        alone.append(np.genfromtxt(tmp_path / f"seed{s}" / one["csv"], delimiter=",",
+                                   names=True))
+    for key, col in (("mean_dist_x_per_epoch", "dist_x"),
+                     ("mean_potential_per_epoch", "potential")):
+        np.testing.assert_array_equal(entry[key], np.mean([r[col] for r in alone], axis=0))
 
 
 # ---------------------------------------------------------------------------

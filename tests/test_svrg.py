@@ -19,7 +19,10 @@ from pdsaddle import (
     vr_grad,
 )
 from pdsaddle.instances import (
+    make_smoothed_l1,
     random_quadratic,
+    smoothed_l1_minimizer,
+    smoothed_l1_saddle,
     split_quadratic,
     split_quadratic_primal,
 )
@@ -181,11 +184,24 @@ def test_pdsvrg_single_component_matches_pdg():
                                rtol=1e-12, atol=1e-14)
 
 
-def test_pdsvrg_inner_loop_replays_vr_grad(quad_fsp):
+def _replay_cases(quad_fsp, kind):
+    """(saddle sum, primal sum, x_star): the split quadratic's dense sums,
+    or a small smoothed-L1 row sum, whose epoch loop runs the component
+    formula inline, in both forms."""
+    problem, fsp, x_star, _ = quad_fsp
+    if kind == "dense":
+        return fsp, split_quadratic_primal(problem, 20, seed=1), x_star
+    inst = make_smoothed_l1(25, 10, cov="exp_decay", decay=2.0, seed=3)
+    rows = smoothed_l1_saddle(inst)
+    return rows, rows, smoothed_l1_minimizer(inst)
+
+
+@pytest.mark.parametrize("kind", ["dense", "row"])
+def test_pdsvrg_inner_loop_replays_vr_grad(quad_fsp, kind):
     # the solver's cached inner update must agree bit for bit with composing
     # the public pieces: full_grad at the snapshot, then vr_grad per draw
-    _, fsp, x_star, _ = quad_fsp
-    N = 25
+    fsp, _, x_star = _replay_cases(quad_fsp, kind)
+    N = 100
     cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=N, epochs=1, seed=31)
     trace = run_pdsvrg(fsp, cfg=cfg, x_star=x_star, record_inner=True)
 
@@ -200,6 +216,26 @@ def test_pdsvrg_inner_loop_replays_vr_grad(quad_fsp):
         gx, gy = vr_grad(fsp, i, x, y, x_snap, y_snap, full)
         x = x - cfg.eta1 * gx
         y = y + cfg.eta2 * gy
+        dists.append(float(np.linalg.norm(x - x_star)))
+    np.testing.assert_array_equal(trace.column("dist_x")[1:], dists)
+
+
+@pytest.mark.parametrize("kind", ["dense", "row"])
+def test_primal_svrg_inner_loop_replays_components(quad_fsp, kind):
+    # the primal form's inner update, x - eta1 ((g_i(x) - g_i(snap)) + full),
+    # composed from fresh component and full-pass evaluations
+    _, fsp, x_star = _replay_cases(quad_fsp, kind)
+    N = 100
+    cfg = SvrgConfig(eta1=0.01, eta2=0.02, inner_iters=N, epochs=1, seed=31)
+    trace = run_primal_svrg(fsp, cfg=cfg, x_star=x_star, record_inner=True)
+
+    rng = np.random.default_rng(31)
+    x_snap = np.zeros(fsp.d1)
+    full = fsp._full_pass(x_snap)[1]
+    x, dists = x_snap.copy(), []
+    for _ in range(N):
+        i = int(rng.integers(fsp.n))
+        x = x - cfg.eta1 * ((fsp._component(i, x) - fsp._component(i, x_snap)) + full)
         dists.append(float(np.linalg.norm(x - x_star)))
     np.testing.assert_array_equal(trace.column("dist_x")[1:], dists)
 
