@@ -188,9 +188,8 @@ def _replay_cases(quad_fsp, kind):
     """(saddle sum, primal sum, x_star): the split quadratic's dense sums,
     or a small smoothed-L1 row sum, whose epoch loop runs the component
     formula inline, in both forms."""
-    problem, fsp, x_star, _ = quad_fsp
     if kind == "dense":
-        return fsp, split_quadratic_primal(problem, 20, seed=1), x_star
+        return _buffer_cases(quad_fsp)[0]
     inst = make_smoothed_l1(25, 10, cov="exp_decay", decay=2.0, seed=3)
     rows = smoothed_l1_saddle(inst)
     return rows, rows, smoothed_l1_minimizer(inst)
